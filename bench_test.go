@@ -270,10 +270,8 @@ func BenchmarkVMExecution(b *testing.B) {
 	b.ReportMetric(float64(insts), "guest-insts/op")
 }
 
-// BenchmarkVMDispatch compares the interpreter's two host dispatch
-// strategies on the same workload: the legacy per-instruction map icache
-// vs the decoded basic-block cache. Guest results are identical; only
-// host wall-clock differs.
+// BenchmarkVMDispatch measures the interpreter's block-cache dispatch on
+// a fixed workload, in guest MIPS.
 func BenchmarkVMDispatch(b *testing.B) {
 	bm := workload.ByName("bzip2")
 	cp := *bm
@@ -283,30 +281,18 @@ func BenchmarkVMDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	input := cp.RefInput()
-	for _, mode := range []struct {
-		name    string
-		noBlock bool
-	}{
-		{"map-icache", true},
-		{"block-cache", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var insts uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := redfat.Run(bin, redfat.RunOptions{
-					Input: input, NoBlockCache: mode.noBlock,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts = res.Insts
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(insts)*float64(b.N)/secs/1e6, "guest-MIPS")
-			}
-		})
+	var insts uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := redfat.Run(bin, redfat.RunOptions{Input: input})
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts = res.Insts
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(insts)*float64(b.N)/secs/1e6, "guest-MIPS")
 	}
 }
 
@@ -337,7 +323,7 @@ func BenchmarkBlockChain(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := redfat.Run(bin, redfat.RunOptions{
-					Input: input, NoChain: mode.noChain, NoTLB: mode.noTLB,
+					Input: input, Knobs: redfat.Knobs{NoChain: mode.noChain, NoTLB: mode.noTLB},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -114,6 +114,11 @@ func TestCLIPipeline(t *testing.T) {
 	if strings.Contains(out, "vm.retired.total                            0") {
 		t.Errorf("retired counter is zero: %s", out)
 	}
+	// Memcheck runs report the same telemetry.
+	out, code = runTool(t, bin, "rfvm", "-memcheck", "-stats", "-input", "2", relfPath)
+	if code != 0 || !strings.Contains(out, "vm.retired.total") {
+		t.Errorf("rfvm -memcheck -stats: %d %s", code, out)
+	}
 
 	// Abnormal exits summarize the recorded errors.
 	out, _ = runTool(t, bin, "rfvm", "-hardened", "-abort", "-input", "40", hardPath)
@@ -302,6 +307,40 @@ func TestCLIRunpackSmoke(t *testing.T) {
 	out, code = runTool(t, bin, "rfpack", "replay", rwDir)
 	if code != 0 || !strings.Contains(out, "byte-identical") {
 		t.Fatalf("rewrite replay: %d %s", code, out)
+	}
+}
+
+// TestCLIRejectsHeapModesWithoutRedFatHeap checks that rfvm refuses the
+// allocator modes on a run that does not use the RedFat heap, before
+// running anything or writing a pack.
+func TestCLIRejectsHeapModesWithoutRedFatHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI tools")
+	}
+	bin := buildTools(t)
+	work := t.TempDir()
+	src := filepath.Join(work, "prog.s")
+	if err := os.WriteFile(src, []byte(cliProg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	relfPath := filepath.Join(work, "prog.relf")
+	if out, code := runTool(t, bin, "rfasm", "-o", relfPath, src); code != 0 {
+		t.Fatal(out)
+	}
+	for _, mode := range [][]string{
+		{"-canary", "-quarantine", "4096"},
+		{"-underalloc", "8"},
+		{"-memcheck", "-quarantine", "-1"},
+	} {
+		packDir := filepath.Join(work, "pack-"+strings.TrimPrefix(mode[len(mode)-1], "-"))
+		args := append(append(mode, "-runpack", packDir, "-input", "2"), relfPath)
+		out, code := runTool(t, bin, "rfvm", args...)
+		if code != 1 || !strings.Contains(out, "require -hardened") {
+			t.Errorf("rfvm %v: exit %d, want 1: %s", mode, code, out)
+		}
+		if _, err := os.Stat(packDir); !os.IsNotExist(err) {
+			t.Errorf("rfvm %v wrote a pack (%v)", mode, err)
+		}
 	}
 }
 

@@ -42,7 +42,6 @@ func main() {
 	elimDom := flag.Bool("elimdom", true, "enable dominator-based redundant-check elimination")
 	localLive := flag.Bool("local-liveness", false, "restrict liveness to block-local scans (ablation)")
 	noIndirect := flag.Bool("noindirect", false, "disable indirect-flow recovery in the dataflow engine (ablation)")
-	noLibc := flag.Bool("nolibccheck", false, "record that the binary deploys without the hardened libc intrinsics")
 	o0 := flag.Bool("O0", false, "disable all optimizations")
 	profileMode := flag.Bool("profile", false, "build the profiling-phase binary")
 	allowPath := flag.String("allowlist", "", "allow-list file from the profiling phase")
@@ -78,7 +77,6 @@ func main() {
 		NoIndirect:    *noIndirect,
 		Profile:       *profileMode,
 		MaxBatch:      *maxBatch,
-		NoLibcCheck:   *noLibc,
 	}
 	var allowData []byte
 	if *allowPath != "" {

@@ -7,7 +7,10 @@
 // Plain runs use the baseline glibc-style allocator. -hardened selects the
 // RedFat runtime (the LD_PRELOAD model) and is required for binaries
 // produced by the redfat tool. -memcheck runs under the Valgrind Memcheck
-// model instead.
+// model instead. The execution knobs (-nojit, -jit-threshold, -noindirect,
+// -nolibccheck, -nochain, -notlb and the RedFat heap's allocator modes
+// -quarantine, -canary and -underalloc, which require -hardened) are the
+// fields of redfat.Knobs.
 //
 // Observability: -stats collects telemetry during the run and prints a
 // report (retired instructions per opcode, allocator activity, check
@@ -94,16 +97,8 @@ func main() {
 	profInterval := flag.Uint64("profile-interval", 0, "guest cycles between profile samples (0 = default)")
 	folded := flag.String("folded", "", "write the guest profile as folded stacks (flamegraph input) to FILE")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (events + profile samples) to FILE")
-	noBlock := flag.Bool("noblock", false, "disable the VM's basic-block cache (host A/B validation)")
-	noChain := flag.Bool("nochain", false, "disable block chaining (host A/B validation)")
-	noTLB := flag.Bool("notlb", false, "disable the guest-memory software TLB (host A/B validation)")
-	noJIT := flag.Bool("nojit", false, "disable the superblock trace tier (host A/B validation)")
-	noIndirect := flag.Bool("noindirect", false, "disable the recovered-edge monitor for marker-built binaries (host A/B validation)")
-	jitThreshold := flag.Uint64("jit-threshold", 0, "block hotness before trace compilation (0 = default)")
-	noLibc := flag.Bool("nolibccheck", false, "disable the hardened libc span intrinsics (ablation; guest-visible)")
-	quarantine := flag.Int64("quarantine", 0, "free-quarantine byte budget (-1 disables, 0 default; hardened runs)")
-	canary := flag.Bool("canary", false, "arm canary-poisoned redzones (verified on free and span checks; hardened runs)")
-	underAlloc := flag.Uint64("underalloc", 0, "self-test: under-allocate ~1 in N heap objects by one byte (0 = off; hardened runs)")
+	var knobs redfat.Knobs
+	knobs.RegisterFlags(flag.CommandLine)
 	doVerify := flag.Bool("verify", false, "with -hardened, structurally validate the binary before running it")
 	packDir := flag.String("runpack", "", "capture the run as a digest-signed runpack in this directory (implies forensics)")
 	listen := flag.String("listen", "", "serve live introspection HTTP (/metrics /snapshot /traces /profile /flight) on ADDR until killed")
@@ -116,6 +111,9 @@ func main() {
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if knobs.HeapModes() && !*hardened {
+		fatal(fmt.Errorf("-quarantine, -canary and -underalloc require -hardened"))
 	}
 	bin, err := redfat.LoadBinary(flag.Arg(0))
 	if err != nil {
@@ -150,17 +148,7 @@ func main() {
 		Memcheck:     *mcheck,
 		AbortOnError: *abort,
 		MaxCycles:    *max,
-		NoBlockCache: *noBlock,
-		NoChain:      *noChain,
-		NoTLB:        *noTLB,
-		NoJIT:        *noJIT,
-		NoIndirect:   *noIndirect,
-		JITThreshold: *jitThreshold,
-
-		NoLibcCheck:     *noLibc,
-		QuarantineBytes: *quarantine,
-		Canary:          *canary,
-		UnderAllocEvery: *underAlloc,
+		Knobs:        knobs,
 	}
 	if *trace > 0 {
 		ro.Trace = os.Stderr
@@ -317,20 +305,13 @@ func main() {
 			fatal(rerr)
 		}
 		spec := runpack.RunSpec{
-			Input:        in,
-			Hardened:     *hardened,
-			Memcheck:     *mcheck,
-			Abort:        *abort,
-			MaxCycles:    *max,
-			Forensics:    true,
-			NoJIT:        *noJIT,
-			NoIndirect:   *noIndirect,
-			JITThreshold: *jitThreshold,
-
-			NoLibcCheck:     *noLibc,
-			QuarantineBytes: *quarantine,
-			Canary:          *canary,
-			UnderAllocEvery: *underAlloc,
+			Input:     in,
+			Hardened:  *hardened,
+			Memcheck:  *mcheck,
+			Abort:     *abort,
+			MaxCycles: *max,
+			Forensics: true,
+			Knobs:     knobs,
 		}
 		if perr := runpack.PackRun(*packDir, os.Args[1:], raw, bin, spec, res, err, reg, flight.Dump()); perr != nil {
 			fatal(perr)

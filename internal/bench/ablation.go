@@ -465,7 +465,7 @@ func (h *Harness) IndirectSweep(names []string, scale float64, w io.Writer) ([]I
 				return cell{}, err
 			}
 			v, _, err := rtlib.RunHardened(hard,
-				rtlib.RunConfig{Input: p.bm.RefInput(), NoIndirect: c.noInd, Metrics: reg})
+				rtlib.RunConfig{Input: p.bm.RefInput(), Knobs: rtlib.Knobs{NoIndirect: c.noInd}, Metrics: reg})
 			if err != nil {
 				return cell{}, err
 			}

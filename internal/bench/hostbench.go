@@ -21,16 +21,13 @@ import (
 // experiment harness scales over the worker pool. Guest results are
 // identical across all of these configurations; only elapsed time moves.
 
-// DispatchHostBench compares the interpreter's two dispatch strategies on
-// an uninstrumented workload: the legacy per-instruction map icache vs the
-// decoded basic-block cache.
+// DispatchHostBench measures the interpreter's block-cache dispatch on
+// an uninstrumented workload (superblock tier off). The map-icache
+// fields of earlier documents are retired with that dispatch path.
 type DispatchHostBench struct {
-	GuestInsts     uint64  `json:"guest_insts"`     // instructions retired per run
-	MapNsPerInst   float64 `json:"map_ns_per_inst"` // legacy map icache
+	GuestInsts     uint64  `json:"guest_insts"` // instructions retired per run
 	BlockNsPerInst float64 `json:"block_ns_per_inst"`
-	MapMIPS        float64 `json:"map_mips"` // guest MIPS (million insts / wall-second)
-	BlockMIPS      float64 `json:"block_mips"`
-	Improvement    float64 `json:"improvement"` // fractional dispatch-time reduction
+	BlockMIPS      float64 `json:"block_mips"` // guest MIPS (million insts / wall-second)
 }
 
 // MemTLBHostBench compares guest-memory access latency through the
@@ -126,8 +123,9 @@ type HostBenchResult struct {
 	Table1     Table1HostBench     `json:"table1_parallel"`
 }
 
-// RunHostBench measures both host-side benchmarks: VM dispatch (map vs
-// block cache) and Table 1 harness scaling (serial vs parallel pool).
+// RunHostBench measures every host-side section: VM dispatch, the TLB,
+// block chaining, the superblock tier, the libc span twins, indirect-flow
+// recovery, and Table 1 harness scaling (serial vs parallel pool).
 func RunHostBench(parallel int, scale float64) (*HostBenchResult, error) {
 	res := &HostBenchResult{
 		GOOS:      runtime.GOOS,
@@ -177,12 +175,10 @@ func dispatchWorkload() (*relf.Binary, []uint64, error) {
 }
 
 // measureConfig times repeated runs of the workload under one knob setting.
-func measureConfig(bin *relf.Binary, input []uint64, cfg rtlib.RunConfig, runErr *error) testing.BenchmarkResult {
+func measureConfig(bin *relf.Binary, input []uint64, knobs rtlib.Knobs, runErr *error) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c := cfg
-			c.Input = input
-			if _, err := rtlib.RunBaseline(bin, c); err != nil {
+			if _, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: input, Knobs: knobs}); err != nil {
 				*runErr = err
 				return
 			}
@@ -197,24 +193,17 @@ func (r *HostBenchResult) measureDispatch(bin *relf.Binary, input []uint64) erro
 	}
 	insts := probe.Insts
 
-	// NoJIT on both sides: this section compares dispatch strategies
-	// (map icache vs block cache), not the superblock tier.
+	// NoJIT: this section measures block dispatch, not the superblock tier.
 	var runErr error
-	mapRes := measureConfig(bin, input, rtlib.RunConfig{NoBlockCache: true, NoJIT: true}, &runErr)
-	blockRes := measureConfig(bin, input, rtlib.RunConfig{NoJIT: true}, &runErr)
+	blockRes := measureConfig(bin, input, rtlib.Knobs{NoJIT: true}, &runErr)
 	if runErr != nil {
 		return runErr
 	}
 
 	r.Dispatch = DispatchHostBench{
 		GuestInsts:     insts,
-		MapNsPerInst:   float64(mapRes.NsPerOp()) / float64(insts),
 		BlockNsPerInst: float64(blockRes.NsPerOp()) / float64(insts),
-		MapMIPS:        mips(insts, mapRes.NsPerOp()),
 		BlockMIPS:      mips(insts, blockRes.NsPerOp()),
-	}
-	if mapRes.NsPerOp() > 0 {
-		r.Dispatch.Improvement = 1 - float64(blockRes.NsPerOp())/float64(mapRes.NsPerOp())
 	}
 	return nil
 }
@@ -226,14 +215,14 @@ func (r *HostBenchResult) measureBlockChain(bin *relf.Binary, input []uint64) er
 	// isolates the chaining layer; with traces enabled most block exits
 	// never reach the chain lookup at all.
 	var runErr error
-	noChain := measureConfig(bin, input, rtlib.RunConfig{NoChain: true, NoJIT: true}, &runErr)
-	chain := measureConfig(bin, input, rtlib.RunConfig{NoJIT: true}, &runErr)
+	noChain := measureConfig(bin, input, rtlib.Knobs{NoChain: true, NoJIT: true}, &runErr)
+	chain := measureConfig(bin, input, rtlib.Knobs{NoJIT: true}, &runErr)
 	if runErr != nil {
 		return runErr
 	}
 
 	reg := telemetry.New()
-	if _, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: input, Metrics: reg, NoJIT: true}); err != nil {
+	if _, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: input, Metrics: reg, Knobs: rtlib.Knobs{NoJIT: true}}); err != nil {
 		return err
 	}
 	snap := reg.Snapshot()
@@ -317,8 +306,8 @@ func (r *HostBenchResult) measureMemTLB(bin *relf.Binary, input []uint64) error 
 // disabled, plus compile/deopt activity from one instrumented run.
 func (r *HostBenchResult) measureVMJIT(bin *relf.Binary, input []uint64) error {
 	var runErr error
-	nojit := measureConfig(bin, input, rtlib.RunConfig{NoJIT: true}, &runErr)
-	jit := measureConfig(bin, input, rtlib.RunConfig{}, &runErr)
+	nojit := measureConfig(bin, input, rtlib.Knobs{NoJIT: true}, &runErr)
+	jit := measureConfig(bin, input, rtlib.Knobs{}, &runErr)
 	if runErr != nil {
 		return runErr
 	}
@@ -453,7 +442,7 @@ func (r *HostBenchResult) measureIndirect() error {
 			return side{}, err
 		}
 		v, _, err := rtlib.RunHardened(hard,
-			rtlib.RunConfig{Input: cp.RefInput(), NoIndirect: noInd})
+			rtlib.RunConfig{Input: cp.RefInput(), Knobs: rtlib.Knobs{NoIndirect: noInd}})
 		if err != nil {
 			return side{}, err
 		}
@@ -539,10 +528,8 @@ func (r *HostBenchResult) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "host: %s/%s, %d CPUs, %s\n", r.GOOS, r.GOARCH, r.NumCPU, r.GoVersion)
 	fmt.Fprintf(w, "vm dispatch (%d guest insts):\n", r.Dispatch.GuestInsts)
-	fmt.Fprintf(w, "  map icache    %7.1f ns/inst  %7.1f guest MIPS\n",
-		r.Dispatch.MapNsPerInst, r.Dispatch.MapMIPS)
-	fmt.Fprintf(w, "  block cache   %7.1f ns/inst  %7.1f guest MIPS  (%.1f%% faster)\n",
-		r.Dispatch.BlockNsPerInst, r.Dispatch.BlockMIPS, 100*r.Dispatch.Improvement)
+	fmt.Fprintf(w, "  block cache   %7.1f ns/inst  %7.1f guest MIPS\n",
+		r.Dispatch.BlockNsPerInst, r.Dispatch.BlockMIPS)
 	fmt.Fprintf(w, "mem tlb (%.1f%% hit rate on workload):\n", 100*r.MemTLB.HitRate)
 	fmt.Fprintf(w, "  page map      %7.2f ns/access\n", r.MemTLB.MapNsPerAccess)
 	fmt.Fprintf(w, "  tlb           %7.2f ns/access  (%.2fx faster)\n",

@@ -26,9 +26,9 @@ func TestModeMatrixNoFalsePositives(t *testing.T) {
 		// tagged allows detections carrying the self-test tag.
 		tagged bool
 	}{
-		{name: "quarantine", cfg: rtlib.RunConfig{QuarantineBytes: 1 << 20}},
-		{name: "canary", cfg: rtlib.RunConfig{Canary: true}},
-		{name: "underalloc", cfg: rtlib.RunConfig{UnderAllocEvery: 8}, tagged: true},
+		{name: "quarantine", cfg: rtlib.RunConfig{Knobs: rtlib.Knobs{QuarantineBytes: 1 << 20}}},
+		{name: "canary", cfg: rtlib.RunConfig{Knobs: rtlib.Knobs{Canary: true}}},
+		{name: "underalloc", cfg: rtlib.RunConfig{Knobs: rtlib.Knobs{UnderAllocEvery: 8}}, tagged: true},
 	}
 	for _, bm := range workload.All() {
 		cp := *bm

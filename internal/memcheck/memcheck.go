@@ -20,7 +20,6 @@ package memcheck
 import (
 	"redfat/internal/heap"
 	"redfat/internal/isa"
-	"redfat/internal/mem"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
 	"redfat/internal/shadow"
@@ -145,72 +144,19 @@ const (
 	errInvalidFree = constError("memcheck: invalid free")
 )
 
-// Run executes bin under the Memcheck model.
+// budget is Memcheck's default cycle budget: runs take ~10× longer than
+// native.
+const budget = 20_000_000_000
+
+// Run executes bin under the Memcheck model: the shared run set-up with
+// the redzone wrapper over the baseline heap and the DBI hooks installed.
 func Run(bin *relf.Binary, cfg rtlib.RunConfig) (*vm.VM, error) {
-	m := mem.New()
-	v := vm.New(m)
-	v.Input = cfg.Input
-	v.MaxCycles = cfg.MaxCycles
-	if v.MaxCycles == 0 {
-		v.MaxCycles = 20_000_000_000 // Memcheck runs ~10× longer
-	}
-	v.AbortOnError = cfg.Abort
-	v.NoBlockCache = cfg.NoBlockCache
-	v.NoChain = cfg.NoChain
-	m.NoTLB = cfg.NoTLB
-	cfg.AttachFlight(v, m)
-	cfg.AttachTrace(v)
-
-	w := NewWrapper(heap.New(m))
-	cfg.AttachForensics(v, w)
-	env := rtlib.LibC(w, m)
-
-	// libc-style bulk operations are checked too (Valgrind intercepts
-	// them): wrap the mem* span operations with shadow checks. The
-	// NoLibcCheck ablation removes the interposition, modelling a run
-	// without the replacement library. String functions are deliberately
-	// not wrapped — Memcheck's str* interceptors only handle overlap, so
-	// OOB through str* stays a modelled miss (Table 2 contrast with the
-	// hardened span intrinsics).
-	if !cfg.NoLibcCheck {
-		baseMemset, baseMemcpy := env["memset"], env["memcpy"]
-		baseMemmove, baseMemcmp := env["memmove"], env["memcmp"]
-		env["memset"] = func(v *vm.VM, arg uint32) error {
-			if err := checkRange(v, w, v.Regs[isa.RDI], v.Regs[isa.RDX], true); err != nil {
-				return err
-			}
-			return baseMemset(v, arg)
-		}
-		env["memcpy"] = func(v *vm.VM, arg uint32) error {
-			if err := checkRange(v, w, v.Regs[isa.RSI], v.Regs[isa.RDX], false); err != nil {
-				return err
-			}
-			if err := checkRange(v, w, v.Regs[isa.RDI], v.Regs[isa.RDX], true); err != nil {
-				return err
-			}
-			return baseMemcpy(v, arg)
-		}
-		env["memmove"] = func(v *vm.VM, arg uint32) error {
-			if err := checkRange(v, w, v.Regs[isa.RSI], v.Regs[isa.RDX], false); err != nil {
-				return err
-			}
-			if err := checkRange(v, w, v.Regs[isa.RDI], v.Regs[isa.RDX], true); err != nil {
-				return err
-			}
-			return baseMemmove(v, arg)
-		}
-		env["memcmp"] = func(v *vm.VM, arg uint32) error {
-			if err := checkRange(v, w, v.Regs[isa.RDI], v.Regs[isa.RDX], false); err != nil {
-				return err
-			}
-			if err := checkRange(v, w, v.Regs[isa.RSI], v.Regs[isa.RDX], false); err != nil {
-				return err
-			}
-			return baseMemcmp(v, arg)
-		}
-	}
+	p := rtlib.NewProcess(cfg, budget, bin)
+	w := NewWrapper(p.GlibcHeap())
+	libc := p.LibC(w, func(env vm.Bindings) vm.Bindings { return interpose(env, w) })
 
 	// DBI overheads.
+	v := p.VM
 	v.PerInstOverhead = costPerInst
 	seen := make(map[uint64]bool)
 	v.BlockHook = func(v *vm.VM, addr uint64) {
@@ -224,11 +170,52 @@ func Run(bin *relf.Binary, cfg rtlib.RunConfig) (*vm.VM, error) {
 		v.Cycles += costShadowCheck
 		return checkAccess(v, w, addr, uint64(size), write)
 	}
+	return v, p.Exec(w, func(*relf.Binary) (vm.Bindings, error) { return libc, nil }, bin)
+}
 
-	if err := v.Load(bin, env); err != nil {
-		return v, err
+// interpose checks libc-style bulk operations too (Valgrind intercepts
+// them): the mem* span operations get shadow checks. The NoLibcCheck knob
+// skips it, modelling a run without the replacement library. String
+// functions are deliberately not wrapped — Memcheck's str* interceptors
+// only handle overlap, so OOB through str* stays a modelled miss (Table 2
+// contrast with the hardened span intrinsics).
+func interpose(env vm.Bindings, w *Wrapper) vm.Bindings {
+	baseMemset, baseMemcpy := env["memset"], env["memcpy"]
+	baseMemmove, baseMemcmp := env["memmove"], env["memcmp"]
+	env["memset"] = func(v *vm.VM, arg uint32) error {
+		if err := checkRange(v, w, v.Regs[isa.RDI], v.Regs[isa.RDX], true); err != nil {
+			return err
+		}
+		return baseMemset(v, arg)
 	}
-	return v, v.Run()
+	env["memcpy"] = func(v *vm.VM, arg uint32) error {
+		if err := checkRange(v, w, v.Regs[isa.RSI], v.Regs[isa.RDX], false); err != nil {
+			return err
+		}
+		if err := checkRange(v, w, v.Regs[isa.RDI], v.Regs[isa.RDX], true); err != nil {
+			return err
+		}
+		return baseMemcpy(v, arg)
+	}
+	env["memmove"] = func(v *vm.VM, arg uint32) error {
+		if err := checkRange(v, w, v.Regs[isa.RSI], v.Regs[isa.RDX], false); err != nil {
+			return err
+		}
+		if err := checkRange(v, w, v.Regs[isa.RDI], v.Regs[isa.RDX], true); err != nil {
+			return err
+		}
+		return baseMemmove(v, arg)
+	}
+	env["memcmp"] = func(v *vm.VM, arg uint32) error {
+		if err := checkRange(v, w, v.Regs[isa.RDI], v.Regs[isa.RDX], false); err != nil {
+			return err
+		}
+		if err := checkRange(v, w, v.Regs[isa.RSI], v.Regs[isa.RDX], false); err != nil {
+			return err
+		}
+		return baseMemcmp(v, arg)
+	}
+	return env
 }
 
 func checkAccess(v *vm.VM, w *Wrapper, addr, size uint64, write bool) error {

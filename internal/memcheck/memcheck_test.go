@@ -1,6 +1,7 @@
 package memcheck_test
 
 import (
+	"strings"
 	"testing"
 
 	"redfat/internal/asm"
@@ -8,6 +9,7 @@ import (
 	"redfat/internal/memcheck"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
+	"redfat/internal/telemetry"
 	"redfat/internal/vm"
 )
 
@@ -130,5 +132,46 @@ func TestDBIOverheadCharged(t *testing.T) {
 	slowdown := float64(mc.Cycles) / float64(base.Cycles)
 	if slowdown < 3 || slowdown > 40 {
 		t.Errorf("Memcheck slowdown %.1f× outside plausible range", slowdown)
+	}
+}
+
+// TestTelemetryAttached checks that Memcheck runs feed the run's registry
+// and event ring like every other runner.
+func TestTelemetryAttached(t *testing.T) {
+	bin := buildArrayProg(t)
+	reg := telemetry.New()
+	tr := telemetry.NewTracer(64)
+	v, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{2}, Metrics: reg, EventTrace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters["vm.retired.total"]; got != v.Insts || got == 0 {
+		t.Errorf("vm.retired.total = %d, want %d", got, v.Insts)
+	}
+	if len(tr.Events()) == 0 {
+		t.Error("event ring is empty")
+	}
+}
+
+// TestLandingPadsEnforced checks that Memcheck runs a marker-built binary
+// under the same landing-pad enforcement as every other runner: an
+// indirect jump to a byte that is not an LPAD faults.
+func TestLandingPadsEnforced(t *testing.T) {
+	b := asm.NewBuilder(asm.Options{})
+	b.Func("main")
+	b.MovRI(isa.RCX, 0)
+	b.LoadIndexed(isa.RAX, "table", isa.RCX, 8, 8)
+	b.JmpReg(isa.RAX)
+	b.Label("target") // no LPAD
+	b.MovRI(isa.RAX, 0)
+	b.Ret()
+	b.JumpTable("table", "target")
+	bin, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := memcheck.Run(bin, rtlib.RunConfig{}); err == nil ||
+		!strings.Contains(err.Error(), "not a landing pad") {
+		t.Fatalf("indirect jump to a non-LPAD target: err = %v", err)
 	}
 }

@@ -33,12 +33,14 @@ const (
 	cfgMerge
 )
 
-// config flag bits (byte 2 of the section).
+// config flag bits (byte 2 of the section). Bit 3 is reserved: it
+// recorded a harden-time NoLibcCheck that nothing ever read. Encoders
+// leave it clear and decoders ignore it, so older binaries still load.
 const (
 	cfgNoClobberSpec = 1 << iota
 	cfgLocalLiveness
 	cfgAllowList
-	cfgNoLibcCheck
+	_
 	cfgNoIndirect
 )
 
@@ -61,7 +63,6 @@ func EncodeConfig(opt Options) []byte {
 	set(&f2, cfgNoClobberSpec, opt.NoClobberSpec)
 	set(&f2, cfgLocalLiveness, opt.LocalLiveness)
 	set(&f2, cfgAllowList, opt.AllowList != nil)
-	set(&f2, cfgNoLibcCheck, opt.NoLibcCheck)
 	set(&f2, cfgNoIndirect, opt.NoIndirect)
 	out := make([]byte, 5)
 	out[0] = configVersion
@@ -92,7 +93,6 @@ func DecodeConfig(data []byte) (opt Options, hasAllowList bool, err error) {
 	opt.Merge = f1&cfgMerge != 0
 	opt.NoClobberSpec = f2&cfgNoClobberSpec != 0
 	opt.LocalLiveness = f2&cfgLocalLiveness != 0
-	opt.NoLibcCheck = f2&cfgNoLibcCheck != 0
 	opt.NoIndirect = f2&cfgNoIndirect != 0
 	opt.MaxBatch = int(binary.LittleEndian.Uint16(data[3:]))
 	return opt, f2&cfgAllowList != 0, nil

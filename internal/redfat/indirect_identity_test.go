@@ -38,7 +38,7 @@ func TestNoIndirectIdentityNonMarker(t *testing.T) {
 				}
 				hards = append(hards, hard)
 				v, _, err := rtlib.RunHardened(hard,
-					rtlib.RunConfig{Input: cp.RefInput(), NoIndirect: noind})
+					rtlib.RunConfig{Input: cp.RefInput(), Knobs: rtlib.Knobs{NoIndirect: noind}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -72,14 +72,6 @@ type Options struct {
 	// MaxBatch bounds the number of accesses per trampoline (0 = 8).
 	MaxBatch int
 
-	// NoLibcCheck records that the binary is intended to deploy without
-	// the span-checked libc intrinsics (the libredfat interposition).
-	// Policy metadata only — the run-time knob of the same name drives
-	// execution — but recording it in .rf.config lets runpack replay and
-	// the validator reconstruct the intended deployment, and puts the
-	// bit under the runpack digest (tamper detection).
-	NoLibcCheck bool
-
 	// NoClobberSpec disables the dead-register trampoline
 	// specialization (paper §6, "Additional low-level optimizations"):
 	// every trampoline then saves the full scratch set and flags.

@@ -13,10 +13,9 @@ import (
 )
 
 // stripHostOnly removes the vm.icache.* and vm.jit.* metrics from a
-// snapshot: they describe host-side machinery — the decode cache, whose
-// accounting legitimately differs between the map icache and the block
-// cache (per-PC entries vs predecoded block instructions), and the
-// superblock tier, which only exists when the JIT knob is on. Everything
+// snapshot: they describe host-side machinery — the block cache, which
+// the per-instruction VM.Step reference never fills, and the superblock
+// tier, which only exists when the JIT knob is on. Everything
 // else — retired counts, loads, stores, branches, cycles, check and
 // allocator metrics — is guest-derived and must be bit-identical across
 // the dispatch strategies.
@@ -43,14 +42,15 @@ func stripHostOnly(s *telemetry.Snapshot) *telemetry.Snapshot {
 }
 
 // fastPathConfigs is the host fast-path knob matrix: {block cache +
-// chaining + superblock tier, no JIT, no chaining, map icache} × {TLB,
-// no TLB}. The first entry (everything on) is the reference the rest are
-// diffed against. NoChain implies no JIT (traces are built over chained
-// successors), so the noChain rows ablate both layers at once and the
-// noJIT rows isolate just the tier.
+// chaining + superblock tier, no JIT, no chaining, the VM.Step
+// per-instruction reference} × {TLB, no TLB}. The first entry
+// (everything on) is the reference the rest are diffed against. NoChain
+// implies no JIT (traces are built over chained successors), so the
+// noChain rows ablate both layers at once and the noJIT rows isolate
+// just the tier; the step rows bypass every dispatch cache.
 var fastPathConfigs = []struct {
-	name                           string
-	noBlock, noChain, noTLB, noJIT bool
+	name                        string
+	step, noChain, noTLB, noJIT bool
 }{
 	{"block+chain+jit+tlb", false, false, false, false},
 	{"block+chain+jit", false, false, true, false},
@@ -58,8 +58,8 @@ var fastPathConfigs = []struct {
 	{"block+chain", false, false, true, true},
 	{"block+tlb", false, true, false, true},
 	{"block", false, true, true, true},
-	{"map+tlb", true, false, false, true},
-	{"map", true, false, true, true},
+	{"step+tlb", true, false, false, true},
+	{"step", true, false, true, true},
 }
 
 // runBoth executes the same binary under every fast-path knob combination
@@ -67,18 +67,21 @@ var fastPathConfigs = []struct {
 // (all fast paths enabled).
 func runBoth(t *testing.T, name string, run func(cfg rtlib.RunConfig) (*vm.VM, error)) {
 	t.Helper()
-	exec := func(noBlock, noChain, noTLB, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
+	exec := func(step, noChain, noTLB, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
+		if step {
+			defer rtlib.StepReference()()
+		}
 		reg := telemetry.New()
 		v, err := run(rtlib.RunConfig{
-			NoBlockCache: noBlock, NoChain: noChain, NoTLB: noTLB, NoJIT: noJIT,
+			Knobs:   rtlib.Knobs{NoChain: noChain, NoTLB: noTLB, NoJIT: noJIT},
 			Metrics: reg,
 		})
 		return v, stripHostOnly(reg.Snapshot()), err
 	}
 	ref := fastPathConfigs[0]
-	refVM, refTel, refErr := exec(ref.noBlock, ref.noChain, ref.noTLB, ref.noJIT)
+	refVM, refTel, refErr := exec(ref.step, ref.noChain, ref.noTLB, ref.noJIT)
 	for _, c := range fastPathConfigs[1:] {
-		gotVM, gotTel, gotErr := exec(c.noBlock, c.noChain, c.noTLB, c.noJIT)
+		gotVM, gotTel, gotErr := exec(c.step, c.noChain, c.noTLB, c.noJIT)
 		label := name + "/" + c.name
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error divergence: ref %v, got %v", label, refErr, gotErr)
@@ -108,7 +111,7 @@ func runBoth(t *testing.T, name string, run func(cfg rtlib.RunConfig) (*vm.VM, e
 }
 
 // TestBlockCacheIdentity runs the whole workload suite — baseline and
-// fully hardened — under both dispatch strategies and requires
+// fully hardened — under every dispatch strategy and requires
 // bit-identical guest results.
 func TestBlockCacheIdentity(t *testing.T) {
 	bms := workload.All()
@@ -162,11 +165,14 @@ func TestFastPathForensicsIdentity(t *testing.T) {
 		v       *vm.VM
 		samples []vm.ProfSample
 	}
-	exec := func(noBlock, noChain, noTLB, noJIT bool) forensicRun {
+	exec := func(step, noChain, noTLB, noJIT bool) forensicRun {
+		if step {
+			defer rtlib.StepReference()()
+		}
 		prof := &vm.GuestProfiler{Interval: 64}
 		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input:        input,
-			NoBlockCache: noBlock, NoChain: noChain, NoTLB: noTLB, NoJIT: noJIT,
+			Input:     input,
+			Knobs:     rtlib.Knobs{NoChain: noChain, NoTLB: noTLB, NoJIT: noJIT},
 			Forensics: true,
 			Profiler:  prof,
 		})
@@ -176,12 +182,12 @@ func TestFastPathForensicsIdentity(t *testing.T) {
 		return forensicRun{v: v, samples: prof.Samples()}
 	}
 	refCfg := fastPathConfigs[0]
-	ref := exec(refCfg.noBlock, refCfg.noChain, refCfg.noTLB, refCfg.noJIT)
+	ref := exec(refCfg.step, refCfg.noChain, refCfg.noTLB, refCfg.noJIT)
 	if len(ref.v.Errors) == 0 {
 		t.Fatal("calculix run detected no errors; forensics path unexercised")
 	}
 	for _, c := range fastPathConfigs[1:] {
-		got := exec(c.noBlock, c.noChain, c.noTLB, c.noJIT)
+		got := exec(c.step, c.noChain, c.noTLB, c.noJIT)
 		if ref.v.Cycles != got.v.Cycles || ref.v.Insts != got.v.Insts {
 			t.Errorf("%s: cycles/insts differ: ref %d/%d, got %d/%d",
 				c.name, ref.v.Cycles, ref.v.Insts, got.v.Cycles, got.v.Insts)
@@ -197,7 +203,7 @@ func TestFastPathForensicsIdentity(t *testing.T) {
 }
 
 // TestBlockCacheCycleBudgetIdentity checks that the cycle-budget abort
-// fires at the same cycle count on both paths, including mid-block.
+// fires at the same cycle count on every path, including mid-block.
 func TestBlockCacheCycleBudgetIdentity(t *testing.T) {
 	bm := workload.ByName("bzip2")
 	cp := *bm

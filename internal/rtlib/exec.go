@@ -19,34 +19,15 @@ import (
 // RunConfig parameterizes an execution.
 type RunConfig struct {
 	Input     []uint64
-	MaxCycles uint64 // 0 → 2e9
+	MaxCycles uint64 // 0 → the runner's default budget
 	Abort     bool   // abort on detected memory errors (hardening mode)
+
+	// Knobs are the execution knobs (see Knobs).
+	Knobs
 
 	// RandomizeHeap enables the low-fat allocator's placement
 	// randomization (the basic heap randomization paper §8 mentions).
 	RandomizeHeap bool
-
-	// QuarantineBytes overrides the free quarantine budget (-1 disables
-	// the quarantine entirely, 0 keeps the default).
-	QuarantineBytes int64
-
-	// NoLibcCheck disables the hardened libc span intrinsics, reverting
-	// the modelled libc to its unchecked baseline bindings. Unlike the
-	// NoTLB/NoJIT family this knob is guest-visible — span checks charge
-	// cycles and produce detections — so it is recorded in runpack
-	// RunSpecs and replayed.
-	NoLibcCheck bool
-
-	// Canary arms canary-poisoned redzones: allocation slack is filled
-	// with redzone.CanaryByte, verified on free and on span-check
-	// crossings (libredfat's REDFAT_CANARY mode).
-	Canary bool
-
-	// UnderAllocEvery, when >0, under-allocates roughly one in every N
-	// heap objects by a single byte (libredfat's REDFAT_TEST self-test
-	// mode, deterministic via vm.NextRand). Induced detections carry a
-	// "self-test under-allocation" note tag.
-	UnderAllocEvery uint64
 
 	// TraceWriter, when set, receives one line per executed instruction
 	// (address and disassembly), up to TraceLimit lines (0 = 10000).
@@ -63,44 +44,11 @@ type RunConfig struct {
 	// the bounded ring buffer.
 	EventTrace *telemetry.Tracer
 
-	// NoBlockCache runs the VM on its legacy per-instruction decode
-	// cache instead of the basic-block cache. A host-side validation
-	// knob: guest results are identical either way, only wall-clock
-	// differs.
-	NoBlockCache bool
-
-	// NoChain disables block chaining (direct block→successor links)
-	// while keeping the block cache itself. Host-side validation knob,
-	// same identity guarantee as NoBlockCache.
-	NoChain bool
-
-	// NoTLB disables the guest-memory software TLB, forcing every page
-	// access through the page-map lookup. Host-side validation knob,
-	// same identity guarantee as NoBlockCache.
-	NoTLB bool
-
-	// NoJIT disables the superblock tier (compiled traces over hot
-	// chained blocks), pinning execution to the block interpreter.
-	// Host-side validation knob, same identity guarantee as
-	// NoBlockCache.
-	NoJIT bool
-
-	// NoIndirect disables the recovered-edge soundness monitor that is
-	// otherwise armed for marker-built binaries (host-side telemetry:
-	// vm.indirect.escape.count). It does NOT disable the landing-pad
-	// enforcement itself — that is binary semantics, owned by the binary
-	// via its .rf.jt marker, and must not vary with an ablation knob.
-	NoIndirect bool
-
 	// IndirectHook, when set, observes every indirect JMP/CALL transfer
 	// (pc → target) before it commits. Host-side observability only —
 	// the differential edge oracle uses it to compare actual transfers
 	// against the statically recovered target sets.
 	IndirectHook func(pc, target uint64)
-
-	// JITThreshold overrides the block-hotness threshold at which
-	// traces are compiled (0 keeps vm.DefaultJITThreshold).
-	JITThreshold uint64
 
 	// Forensics enables allocation-site backtrace capture in the bound
 	// allocator and guest-backtrace capture on trapped memory errors,
@@ -124,6 +72,76 @@ type RunConfig struct {
 	Flight *obs.Flight
 }
 
+// defaultBudget is the cycle budget of a native-speed run whose
+// RunConfig leaves MaxCycles at 0.
+const defaultBudget = 2_000_000_000
+
+// defaultForensicsDepth is the backtrace depth used when Forensics is on
+// and no explicit depth is configured.
+const defaultForensicsDepth = 8
+
+// run is the dispatch loop every runner ends in. The dispatch identity
+// tests swap in a VM.Step loop as the per-instruction reference.
+var run = (*vm.VM).Run
+
+// Process is one run on the shared set-up: a VM and its guest memory
+// (VM.Mem) with every knob and host-side observer of the RunConfig
+// applied. The runners — RunBaseline, RunHardened, RunLinked and
+// memcheck.Run — differ only in the heap they interpose over malloc, the
+// bindings they hand each module and, for Memcheck, the DBI hooks they
+// install on VM before Exec.
+type Process struct {
+	VM  *vm.VM
+	cfg RunConfig
+}
+
+// NewProcess builds the VM and guest memory for a run of mods. budget is
+// the cycle budget when cfg.MaxCycles is 0.
+func NewProcess(cfg RunConfig, budget uint64, mods ...*relf.Binary) *Process {
+	m := mem.New()
+	m.NoTLB = cfg.NoTLB
+	m.Flight = cfg.Flight
+	v := vm.New(m)
+	v.Input = cfg.Input
+	v.MaxCycles = cfg.MaxCycles
+	if v.MaxCycles == 0 {
+		v.MaxCycles = budget
+	}
+	v.AbortOnError = cfg.Abort
+	v.NoChain = cfg.NoChain
+	v.NoJIT = cfg.NoJIT
+	v.JITThreshold = cfg.JITThreshold
+	v.Flight = cfg.Flight
+	v.Profiler = cfg.Profiler
+	if cfg.Metrics != nil || cfg.EventTrace != nil {
+		v.AttachTelemetry(cfg.Metrics, cfg.EventTrace)
+	}
+	p := &Process{VM: v, cfg: cfg}
+	p.attachTrace()
+	p.attachIndirect(mods)
+	return p
+}
+
+// attachTrace installs the execution tracer if configured.
+func (p *Process) attachTrace() {
+	w := p.cfg.TraceWriter
+	if w == nil {
+		return
+	}
+	limit := p.cfg.TraceLimit
+	if limit == 0 {
+		limit = 10000
+	}
+	n := 0
+	p.VM.TraceHook = func(v *vm.VM, pc uint64, in *isa.Inst) {
+		if n >= limit {
+			return
+		}
+		n++
+		fmt.Fprintf(w, "%10x: %s\n", pc, in.String())
+	}
+}
+
 // attachIndirect arms the CET-style landing-pad machinery when every
 // module carries the .rf.jt marker: indirect jumps/calls to non-LPAD
 // bytes fault (binary semantics, independent of any knob), and — unless
@@ -131,27 +149,28 @@ type RunConfig struct {
 // transfers escaping the recovered target sets (host-side telemetry).
 // Mixed marker/legacy module sets leave enforcement off, like a legacy
 // DSO disabling process-wide IBT.
-func (c *RunConfig) attachIndirect(v *vm.VM, bins ...*relf.Binary) {
-	v.IndirectHook = c.IndirectHook
-	for _, b := range bins {
+func (p *Process) attachIndirect(mods []*relf.Binary) {
+	v := p.VM
+	v.IndirectHook = p.cfg.IndirectHook
+	for _, b := range mods {
 		if !cfg.MarkerBuilt(b) {
 			return
 		}
 	}
 	v.LPADCheck = true
-	if c.NoIndirect {
+	if p.cfg.NoIndirect {
 		return
 	}
 	targets := make(map[uint64]map[uint64]bool)
-	for _, b := range bins {
+	for _, b := range mods {
 		if b.PIC {
 			continue // static addresses differ from the load bias
 		}
-		p, err := cfg.Disassemble(b)
+		prog, err := cfg.Disassemble(b)
 		if err != nil {
 			continue // e.g. partially patched text: monitor stays off
 		}
-		g := cfg.NewGraph(p)
+		g := cfg.NewGraph(prog)
 		if g.Indirect == nil {
 			continue
 		}
@@ -164,73 +183,21 @@ func (c *RunConfig) attachIndirect(v *vm.VM, bins ...*relf.Binary) {
 	}
 }
 
-// defaultForensicsDepth is the backtrace depth used when Forensics is on
-// and no explicit depth is configured.
-const defaultForensicsDepth = 8
-
-// siteTracker is implemented by allocators that can record forensic
-// allocation sites (both heaps, and wrappers that forward to one).
-type siteTracker interface{ EnableSiteTracking(depth int) }
-
-// AttachForensics wires the profiler and forensic capture into a VM and
-// its allocator. The allocator handle is parked on the VM so report
-// builders can resolve faulting addresses after the run. Exported for
-// runner packages (memcheck) that build their own VM.
-func (c *RunConfig) AttachForensics(v *vm.VM, alloc Allocator) {
-	v.Allocator = alloc
-	v.Profiler = c.Profiler
-	if !c.Forensics {
-		return
-	}
-	depth := c.ForensicsDepth
-	if depth <= 0 {
-		depth = defaultForensicsDepth
-	}
-	v.ErrorStackDepth = depth
-	if t, ok := alloc.(siteTracker); ok {
-		t.EnableSiteTracking(depth)
-	}
+// GlibcHeap builds the baseline glibc-style allocator.
+func (p *Process) GlibcHeap() *heap.Heap {
+	h := heap.New(p.VM.Mem)
+	h.AttachTelemetry(p.cfg.Metrics)
+	return h
 }
 
-// attachTelemetry wires the configured registry and tracer into a VM.
-func (c *RunConfig) attachTelemetry(v *vm.VM) {
-	if c.Metrics != nil || c.EventTrace != nil {
-		v.AttachTelemetry(c.Metrics, c.EventTrace)
-	}
-}
-
-// AttachFlight wires the flight recorder into a VM and its memory.
-// Exported for runner packages (memcheck) that build their own VM.
-func (c *RunConfig) AttachFlight(v *vm.VM, m *mem.Memory) {
-	v.Flight = c.Flight
-	m.Flight = c.Flight
-}
-
-// AttachTrace installs the execution tracer on v if configured.
-func (c *RunConfig) AttachTrace(v *vm.VM) {
-	if c.TraceWriter == nil {
-		return
-	}
-	limit := c.TraceLimit
-	if limit == 0 {
-		limit = 10000
-	}
-	n := 0
-	v.TraceHook = func(v *vm.VM, pc uint64, in *isa.Inst) {
-		if n >= limit {
-			return
-		}
-		n++
-		fmt.Fprintf(c.TraceWriter, "%10x: %s\n", pc, in.String())
-	}
-}
-
-// newHeap builds the RedFat heap for a hardened run. The VM supplies the
+// redFatHeap builds the RedFat heap — the low-fat allocator under the
+// redzone wrapper — with the allocator modes applied. The VM supplies the
 // deterministic random stream for the under-allocation self-test mode.
-func (c *RunConfig) newHeap(v *vm.VM, m *mem.Memory) *redzone.Heap {
-	lf := lowfat.New(m)
+func (p *Process) redFatHeap() *redzone.Heap {
+	c := &p.cfg
+	lf := lowfat.New(p.VM.Mem)
 	lf.Randomize = c.RandomizeHeap
-	h := redzone.NewHeap(lf, m)
+	h := redzone.NewHeap(lf, p.VM.Mem)
 	switch {
 	case c.QuarantineBytes < 0:
 		h.QuarantineBytes = 0
@@ -240,44 +207,73 @@ func (c *RunConfig) newHeap(v *vm.VM, m *mem.Memory) *redzone.Heap {
 	h.Canary = c.Canary
 	if c.UnderAllocEvery > 0 {
 		h.UnderAllocEvery = c.UnderAllocEvery
-		h.Rand = v.NextRand
+		h.Rand = p.VM.NextRand
 	}
 	h.AttachTelemetry(c.Metrics)
 	return h
 }
 
-func (c *RunConfig) maxCycles() uint64 {
-	if c.MaxCycles == 0 {
-		return 2_000_000_000
+// LibC returns the modelled libc over alloc with the runner's libc
+// checking layered on top by checked (nil: none), unless NoLibcCheck.
+func (p *Process) LibC(alloc Allocator, checked func(vm.Bindings) vm.Bindings) vm.Bindings {
+	b := LibC(alloc, p.VM.Mem)
+	if checked != nil && !p.cfg.NoLibcCheck {
+		b = checked(b)
 	}
-	return c.MaxCycles
+	return b
+}
+
+// siteTracker is implemented by allocators that can record forensic
+// allocation sites (both heaps, and wrappers that forward to one).
+type siteTracker interface{ EnableSiteTracking(depth int) }
+
+// Exec parks alloc on the VM (so report builders can resolve faulting
+// addresses after the run), arms forensic capture if configured, loads
+// libs then main with the bindings env returns for each, and runs the
+// program.
+func (p *Process) Exec(alloc Allocator, env func(*relf.Binary) (vm.Bindings, error),
+	main *relf.Binary, libs ...*relf.Binary) error {
+	v := p.VM
+	v.Allocator = alloc
+	if p.cfg.Forensics {
+		depth := p.cfg.ForensicsDepth
+		if depth <= 0 {
+			depth = defaultForensicsDepth
+		}
+		v.ErrorStackDepth = depth
+		if t, ok := alloc.(siteTracker); ok {
+			t.EnableSiteTracking(depth)
+		}
+	}
+	for _, lib := range libs {
+		b, err := env(lib)
+		if err != nil {
+			return err
+		}
+		if err := v.LoadLibrary(lib, b); err != nil {
+			return err
+		}
+	}
+	b, err := env(main)
+	if err != nil {
+		return err
+	}
+	if err := v.Load(main, b); err != nil {
+		return err
+	}
+	return run(v)
 }
 
 // RunBaseline executes an uninstrumented binary with the glibc-style
 // allocator. Returns the VM after execution (inspect ExitCode, Cycles,
-// Output) and the run error, if any.
+// Output) and the run error, if any. The baseline only records errors
+// (an invalid free, say); it never aborts on one.
 func RunBaseline(bin *relf.Binary, cfg RunConfig) (*vm.VM, error) {
-	m := mem.New()
-	v := vm.New(m)
-	v.Input = cfg.Input
-	v.MaxCycles = cfg.maxCycles()
-	v.NoBlockCache = cfg.NoBlockCache
-	v.NoChain = cfg.NoChain
-	v.NoJIT = cfg.NoJIT
-	v.JITThreshold = cfg.JITThreshold
-	m.NoTLB = cfg.NoTLB
-	cfg.AttachFlight(v, m)
-	cfg.AttachTrace(v)
-	cfg.attachTelemetry(v)
-	cfg.attachIndirect(v, bin)
-	h := heap.New(m)
-	h.AttachTelemetry(cfg.Metrics)
-	cfg.AttachForensics(v, h)
-	env := LibC(h, m)
-	if err := v.Load(bin, env); err != nil {
-		return v, err
-	}
-	return v, v.Run()
+	cfg.Abort = false
+	p := NewProcess(cfg, defaultBudget, bin)
+	h := p.GlibcHeap()
+	libc := p.LibC(h, nil)
+	return p.VM, p.Exec(h, func(*relf.Binary) (vm.Bindings, error) { return libc, nil }, bin)
 }
 
 // RunHardened executes a RedFat-hardened binary: the low-fat allocator
@@ -285,38 +281,11 @@ func RunBaseline(bin *relf.Binary, cfg RunConfig) (*vm.VM, error) {
 // model) and the check routine is bound to the site table. It returns the
 // VM and the runtime (for profiling counters and coverage).
 func RunHardened(bin *relf.Binary, cfg RunConfig) (*vm.VM, *Runtime, error) {
-	m := mem.New()
-	v := vm.New(m)
-	v.Input = cfg.Input
-	v.MaxCycles = cfg.maxCycles()
-	v.AbortOnError = cfg.Abort
-	v.NoBlockCache = cfg.NoBlockCache
-	v.NoChain = cfg.NoChain
-	v.NoJIT = cfg.NoJIT
-	v.JITThreshold = cfg.JITThreshold
-	m.NoTLB = cfg.NoTLB
-	cfg.AttachFlight(v, m)
-	cfg.AttachTrace(v)
-	cfg.attachTelemetry(v)
-	cfg.attachIndirect(v, bin)
-	h := cfg.newHeap(v, m)
-	cfg.AttachForensics(v, h)
-	rt, err := NewRuntime(bin, h)
-	if err != nil {
+	v, rts, err := runRedFat(bin, nil, cfg, true)
+	if len(rts) == 0 {
 		return v, nil, err
 	}
-	rt.AttachTelemetry(cfg.Metrics, cfg.EventTrace)
-	InstallInlineChecks(v, map[*relf.Binary]*Runtime{bin: rt})
-	env := LibC(h, m)
-	if !cfg.NoLibcCheck {
-		env = Merge(env, SpanLibC(h, m))
-	}
-	env = Merge(env, rt.Bindings())
-	if err := v.Load(bin, env); err != nil {
-		return v, rt, err
-	}
-	err = v.Run()
-	return v, rt, err
+	return v, rts[0], err
 }
 
 // RunLinked executes a dynamically linked program: the main executable
@@ -329,31 +298,21 @@ func RunHardened(bin *relf.Binary, cfg RunConfig) (*vm.VM, *Runtime, error) {
 // The returned runtimes parallel the instrumented modules, libraries
 // first, main last (if instrumented).
 func RunLinked(main *relf.Binary, libs []*relf.Binary, cfg RunConfig) (*vm.VM, []*Runtime, error) {
-	m := mem.New()
-	v := vm.New(m)
-	v.Input = cfg.Input
-	v.MaxCycles = cfg.maxCycles()
-	v.AbortOnError = cfg.Abort
-	v.NoBlockCache = cfg.NoBlockCache
-	v.NoChain = cfg.NoChain
-	v.NoJIT = cfg.NoJIT
-	v.JITThreshold = cfg.JITThreshold
-	m.NoTLB = cfg.NoTLB
-	cfg.AttachFlight(v, m)
-	cfg.AttachTrace(v)
-	cfg.attachTelemetry(v)
-	cfg.attachIndirect(v, append([]*relf.Binary{main}, libs...)...)
-	h := cfg.newHeap(v, m)
-	cfg.AttachForensics(v, h)
-	libc := LibC(h, m)
-	if !cfg.NoLibcCheck {
-		libc = Merge(libc, SpanLibC(h, m))
-	}
+	return runRedFat(main, libs, cfg, false)
+}
 
+// runRedFat runs main after libs on the RedFat heap with the span-checked
+// libc, binding a check runtime into every module that carries a site
+// table. mainChecked requires main to carry one.
+func runRedFat(main *relf.Binary, libs []*relf.Binary, cfg RunConfig, mainChecked bool) (*vm.VM, []*Runtime, error) {
+	p := NewProcess(cfg, defaultBudget, append([]*relf.Binary{main}, libs...)...)
+	h := p.redFatHeap()
+	libc := p.LibC(h, func(b vm.Bindings) vm.Bindings { return Merge(b, SpanLibC(h, p.VM.Mem)) })
 	var rts []*Runtime
 	mods := make(map[*relf.Binary]*Runtime)
-	envFor := func(bin *relf.Binary) (vm.Bindings, error) {
-		if bin.Section(SitesSection) == nil {
+	installInlineChecks(p.VM, mods)
+	err := p.Exec(h, func(bin *relf.Binary) (vm.Bindings, error) {
+		if bin.Section(SitesSection) == nil && !(mainChecked && bin == main) {
 			return libc, nil // uninstrumented module: libc only
 		}
 		rt, err := NewRuntime(bin, h)
@@ -364,24 +323,6 @@ func RunLinked(main *relf.Binary, libs []*relf.Binary, cfg RunConfig) (*vm.VM, [
 		rts = append(rts, rt)
 		mods[bin] = rt
 		return Merge(libc, rt.Bindings()), nil
-	}
-	for _, lib := range libs {
-		env, err := envFor(lib)
-		if err != nil {
-			return v, rts, err
-		}
-		if err := v.LoadLibrary(lib, env); err != nil {
-			return v, rts, err
-		}
-	}
-	env, err := envFor(main)
-	if err != nil {
-		return v, rts, err
-	}
-	if err := v.Load(main, env); err != nil {
-		return v, rts, err
-	}
-	InstallInlineChecks(v, mods)
-	err = v.Run()
-	return v, rts, err
+	}, main, libs...)
+	return p.VM, rts, err
 }

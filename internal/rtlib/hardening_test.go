@@ -130,7 +130,7 @@ func TestQuarantinePolicy(t *testing.T) {
 	}
 
 	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Abort: true, QuarantineBytes: -1,
+		Abort: true, Knobs: rtlib.Knobs{QuarantineBytes: -1},
 	})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("without quarantine the reused-slot write should be silent: %v %v",

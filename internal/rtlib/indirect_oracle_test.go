@@ -40,7 +40,7 @@ func TestIndirectEdgeOracle(t *testing.T) {
 			observed := map[uint64]map[uint64]bool{}
 			rc := rtlib.RunConfig{
 				Input: cp.RefInput(),
-				NoJIT: true,
+				Knobs: rtlib.Knobs{NoJIT: true},
 				IndirectHook: func(pc, target uint64) {
 					s := observed[pc]
 					if s == nil {

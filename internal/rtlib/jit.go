@@ -43,17 +43,15 @@ func (rt *Runtime) jitPlan(arg uint32) *vm.JITCheck {
 	return p
 }
 
-// InstallInlineChecks points v.InlineCheck at the module→runtime binding
-// so the superblock tier can fuse instrumented checks. An RTCALL
-// resolves to a plan only when its pc falls in an instrumented module,
-// the import slot is the check binding, and the argument is a valid site
-// index; anything else (allocator calls, corrupt site indices) returns
-// nil and the trace ends there, leaving the interpreter to raise exactly
-// the error it would have raised anyway.
-func InstallInlineChecks(v *vm.VM, mods map[*relf.Binary]*Runtime) {
-	if len(mods) == 0 {
-		return
-	}
+// installInlineChecks points v.InlineCheck at the module→runtime binding
+// so the superblock tier can fuse instrumented checks; mods may still be
+// filling up while the modules load. An RTCALL resolves to a plan only
+// when its pc falls in an instrumented module, the import slot is the
+// check binding, and the argument is a valid site index; anything else
+// (allocator calls, corrupt site indices) returns nil and the trace ends
+// there, leaving the interpreter to raise exactly the error it would
+// have raised anyway.
+func installInlineChecks(v *vm.VM, mods map[*relf.Binary]*Runtime) {
 	v.InlineCheck = func(v *vm.VM, pc uint64, importIdx int, arg uint32) *vm.JITCheck {
 		bin := v.ModuleBinary(pc)
 		if bin == nil {

@@ -1,0 +1,84 @@
+package rtlib
+
+import "flag"
+
+// Knobs declares every execution knob once. RunConfig, the root
+// RunOptions and the runpack RunSpec embed it, so a knob travels from
+// the rfvm flag line through a run and into a replayed pack as one
+// value. The JSON tags are the RunSpec keys, in RunSpec order; the
+// host-only knobs are tagged "-" because guest cycles, detections and
+// output are bit-identical with them on or off, so replay has nothing to
+// restore. Only the shared run set-up (NewProcess and the heap and libc
+// builders in exec.go) applies them.
+//
+// Adding a knob means a field here with its tag and flag, the set-up
+// line that applies it, and the package that implements it.
+type Knobs struct {
+	// NoJIT disables the superblock tier (compiled traces over hot
+	// chained blocks), pinning execution to the block interpreter. Guest
+	// results are identical either way, but the tier replaces the
+	// execution engine wholesale, so replay restores it as provenance.
+	NoJIT bool `json:"no_jit,omitempty"`
+
+	// NoIndirect disables the recovered-edge soundness monitor that is
+	// otherwise armed for marker-built binaries (host-side telemetry:
+	// vm.indirect.escape.count). It does NOT disable the landing-pad
+	// enforcement itself — that is binary semantics, owned by the binary
+	// via its .rf.jt marker, and must not vary with an ablation knob.
+	NoIndirect bool `json:"no_indirect,omitempty"`
+
+	// JITThreshold overrides the block-hotness threshold at which traces
+	// are compiled (0 keeps vm.DefaultJITThreshold).
+	JITThreshold uint64 `json:"jit_threshold,omitempty"`
+
+	// NoLibcCheck disables the run's libc checking — the hardened span
+	// intrinsics, or Memcheck's mem* interposition — reverting the
+	// modelled libc to its unchecked baseline bindings. Guest-visible:
+	// span checks charge cycles and produce detections.
+	NoLibcCheck bool `json:"no_libc_check,omitempty"`
+
+	// QuarantineBytes overrides the RedFat heap's free quarantine budget
+	// (-1 disables the quarantine entirely, 0 keeps the default).
+	QuarantineBytes int64 `json:"quarantine_bytes,omitempty"`
+
+	// Canary arms canary-poisoned redzones: allocation slack is filled
+	// with redzone.CanaryByte, verified on free and on span-check
+	// crossings (libredfat's REDFAT_CANARY mode).
+	Canary bool `json:"canary,omitempty"`
+
+	// UnderAllocEvery, when >0, under-allocates roughly one in every N
+	// heap objects by a single byte (libredfat's REDFAT_TEST self-test
+	// mode, deterministic via vm.NextRand). Induced detections carry a
+	// "self-test under-allocation" note tag.
+	UnderAllocEvery uint64 `json:"under_alloc_every,omitempty"`
+
+	// NoChain disables block chaining (direct block→successor links)
+	// while keeping the block cache itself; a trace is a chain, so it
+	// disables the superblock tier too. Host-only.
+	NoChain bool `json:"-"`
+
+	// NoTLB disables the guest-memory software TLB, forcing every page
+	// access through the page-map lookup. Host-only.
+	NoTLB bool `json:"-"`
+}
+
+// RegisterFlags registers one command-line flag per knob on fs, each
+// writing straight into k.
+func (k *Knobs) RegisterFlags(fs *flag.FlagSet) {
+	fs.BoolVar(&k.NoJIT, "nojit", false, "disable the superblock trace tier (host A/B validation)")
+	fs.BoolVar(&k.NoIndirect, "noindirect", false, "disable the recovered-edge monitor for marker-built binaries (host A/B validation)")
+	fs.Uint64Var(&k.JITThreshold, "jit-threshold", 0, "block hotness before trace compilation (0 = default)")
+	fs.BoolVar(&k.NoLibcCheck, "nolibccheck", false, "disable the hardened libc span intrinsics (ablation; guest-visible)")
+	fs.Int64Var(&k.QuarantineBytes, "quarantine", 0, "free-quarantine byte budget (-1 disables, 0 default; hardened runs)")
+	fs.BoolVar(&k.Canary, "canary", false, "arm canary-poisoned redzones (verified on free and span checks; hardened runs)")
+	fs.Uint64Var(&k.UnderAllocEvery, "underalloc", 0, "self-test: under-allocate ~1 in N heap objects by one byte (0 = off; hardened runs)")
+	fs.BoolVar(&k.NoChain, "nochain", false, "disable block chaining (host A/B validation)")
+	fs.BoolVar(&k.NoTLB, "notlb", false, "disable the guest-memory software TLB (host A/B validation)")
+}
+
+// HeapModes reports whether any allocator mode is set. The modes
+// configure the RedFat heap and mean nothing on any other, so a run
+// without that heap refuses them.
+func (k *Knobs) HeapModes() bool {
+	return k.QuarantineBytes != 0 || k.Canary || k.UnderAllocEvery != 0
+}

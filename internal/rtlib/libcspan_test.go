@@ -169,7 +169,7 @@ func TestMemcpyOverlapReportedWhenHardened(t *testing.T) {
 	// With the span intrinsics off, the baseline binding stays silent
 	// (real memcpy would silently produce direction-dependent garbage;
 	// the model's bulk copy is forward, same as the checksum above).
-	nv, _, err := rtlib.RunHardened(hardenDefault(t, bin), rtlib.RunConfig{NoLibcCheck: true})
+	nv, _, err := rtlib.RunHardened(hardenDefault(t, bin), rtlib.RunConfig{Knobs: rtlib.Knobs{NoLibcCheck: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestSpanUAFThroughLibcNeedsQuarantine(t *testing.T) {
 	} else if !strings.Contains(me.Note, "memcpy source") {
 		t.Errorf("detection note missing the operand: %q", me.Note)
 	}
-	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true, QuarantineBytes: -1})
+	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true, Knobs: rtlib.Knobs{QuarantineBytes: -1}})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("without quarantine the reused-slot read should be silent: %v %v", err, v.Errors)
 	}
@@ -287,7 +287,7 @@ func TestCanarySmashDetectedOnFree(t *testing.T) {
 	})
 	hard := hardenDefault(t, bin)
 	_, _, err := rtlib.RunLinked(hard, []*relf.Binary{lib},
-		rtlib.RunConfig{Abort: true, Canary: true})
+		rtlib.RunConfig{Abort: true, Knobs: rtlib.Knobs{Canary: true}})
 	me, ok := err.(*vm.MemError)
 	if !ok || me.Kind != vm.ErrCorruptMeta {
 		t.Fatalf("smashed canary not detected on free: %v", err)
@@ -313,7 +313,7 @@ func TestCanarySmashDetectedOnSpanCrossing(t *testing.T) {
 		b.CallImport("memset")
 	})
 	hard := hardenDefault(t, bin)
-	v, _, err := rtlib.RunLinked(hard, []*relf.Binary{lib}, rtlib.RunConfig{Canary: true})
+	v, _, err := rtlib.RunLinked(hard, []*relf.Binary{lib}, rtlib.RunConfig{Knobs: rtlib.Knobs{Canary: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestUnderAllocSelfTestDeterministic(t *testing.T) {
 	})
 	hard := hardenDefault(t, bin)
 	run := func() *vm.VM {
-		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{UnderAllocEvery: 1})
+		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Knobs: rtlib.Knobs{UnderAllocEvery: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func TestNoLibcCheckIdentityWithSeedBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{NoLibcCheck: true})
+	off, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Knobs: rtlib.Knobs{NoLibcCheck: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestNoLibcCheckIdentityWithSeedBindings(t *testing.T) {
 	if on.Cycles == off.Cycles {
 		t.Errorf("span checks charged no cycles (both %d); knob is not guest-visible", on.Cycles)
 	}
-	off2, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{NoLibcCheck: true})
+	off2, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Knobs: rtlib.Knobs{NoLibcCheck: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,3 +184,15 @@ func TestLibraryCallingLibc(t *testing.T) {
 		t.Fatalf("exit=%d err=%v", v.ExitCode, err)
 	}
 }
+
+// TestRunHardenedNeedsSiteTable checks that RunHardened, unlike
+// RunLinked, refuses a main executable without a site table.
+func TestRunHardenedNeedsSiteTable(t *testing.T) {
+	v, rt, err := rtlib.RunHardened(buildMain(t), rtlib.RunConfig{Input: []uint64{2}})
+	if err == nil || err.Error() != "rtlib: binary has no .rf.sites section" {
+		t.Fatalf("err = %v, want the missing site table", err)
+	}
+	if v == nil || rt != nil {
+		t.Errorf("vm %v, runtime %v: want a VM and no runtime", v, rt)
+	}
+}

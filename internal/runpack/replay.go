@@ -128,7 +128,6 @@ func KnobsFromOptions(opt redfat.Options) *KnobSpec {
 		Profile:       opt.Profile,
 		MaxBatch:      opt.MaxBatch,
 		AllowList:     opt.AllowList != nil,
-		NoLibcCheck:   opt.NoLibcCheck,
 		NoIndirect:    opt.NoIndirect,
 		ConfigHex:     hex.EncodeToString(core.EncodeConfig(opt)),
 	}
@@ -330,19 +329,13 @@ func replayRun(p *Pack, man *Manifest) (*ReplayReport, error) {
 	}
 	spec := man.Run
 	res, runErr := redfat.Run(bin, redfat.RunOptions{
-		Input:           spec.Input,
-		Hardened:        spec.Hardened,
-		Memcheck:        spec.Memcheck,
-		AbortOnError:    spec.Abort,
-		MaxCycles:       spec.MaxCycles,
-		Forensics:       spec.Forensics,
-		NoJIT:           spec.NoJIT,
-		NoIndirect:      spec.NoIndirect,
-		JITThreshold:    spec.JITThreshold,
-		NoLibcCheck:     spec.NoLibcCheck,
-		QuarantineBytes: spec.QuarantineBytes,
-		Canary:          spec.Canary,
-		UnderAllocEvery: spec.UnderAllocEvery,
+		Input:        spec.Input,
+		Hardened:     spec.Hardened,
+		Memcheck:     spec.Memcheck,
+		AbortOnError: spec.Abort,
+		MaxCycles:    spec.MaxCycles,
+		Forensics:    spec.Forensics,
+		Knobs:        spec.Knobs,
 	})
 	if res == nil {
 		return nil, runErr

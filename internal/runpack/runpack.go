@@ -42,6 +42,8 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"strings"
+
+	"redfat/internal/rtlib"
 )
 
 // SchemaVersion versions the manifest encoding. Verify rejects packs
@@ -79,9 +81,10 @@ type Member struct {
 }
 
 // RunSpec records everything replay needs to re-execute a run pack's
-// binary deterministically. Host-only performance knobs (block cache,
-// TLB, chaining) are deliberately absent: they cannot change guest
-// cycles, detections or output.
+// binary deterministically: the run itself and its execution knobs,
+// declared once in rtlib.Knobs. Host-only knobs (TLB, chaining) carry
+// the "-" tag there and never reach the manifest: they cannot change
+// guest cycles, detections or output.
 type RunSpec struct {
 	Input     []uint64 `json:"input,omitempty"`
 	Hardened  bool     `json:"hardened,omitempty"`
@@ -89,20 +92,7 @@ type RunSpec struct {
 	Abort     bool     `json:"abort,omitempty"`
 	MaxCycles uint64   `json:"max_cycles,omitempty"`
 	Forensics bool     `json:"forensics,omitempty"`
-	// Superblock-tier configuration: replay must execute under the
-	// recorded tier knobs so host-side dispatch matches the recording
-	// (guest results are identical regardless; this is provenance and
-	// belt-and-suspenders for replay).
-	NoJIT        bool   `json:"no_jit,omitempty"`
-	NoIndirect   bool   `json:"no_indirect,omitempty"`
-	JITThreshold uint64 `json:"jit_threshold,omitempty"`
-	// Libc-interposition and allocator hardening modes. Unlike the tier
-	// knobs these are guest-visible (they change cycles and detections),
-	// so replay must restore them exactly.
-	NoLibcCheck     bool   `json:"no_libc_check,omitempty"`
-	QuarantineBytes int64  `json:"quarantine_bytes,omitempty"`
-	Canary          bool   `json:"canary,omitempty"`
-	UnderAllocEvery uint64 `json:"under_alloc_every,omitempty"`
+	rtlib.Knobs
 }
 
 // KnobSpec is the decoded .rf.config hardening configuration: which
@@ -122,7 +112,6 @@ type KnobSpec struct {
 	Profile       bool   `json:"profile,omitempty"`
 	MaxBatch      int    `json:"max_batch"`
 	AllowList     bool   `json:"allow_list,omitempty"`
-	NoLibcCheck   bool   `json:"no_libc_check,omitempty"`
 	NoIndirect    bool   `json:"no_indirect,omitempty"`
 	ConfigHex     string `json:"config_hex,omitempty"` // raw .rf.config bytes
 }

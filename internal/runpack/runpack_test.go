@@ -12,6 +12,7 @@ import (
 
 	"redfat"
 	"redfat/internal/juliet"
+	"redfat/internal/rtlib"
 	"redfat/internal/vm"
 )
 
@@ -103,10 +104,10 @@ func TestRunSpecRecordsJITConfig(t *testing.T) {
 	c := juliet.CVECases()[0]
 	_, hard, _ := hardenCase(t, c, redfat.Defaults())
 	spec := RunSpec{Input: juliet.Trigger(c), Hardened: true, Forensics: true,
-		JITThreshold: 2}
+		Knobs: rtlib.Knobs{JITThreshold: 2}}
 	res, runErr := redfat.Run(hard, redfat.RunOptions{
 		Input: spec.Input, Hardened: true, Forensics: true,
-		NoJIT: spec.NoJIT, JITThreshold: spec.JITThreshold,
+		Knobs: redfat.Knobs{NoJIT: spec.NoJIT, JITThreshold: spec.JITThreshold},
 	})
 	if res == nil {
 		t.Fatalf("run produced no result: %v", runErr)
@@ -139,23 +140,7 @@ func TestRunSpecRecordsJITConfig(t *testing.T) {
 		t.Fatalf("replay diverged in %v", rep.Mismatched)
 	}
 	// Flipping the recorded tier config must break the manifest seal.
-	bad := tamper(t, dir, func(t *testing.T, dir string) {
-		path := filepath.Join(dir, ManifestName)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edited := bytes.Replace(data, []byte(`"jit_threshold": 2`), []byte(`"jit_threshold": 3`), 1)
-		if bytes.Equal(edited, data) {
-			t.Fatal("jit_threshold edit did not apply")
-		}
-		if err := os.WriteFile(path, edited, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if _, err := VerifyPath(bad); ExitCode(err) != ExitBadManifest {
-		t.Fatalf("tampered tier config: exit %d (%v), want %d", ExitCode(err), err, ExitBadManifest)
-	}
+	tamperRecordedKnobs(t, dir)
 }
 
 // TestRunSpecRecordsLibcAndAllocatorModes packs a libc-span detection run
@@ -167,11 +152,11 @@ func TestRunSpecRecordsLibcAndAllocatorModes(t *testing.T) {
 	c := juliet.LibcCases()[0] // OOB through memcpy: only the span check sees it
 	_, hard, _ := hardenCase(t, c, redfat.Defaults())
 	spec := RunSpec{Input: juliet.Trigger(c), Hardened: true,
-		QuarantineBytes: 4096, Canary: true, UnderAllocEvery: 64}
+		Knobs: rtlib.Knobs{QuarantineBytes: 4096, Canary: true, UnderAllocEvery: 64}}
 	res, runErr := redfat.Run(hard, redfat.RunOptions{
 		Input: spec.Input, Hardened: true,
-		QuarantineBytes: spec.QuarantineBytes, Canary: spec.Canary,
-		UnderAllocEvery: spec.UnderAllocEvery,
+		Knobs: redfat.Knobs{QuarantineBytes: spec.QuarantineBytes, Canary: spec.Canary,
+			UnderAllocEvery: spec.UnderAllocEvery},
 	})
 	if res == nil {
 		t.Fatalf("run produced no result: %v", runErr)
@@ -208,36 +193,7 @@ func TestRunSpecRecordsLibcAndAllocatorModes(t *testing.T) {
 		t.Fatalf("replay diverged in %v", rep.Mismatched)
 	}
 	// Flipping any recorded mode knob must break the manifest seal.
-	edits := []struct {
-		name     string
-		old, new string
-	}{
-		{"canary", `"canary": true`, `"canary": false`},
-		{"quarantine", `"quarantine_bytes": 4096`, `"quarantine_bytes": 0`},
-		{"underalloc", `"under_alloc_every": 64`, `"under_alloc_every": 1`},
-	}
-	for _, e := range edits {
-		t.Run(e.name, func(t *testing.T) {
-			bad := tamper(t, dir, func(t *testing.T, dir string) {
-				path := filepath.Join(dir, ManifestName)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				edited := bytes.Replace(data, []byte(e.old), []byte(e.new), 1)
-				if bytes.Equal(edited, data) {
-					t.Fatalf("%s edit did not apply", e.name)
-				}
-				if err := os.WriteFile(path, edited, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if _, err := VerifyPath(bad); ExitCode(err) != ExitBadManifest {
-				t.Fatalf("tampered %s: exit %d (%v), want %d",
-					e.name, ExitCode(err), err, ExitBadManifest)
-			}
-		})
-	}
+	tamperRecordedKnobs(t, dir)
 }
 
 // TestRunSpecNoLibcCheckIdentity packs the same libc overflow case with
@@ -247,9 +203,9 @@ func TestRunSpecRecordsLibcAndAllocatorModes(t *testing.T) {
 func TestRunSpecNoLibcCheckIdentity(t *testing.T) {
 	c := juliet.LibcCases()[0]
 	_, hard, _ := hardenCase(t, c, redfat.Defaults())
-	spec := RunSpec{Input: juliet.Trigger(c), Hardened: true, NoLibcCheck: true}
+	spec := RunSpec{Input: juliet.Trigger(c), Hardened: true, Knobs: rtlib.Knobs{NoLibcCheck: true}}
 	res, runErr := redfat.Run(hard, redfat.RunOptions{
-		Input: spec.Input, Hardened: true, NoLibcCheck: true,
+		Input: spec.Input, Hardened: true, Knobs: redfat.Knobs{NoLibcCheck: true},
 	})
 	if res == nil {
 		t.Fatalf("run produced no result: %v", runErr)

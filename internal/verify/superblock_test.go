@@ -73,7 +73,7 @@ func TestSuperblockCertifierBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := rtlib.RunBaseline(bin, rtlib.RunConfig{JITThreshold: 4})
+	v, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Knobs: rtlib.Knobs{JITThreshold: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSuperblockCertifierCorpora(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			v, _, _ := rtlib.RunHardened(hard, rtlib.RunConfig{Input: bm.RefInput(), JITThreshold: 8})
+			v, _, _ := rtlib.RunHardened(hard, rtlib.RunConfig{Input: bm.RefInput(), Knobs: rtlib.Knobs{JITThreshold: 8}})
 			return v, nil
 		}})
 	}
@@ -126,7 +126,7 @@ func TestSuperblockCertifierCorpora(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		v, _, _ := rtlib.RunHardened(hard, rtlib.RunConfig{JITThreshold: 8})
+		v, _, _ := rtlib.RunHardened(hard, rtlib.RunConfig{Knobs: rtlib.Knobs{JITThreshold: 8}})
 		return v, nil
 	}})
 
@@ -208,7 +208,7 @@ func TestSuperblockCertifierRejectsMutants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{JITThreshold: 2})
+	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Knobs: rtlib.Knobs{JITThreshold: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

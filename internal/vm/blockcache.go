@@ -3,7 +3,7 @@ package vm
 // The decoded basic-block cache: the VM's host-side fast path.
 //
 // The seed interpreter paid one map[uint64] lookup per retired guest
-// instruction (the per-PC decode cache). The block cache replaces that
+// instruction (a per-PC decode cache). The block cache replaces that
 // with straight-line execution over predecoded runs: code is decoded once
 // into blocks — maximal fall-through sequences ending at the first
 // control transfer, TRAP patch site, or RTCALL — and Run executes a whole
@@ -25,13 +25,11 @@ package vm
 //
 // The cache is host-side only: cycle accounting, hook invocation order
 // (TraceHook, MemHook, BlockHook), error reporting and the cycle-budget
-// abort point are bit-identical to the legacy per-instruction path, which
-// remains available behind VM.NoBlockCache for A/B validation, with
-// VM.NoChain ablating just the chaining layer.
+// abort point are bit-identical to VM.Step, which decodes every
+// instruction afresh and is the reference the identity tests compare
+// against; VM.NoChain ablates just the chaining layer.
 
 import (
-	"fmt"
-
 	"redfat/internal/isa"
 	"redfat/internal/mem"
 	"redfat/internal/obs"
@@ -122,23 +120,15 @@ func (v *VM) blockAt(pc uint64) (*block, error) {
 // buildBlock decodes the straight-line run beginning at start. Fetch or
 // decode failures after the first instruction end the block early rather
 // than erroring: execution that actually falls through to the bad address
-// reports the fault there, exactly as the legacy path would.
+// reports the fault there, exactly as Step would.
 func (v *VM) buildBlock(start uint64) (*block, error) {
 	b := &block{}
 	pc := start
 	for len(b.insts) < maxBlockInsts {
-		var buf [isa.MaxInstLen]byte
-		n := v.Mem.Fetch(pc, buf[:])
-		if n == 0 {
-			if len(b.insts) == 0 {
-				return nil, &mem.Fault{Addr: pc, Exec: true}
-			}
-			break
-		}
-		in, err := isa.Decode(buf[:n])
+		in, err := v.decodeAt(pc)
 		if err != nil {
 			if len(b.insts) == 0 {
-				return nil, fmt.Errorf("vm: at %#x: %w", pc, err)
+				return nil, err
 			}
 			break
 		}
@@ -155,7 +145,7 @@ func (v *VM) buildBlock(start uint64) (*block, error) {
 	return b, nil
 }
 
-// runBlocks is Run's fast path: execute straight-line through cached
+// runBlocks is Run's dispatch loop: execute straight-line through cached
 // blocks, following chained successors on block exit and touching the
 // block tables only on cold or re-targeted edges.
 func (v *VM) runBlocks() error {
@@ -165,7 +155,6 @@ func (v *VM) runBlocks() error {
 		if b == nil {
 			nb, err := v.blockAt(v.RIP)
 			if err != nil {
-				v.FlushTelemetry()
 				return err
 			}
 			b = nb
@@ -179,12 +168,10 @@ func (v *VM) runBlocks() error {
 			if t := v.jitTrace(b); t != nil {
 				e, err := v.runTrace(t)
 				if err != nil {
-					v.FlushTelemetry()
 					return err
 				}
 				if e != nil {
 					if v.Halted {
-						v.FlushTelemetry()
 						return nil
 					}
 					if e.next != nil && e.nextPC == v.RIP {
@@ -193,7 +180,6 @@ func (v *VM) runBlocks() error {
 					}
 					nb, err := v.blockAt(v.RIP)
 					if err != nil {
-						v.FlushTelemetry()
 						return err
 					}
 					e.nextPC, e.next = v.RIP, nb
@@ -205,19 +191,12 @@ func (v *VM) runBlocks() error {
 		for i := 0; ; {
 			bi := &b.insts[i]
 			if err := v.exec(bi.pc, &bi.in); err != nil {
-				v.FlushTelemetry()
 				return err
 			}
 			if v.MaxCycles != 0 && v.Cycles > v.MaxCycles {
-				v.Flight.Record(obs.EvBudgetPoll, 0, v.RIP, v.Cycles)
-				if v.tel != nil {
-					v.tel.cycleAborts.Inc()
-				}
-				v.FlushTelemetry()
-				return &CycleLimitError{v.Cycles}
+				return v.overBudget()
 			}
 			if v.Halted {
-				v.FlushTelemetry()
 				return nil
 			}
 			i++
@@ -248,7 +227,6 @@ func (v *VM) runBlocks() error {
 		}
 		nb, err := v.blockAt(rip)
 		if err != nil {
-			v.FlushTelemetry()
 			return err
 		}
 		if !v.NoChain {
@@ -263,6 +241,5 @@ func (v *VM) runBlocks() error {
 		}
 		b = nb
 	}
-	v.FlushTelemetry()
 	return nil
 }

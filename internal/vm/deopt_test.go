@@ -125,7 +125,7 @@ func hardenedRun(t *testing.T, hard *relf.Binary, flight *obs.Flight) (*vm.VM, *
 	t.Helper()
 	reg := telemetry.New()
 	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Abort: true, JITThreshold: 2, MaxCycles: 1_000_000,
+		Abort: true, Knobs: rtlib.Knobs{JITThreshold: 2}, MaxCycles: 1_000_000,
 		Metrics: reg, Flight: flight,
 	})
 	return v, reg.Snapshot(), err

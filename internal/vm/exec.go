@@ -218,21 +218,28 @@ func (v *VM) aluCompute(op isa.Op, a, b uint64, w uint16) (uint64, Flags, error)
 	return 0, v.Flags, fmt.Errorf("vm: alu cannot execute %v", op)
 }
 
-// Step executes a single instruction, fetching through the legacy per-PC
-// decode cache. Run's block-cache path bypasses Step; Step remains the
-// single-stepping entry point.
+// Step retires the single instruction at RIP, decoded afresh from guest
+// memory, and fails with a *CycleLimitError once the run exceeds
+// MaxCycles. It shares no cache with Run, which makes it the
+// per-instruction reference the dispatch identity tests hold Run to.
 func (v *VM) Step() error {
 	pc := v.RIP
-	in, err := v.fetch(pc)
+	in, err := v.decodeAt(pc)
 	if err != nil {
 		return err
 	}
-	return v.exec(pc, in)
+	if err := v.exec(pc, &in); err != nil {
+		return err
+	}
+	if v.MaxCycles != 0 && v.Cycles > v.MaxCycles {
+		return v.overBudget()
+	}
+	return nil
 }
 
 // exec retires one predecoded instruction at pc. It is the shared
-// dispatch body of both execution paths (Step and the block cache), so
-// cycle accounting, hook order and error behaviour cannot diverge.
+// dispatch body of Step and the block cache, so cycle accounting, hook
+// order and error behaviour cannot diverge.
 func (v *VM) exec(pc uint64, in *isa.Inst) error {
 	next := pc + uint64(in.Len)
 	var err error

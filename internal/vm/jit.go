@@ -417,7 +417,7 @@ func (v *VM) TraceStats() []TraceStat {
 // and the guest profiler all require interpreter-grain callbacks, so
 // any of them pins execution to tier 0.
 func (v *VM) jitEnabled() bool {
-	return !v.NoJIT && !v.NoChain && !v.NoBlockCache &&
+	return !v.NoJIT && !v.NoChain &&
 		v.TraceHook == nil && v.Tracer == nil && v.Profiler == nil &&
 		v.MemHook == nil && v.BlockHook == nil
 }

@@ -213,8 +213,8 @@ type VM struct {
 	PerInstOverhead uint64
 
 	// Profiler, when set, samples the guest PC (with a backtrace) every
-	// Profiler.Interval guest cycles from the shared dispatch body, on
-	// both the block-cache and legacy paths. Sampling is host-side only:
+	// Profiler.Interval guest cycles from the shared dispatch body, under
+	// Run and Step alike. Sampling is host-side only:
 	// guest cycles, errors and output are bit-identical with and without
 	// a profiler attached.
 	Profiler *GuestProfiler
@@ -298,12 +298,6 @@ type VM struct {
 	hostFuncs []HostFunc // import bindings of the main executable
 	binary    *relf.Binary
 
-	// NoBlockCache makes Run use the legacy per-instruction decode cache
-	// instead of the decoded basic-block cache. Guest-visible behaviour
-	// (cycles, errors, hook order) is identical on both paths; the knob
-	// exists so tests and benchmarks can compare them.
-	NoBlockCache bool
-
 	// NoChain disables block chaining on the block-cache path: every
 	// block exit re-enters the per-page block tables instead of following
 	// cached successor pointers. An ablation knob; guest-visible
@@ -358,8 +352,6 @@ type VM struct {
 	// (CompiledTraces) and -stats reporting. Cleared by FlushICache:
 	// traces embed predecoded instructions exactly like blocks do.
 	traces []*trace
-
-	icache map[uint64]*isa.Inst // legacy per-PC decode cache (Step)
 
 	// Decoded basic-block cache (see blockcache.go).
 	bcache      map[uint64]*codePage
@@ -464,20 +456,15 @@ func (v *VM) AttachTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 // instructions, exit code) into the attached registry. Safe to call any
 // number of times, including after an aborted run.
 //
-// The vm.icache.* gauges describe whichever decode cache is active:
-// per-PC map entries on the legacy path, predecoded instructions and
-// block count on the block-cache path.
+// The vm.icache.* gauges describe the block cache: predecoded
+// instructions and block count.
 func (v *VM) FlushTelemetry() {
 	if v.tel == nil {
 		return
 	}
 	v.tel.cycles.Set(v.Cycles)
 	v.tel.insts.Set(v.Insts)
-	if v.NoBlockCache {
-		v.tel.icacheSize.Set(uint64(len(v.icache)))
-	} else {
-		v.tel.icacheSize.Set(uint64(v.nBlockInsts))
-	}
+	v.tel.icacheSize.Set(uint64(v.nBlockInsts))
 	v.tel.icacheBlocks.Set(uint64(v.nBlocks))
 	v.tel.exitCode.Set(v.ExitCode)
 }
@@ -486,7 +473,6 @@ func (v *VM) FlushTelemetry() {
 func New(m *mem.Memory) *VM {
 	return &VM{
 		Mem:       m,
-		icache:    make(map[uint64]*isa.Inst, 4096),
 		bcache:    make(map[uint64]*codePage),
 		bcPageIdx: ^uint64(0),
 	}
@@ -645,34 +631,25 @@ func (e *CycleLimitError) Error() string {
 	return fmt.Sprintf("vm: cycle limit exceeded (%d cycles)", e.Cycles)
 }
 
-// Run executes until the program halts or faults. Execution proceeds
-// through the decoded basic-block cache unless NoBlockCache selects the
-// legacy per-instruction path; both retire the same instruction stream
-// with identical cycle accounting.
+// Run executes until the program halts or faults, through the decoded
+// basic-block cache (see blockcache.go). Step is the per-instruction
+// reference it must agree with.
 func (v *VM) Run() error {
 	if v.Flight != nil {
 		v.Flight.BindCycles(&v.Cycles)
 		v.Flight.SetLabeler(flightLabel)
 	}
-	if !v.NoBlockCache {
-		return v.runBlocks()
+	defer v.FlushTelemetry()
+	return v.runBlocks()
+}
+
+// overBudget ends a run that has exceeded MaxCycles.
+func (v *VM) overBudget() error {
+	v.Flight.Record(obs.EvBudgetPoll, 0, v.RIP, v.Cycles)
+	if v.tel != nil {
+		v.tel.cycleAborts.Inc()
 	}
-	for !v.Halted {
-		if err := v.Step(); err != nil {
-			v.FlushTelemetry()
-			return err
-		}
-		if v.MaxCycles != 0 && v.Cycles > v.MaxCycles {
-			v.Flight.Record(obs.EvBudgetPoll, 0, v.RIP, v.Cycles)
-			if v.tel != nil {
-				v.tel.cycleAborts.Inc()
-			}
-			v.FlushTelemetry()
-			return &CycleLimitError{v.Cycles}
-		}
-	}
-	v.FlushTelemetry()
-	return nil
+	return &CycleLimitError{v.Cycles}
 }
 
 // flightLabel names the kind-specific reason bytes of flight events: the
@@ -688,40 +665,31 @@ func flightLabel(kind obs.EventKind, reason uint8) string {
 	return ""
 }
 
-// fetch decodes (with caching) the instruction at addr.
-func (v *VM) fetch(addr uint64) (*isa.Inst, error) {
-	if in, ok := v.icache[addr]; ok {
-		return in, nil
-	}
-	if v.tel != nil {
-		v.tel.icacheMiss.Inc()
-	}
+// decodeAt fetches and decodes the instruction at addr from guest
+// executable memory.
+func (v *VM) decodeAt(addr uint64) (isa.Inst, error) {
 	var buf [isa.MaxInstLen]byte
 	n := v.Mem.Fetch(addr, buf[:])
 	if n == 0 {
-		return nil, &mem.Fault{Addr: addr, Exec: true}
+		return isa.Inst{}, &mem.Fault{Addr: addr, Exec: true}
 	}
 	in, err := isa.Decode(buf[:n])
 	if err != nil {
-		return nil, fmt.Errorf("vm: at %#x: %w", addr, err)
+		return isa.Inst{}, fmt.Errorf("vm: at %#x: %w", addr, err)
 	}
-	cp := in
-	v.icache[addr] = &cp
-	return &cp, nil
+	return in, nil
 }
 
-// FlushICache drops cached decodes — the legacy per-PC cache and the
-// basic-block cache, including every chained successor pointer: chains
-// only ever reference blocks reachable from the per-page tables being
-// dropped here, so tables and chains are invalidated together (needed
-// only if code is modified after it has executed; offline rewriting does
-// not require it). Compiled superblock traces embed the same predecoded
+// FlushICache drops the basic-block cache, including every chained
+// successor pointer: chains only ever reference blocks reachable from the
+// per-page tables being dropped here, so tables and chains are
+// invalidated together (needed only if code is modified after it has
+// executed; offline rewriting does not require it). Compiled superblock traces embed the same predecoded
 // instructions, so they die with the cache generation too: the trace
 // list is cleared and every per-block trace pointer is unreachable once
 // the block tables are dropped.
 func (v *VM) FlushICache() {
 	v.Flight.Record(obs.EvICacheGen, 0, v.RIP, uint64(v.nBlocks))
-	v.icache = make(map[uint64]*isa.Inst, 4096)
 	v.bcache = make(map[uint64]*codePage)
 	v.bcPageIdx = ^uint64(0)
 	v.bcPage = nil

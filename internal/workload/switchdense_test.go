@@ -110,7 +110,7 @@ func TestSwitchDenseDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				hv, _, err := rtlib.RunHardened(hard,
-					rtlib.RunConfig{Input: input, NoIndirect: noind})
+					rtlib.RunConfig{Input: input, Knobs: rtlib.Knobs{NoIndirect: noind}})
 				if err != nil {
 					t.Fatalf("hardened (noindirect=%v): %v", noind, err)
 				}
@@ -168,7 +168,7 @@ func TestAdversarialStayUnknown(t *testing.T) {
 				t.Fatalf("baseline: %v", err)
 			}
 			knob, err := rtlib.RunBaseline(bin,
-				rtlib.RunConfig{Input: input, NoIndirect: true})
+				rtlib.RunConfig{Input: input, Knobs: rtlib.Knobs{NoIndirect: true}})
 			if err != nil {
 				t.Fatalf("baseline -noindirect: %v", err)
 			}

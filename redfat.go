@@ -288,6 +288,11 @@ func ProfileAndHarden(bin *Binary, testSuite [][]uint64, opt Options) (*Binary, 
 	return profile.Run(bin, suite, opt)
 }
 
+// Knobs declares the execution knobs once (see rtlib.Knobs): RunOptions
+// embeds it, runpack RunSpecs record it, and Knobs.RegisterFlags gives
+// each its rfvm flag.
+type Knobs = rtlib.Knobs
+
 // RunOptions configures an execution.
 type RunOptions struct {
 	// Input is the program's input vector (consumed by rf_input).
@@ -304,25 +309,13 @@ type RunOptions struct {
 	// deployments); otherwise errors are recorded and execution
 	// continues (testing/profiling).
 	AbortOnError bool
+	// Knobs are the execution knobs: the superblock tier, the
+	// recovered-edge monitor, libc checking, the allocator modes of the
+	// RedFat heap (Hardened runs only) and the host-only dispatch
+	// ablations.
+	Knobs
 	// RandomizeHeap enables low-fat allocator placement randomization.
 	RandomizeHeap bool
-	// NoLibcCheck disables the hardened libc span intrinsics (and, under
-	// Memcheck, its libc interposition), reverting the modelled libc to
-	// unchecked baseline bindings. Guest-visible — span checks charge
-	// cycles and produce detections — so it is recorded in runpacks.
-	NoLibcCheck bool
-	// QuarantineBytes overrides the redzone heap's delayed-reuse
-	// quarantine budget (-1 disables quarantine, 0 keeps the default,
-	// >0 sets the byte budget). Hardened runs only.
-	QuarantineBytes int64
-	// Canary arms canary-poisoned redzones: allocation slack is filled
-	// with a canary byte verified on free and on span-check crossings.
-	// Hardened runs only.
-	Canary bool
-	// UnderAllocEvery, when >0, under-allocates roughly one in every N
-	// heap objects by one byte (the REDFAT_TEST self-test mode,
-	// deterministic via the VM's random stream). Hardened runs only.
-	UnderAllocEvery uint64
 	// Trace, when set, receives an execution trace (one disassembled
 	// instruction per line), capped at TraceLimit lines (0 = 10000).
 	Trace      io.Writer
@@ -333,27 +326,6 @@ type RunOptions struct {
 	Metrics *Metrics
 	// EventTrace, when set, records execution events into its ring buffer.
 	EventTrace *EventTracer
-	// NoBlockCache runs the VM on its legacy per-instruction decode cache
-	// instead of the basic-block cache. Guest-visible results (cycles,
-	// errors, output) are identical either way; the knob exists for
-	// host-performance A/B measurement and validation.
-	NoBlockCache bool
-	// NoChain disables block chaining (cached block→successor links)
-	// while keeping the block cache. Same identity guarantee.
-	NoChain bool
-	// NoTLB disables the guest-memory software TLB, forcing every page
-	// access through the page-map lookup. Same identity guarantee.
-	NoTLB bool
-	// NoJIT disables the superblock tier (compiled traces over hot
-	// chained blocks). Same identity guarantee.
-	NoJIT bool
-	// NoIndirect disables the recovered-edge soundness monitor armed for
-	// marker-built (.rf.jt) binaries. Landing-pad enforcement itself is
-	// binary semantics and is unaffected. Same identity guarantee.
-	NoIndirect bool
-	// JITThreshold overrides the block-hotness threshold before trace
-	// compilation (0 keeps the default).
-	JITThreshold uint64
 	// Forensics enables allocation-site tracking (guest backtraces per
 	// malloc/free) and error backtrace capture, and fills Result.Reports
 	// with fully resolved error reports. Host-side only: guest cycle
@@ -369,6 +341,25 @@ type RunOptions struct {
 	// execution tier runs, and its ring content is deterministic in
 	// guest cycles. Host-side only.
 	Flight *Flight
+}
+
+// config is the runtime configuration of opt.
+func (opt *RunOptions) config() rtlib.RunConfig {
+	return rtlib.RunConfig{
+		Input:          opt.Input,
+		MaxCycles:      opt.MaxCycles,
+		Abort:          opt.AbortOnError,
+		Knobs:          opt.Knobs,
+		RandomizeHeap:  opt.RandomizeHeap,
+		TraceWriter:    opt.Trace,
+		TraceLimit:     opt.TraceLimit,
+		Metrics:        opt.Metrics,
+		EventTrace:     opt.EventTrace,
+		Forensics:      opt.Forensics,
+		ForensicsDepth: opt.ForensicsDepth,
+		Profiler:       opt.Profiler,
+		Flight:         opt.Flight,
+	}
 }
 
 // CheckStat reports one instrumentation site's runtime behaviour.
@@ -408,36 +399,12 @@ type Result struct {
 
 // Run executes a binary on the RF64 VM.
 func Run(bin *Binary, opt RunOptions) (*Result, error) {
-	cfg := rtlib.RunConfig{
-		Input:           opt.Input,
-		MaxCycles:       opt.MaxCycles,
-		Abort:           opt.AbortOnError,
-		RandomizeHeap:   opt.RandomizeHeap,
-		NoLibcCheck:     opt.NoLibcCheck,
-		QuarantineBytes: opt.QuarantineBytes,
-		Canary:          opt.Canary,
-		UnderAllocEvery: opt.UnderAllocEvery,
-		TraceWriter:     opt.Trace,
-		TraceLimit:      opt.TraceLimit,
-		Metrics:         opt.Metrics,
-		EventTrace:      opt.EventTrace,
-		NoBlockCache:    opt.NoBlockCache,
-		NoChain:         opt.NoChain,
-		NoTLB:           opt.NoTLB,
-		NoJIT:           opt.NoJIT,
-		NoIndirect:      opt.NoIndirect,
-		JITThreshold:    opt.JITThreshold,
-		Forensics:       opt.Forensics,
-		ForensicsDepth:  opt.ForensicsDepth,
-		Profiler:        opt.Profiler,
-		Flight:          opt.Flight,
-	}
 	var (
 		v   *vm.VM
 		rt  *rtlib.Runtime
 		err error
 	)
-	switch {
+	switch cfg := opt.config(); {
 	case opt.Memcheck && opt.Hardened:
 		return nil, fmt.Errorf("redfat: Memcheck and Hardened are mutually exclusive")
 	case opt.Memcheck:
@@ -447,18 +414,7 @@ func Run(bin *Binary, opt RunOptions) (*Result, error) {
 	default:
 		v, err = rtlib.RunBaseline(bin, cfg)
 	}
-	res := &Result{}
-	if v != nil {
-		res.ExitCode = v.ExitCode
-		res.Cycles = v.Cycles
-		res.Insts = v.Insts
-		res.Output = v.Output
-		res.Errors = v.Errors
-		res.Traces = v.TraceStats()
-		if opt.Forensics {
-			res.Reports = buildReports(v, bin)
-		}
-	}
+	res := newResult(v, &opt, bin)
 	if rt != nil {
 		res.Coverage = rt.Coverage()
 		rt.PublishSiteStats(opt.Metrics)
@@ -490,43 +446,8 @@ func RunLinked(main *Binary, libs []*Binary, opt RunOptions) (*Result, error) {
 	if opt.Memcheck {
 		return nil, fmt.Errorf("redfat: Memcheck does not support linked programs")
 	}
-	cfg := rtlib.RunConfig{
-		Input:           opt.Input,
-		MaxCycles:       opt.MaxCycles,
-		Abort:           opt.AbortOnError,
-		RandomizeHeap:   opt.RandomizeHeap,
-		NoLibcCheck:     opt.NoLibcCheck,
-		QuarantineBytes: opt.QuarantineBytes,
-		Canary:          opt.Canary,
-		UnderAllocEvery: opt.UnderAllocEvery,
-		TraceWriter:     opt.Trace,
-		TraceLimit:      opt.TraceLimit,
-		Metrics:         opt.Metrics,
-		EventTrace:      opt.EventTrace,
-		NoBlockCache:    opt.NoBlockCache,
-		NoChain:         opt.NoChain,
-		NoTLB:           opt.NoTLB,
-		NoJIT:           opt.NoJIT,
-		NoIndirect:      opt.NoIndirect,
-		JITThreshold:    opt.JITThreshold,
-		Forensics:       opt.Forensics,
-		ForensicsDepth:  opt.ForensicsDepth,
-		Profiler:        opt.Profiler,
-		Flight:          opt.Flight,
-	}
-	v, rts, err := rtlib.RunLinked(main, libs, cfg)
-	res := &Result{}
-	if v != nil {
-		res.ExitCode = v.ExitCode
-		res.Cycles = v.Cycles
-		res.Insts = v.Insts
-		res.Output = v.Output
-		res.Errors = v.Errors
-		res.Traces = v.TraceStats()
-		if opt.Forensics {
-			res.Reports = buildReports(v, append([]*Binary{main}, libs...)...)
-		}
-	}
+	v, rts, err := rtlib.RunLinked(main, libs, opt.config())
+	res := newResult(v, &opt, append([]*Binary{main}, libs...)...)
 	var full, total int
 	for _, rt := range rts {
 		rt.PublishSiteStats(opt.Metrics)
@@ -544,6 +465,26 @@ func RunLinked(main *Binary, libs []*Binary, opt RunOptions) (*Result, error) {
 		res.Coverage = float64(full) / float64(total)
 	}
 	return res, err
+}
+
+// newResult reports a finished VM (nil leaves the result empty),
+// resolving forensic reports against the run's modules when opt asks
+// for them.
+func newResult(v *vm.VM, opt *RunOptions, bins ...*Binary) *Result {
+	res := &Result{}
+	if v == nil {
+		return res
+	}
+	res.ExitCode = v.ExitCode
+	res.Cycles = v.Cycles
+	res.Insts = v.Insts
+	res.Output = v.Output
+	res.Errors = v.Errors
+	res.Traces = v.TraceStats()
+	if opt.Forensics {
+		res.Reports = buildReports(v, bins...)
+	}
+	return res
 }
 
 // buildReports resolves a finished VM's trapped errors into forensic
