@@ -50,8 +50,9 @@ perf-smoke:
 	$(GO) test -run TestPerfSmokeLibcSpan -v ./internal/bench/
 
 # trace-smoke drives the forensics/profiling CLI flags end to end and
-# validates that the emitted Chrome trace JSON and folded stacks parse.
-# (The same test also runs as part of `make test` / `make check`.)
+# validates that the emitted Chrome trace JSON (the flight ring at
+# execution grain plus profile samples) and folded stacks parse. (The
+# same test also runs in `make test`, `make obs-smoke` and `make check`.)
 trace-smoke:
 	$(GO) test -run TestCLITraceSmoke -v .
 
@@ -62,12 +63,17 @@ trace-smoke:
 replay-smoke:
 	$(GO) test -run 'TestCLIRunpackSmoke|TestVerifyDetectsTampering|TestRunPackVerifiesAndReplaysByteIdentical' -v . ./internal/runpack/
 
-# obs-smoke exercises the live introspection surface: the golden-pinned
-# endpoint formats, the flight-recorder semantics, and a scrape of all
-# five endpoints on a live `rfvm -listen` process. See DESIGN.md §15.
+# obs-smoke exercises the event model and the live introspection
+# surface: the golden-pinned endpoint formats, the flight-recorder
+# semantics, bit-identity of runs with the ring at either grain, the
+# execution-grain stream against its golden, the Chrome trace export,
+# and a scrape of all five endpoints on a live `rfvm -listen` process.
+# See DESIGN.md §15.
 obs-smoke:
 	$(GO) test -run 'TestEndpoints|TestFlight|TestServerBeforePublish' -v ./internal/obs/
-	$(GO) test -run TestCLIObsSmoke -v .
+	$(GO) test -run TestFlightIdentityMatrix -v ./internal/vm/
+	$(GO) test -run TestExecutionGrainMatchesTracerGolden -v ./internal/rtlib/
+	$(GO) test -run 'TestCLIObsSmoke|TestCLITraceSmoke' -v .
 
 # edge-audit-smoke drives the indirect-flow recovery contract end to
 # end: rfgen emits the switch-dense and broken-jump-table corpora,

@@ -52,6 +52,38 @@ const cliProg = `
     ret
 `
 
+// cliLoopProg retires about 3000 instructions, more events than the
+// flight ring's default capacity holds.
+const cliLoopProg = `
+.func main
+    mov $0, %rcx
+loop:
+    add $1, %rcx
+    cmp $1000, %rcx
+    jl loop
+    mov $0, %rax
+    ret
+`
+
+// eventWindow returns the event lines rfvm -events prints after its
+// "execution events" header.
+func eventWindow(out string) []string {
+	_, window, ok := strings.Cut(out, " execution events ---\n")
+	if !ok {
+		return nil
+	}
+	var lines []string
+	for _, line := range strings.Split(window, "\n") {
+		if strings.HasPrefix(line, "---") {
+			break
+		}
+		if strings.HasPrefix(line, "  #") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
 // TestCLIPipeline drives the full assemble → harden → run → disassemble
 // workflow through the real command-line tools.
 func TestCLIPipeline(t *testing.T) {
@@ -113,6 +145,38 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if strings.Contains(out, "vm.retired.total                            0") {
 		t.Errorf("retired counter is zero: %s", out)
+	}
+	// The window of a detection run holds the one labelled check-fail
+	// event: the ring records a failure once, wherever it is caught.
+	out, code = runTool(t, bin, "rfvm", "-hardened", "-abort", "-events", "16",
+		"-input", "40", hardPath)
+	if code != 10 {
+		t.Fatalf("rfvm -events detection run: exit %d, want 10\n%s", code, out)
+	}
+	var fails []string
+	for _, line := range eventWindow(out) {
+		if strings.Contains(line, "check-fail") {
+			fails = append(fails, line)
+		}
+	}
+	if len(fails) != 1 || !strings.Contains(fails[0], "check-fail   out-of-bounds write pc=") {
+		t.Errorf("events window check-fail lines = %q, want one labelled out-of-bounds write\n%s", fails, out)
+	}
+	// -events N keeps N events even above the default ring capacity.
+	loopSrc := filepath.Join(work, "loop.s")
+	loopPath := filepath.Join(work, "loop.relf")
+	if err := os.WriteFile(loopSrc, []byte(cliLoopProg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, code := runTool(t, bin, "rfasm", "-o", loopPath, loopSrc); code != 0 {
+		t.Fatalf("rfasm loop: %s", out)
+	}
+	out, code = runTool(t, bin, "rfvm", "-events", "2000", loopPath)
+	if code != 0 {
+		t.Fatalf("rfvm -events 2000: %d %s", code, out)
+	}
+	if n := len(eventWindow(out)); n != 2000 {
+		t.Errorf("-events 2000 printed %d event lines, want 2000", n)
 	}
 	// Memcheck runs report the same telemetry.
 	out, code = runTool(t, bin, "rfvm", "-memcheck", "-stats", "-input", "2", relfPath)
@@ -222,6 +286,24 @@ func TestCLITraceSmoke(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Error("trace JSON has no events")
+	}
+	// -trace-out reads the flight ring at execution grain, so the
+	// allocation and the retires are on the timeline.
+	kinds := map[string]bool{}
+	for _, raw := range doc.TraceEvents {
+		var ev struct {
+			Name string `json:"name"`
+			Cat  string `json:"cat"`
+		}
+		if err := json.Unmarshal(raw, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Cat == "event" {
+			kinds[ev.Name] = true
+		}
+	}
+	if !kinds["alloc"] || !kinds["inst"] {
+		t.Errorf("trace events lack execution-grain kinds, saw %v", kinds)
 	}
 }
 

@@ -20,8 +20,9 @@
 //     (AddBytes/AddJSON): member insertion order is part of a runpack's
 //     signed digest chain, so adding members from inside a map range
 //     would make the sealed manifest nondeterministic. It also covers
-//     the obs layer's emitters (Flight.Record, Server.Publish): flight
-//     rings are byte-compared across runs and sealed into runpacks, and
+//     the obs layer's emitters (Flight.Record, Flight.RecordExec,
+//     Server.Publish): flight rings — the system's one event recorder —
+//     are byte-compared across runs and sealed into runpacks, and
 //     published server states feed golden-tested endpoints, so feeding
 //     either from a map range would break their determinism contracts.
 //
@@ -379,7 +380,7 @@ var packCalls = map[string]bool{
 // runs and sealed into runpacks; published server states back the
 // golden-tested endpoints. Both must never be fed from a map range.
 var obsCalls = map[string]bool{
-	"Record": true, "Publish": true,
+	"Record": true, "RecordExec": true, "Publish": true,
 }
 
 // isObsEmitter reports whether fun is a selector on the obs Flight or

@@ -180,6 +180,7 @@ func TestMapEmitRuleCoversObsEmitters(t *testing.T) {
 		"internal/obs/obs.go": `package obs
 type Flight struct{}
 func (f *Flight) Record(kind, reason uint8, pc, arg uint64) {}
+func (f *Flight) RecordExec(kind, reason uint8, pc, arg, size uint64) {}
 type Server struct{}
 type State struct{}
 func (s *Server) Publish(st *State) {}
@@ -192,6 +193,11 @@ import (
 func RecordBad(f *obs.Flight, m map[uint64]uint64) {
 	for pc, arg := range m {
 		f.Record(0, 0, pc, arg) // ring content would be nondeterministic
+	}
+}
+func RecordExecBad(f *obs.Flight, m map[uint64]uint64) {
+	for p, n := range m {
+		f.RecordExec(0, 0, 0, p, n) // allocation events in map order
 	}
 }
 func PublishBad(s *obs.Server, m map[string]*obs.State) {
@@ -221,9 +227,10 @@ func otherType(m map[uint64]uint64) {
 	})
 	msgs := runVet(t, v)
 	wantIssue(t, msgs, "map-emit: obs Record inside a range over a map")
+	wantIssue(t, msgs, "map-emit: obs RecordExec inside a range over a map")
 	wantIssue(t, msgs, "map-emit: obs Publish inside a range over a map")
-	if len(msgs) != 2 {
-		t.Errorf("want exactly 2 issues, got %d: %v", len(msgs), msgs)
+	if len(msgs) != 3 {
+		t.Errorf("want exactly 3 issues, got %d: %v", len(msgs), msgs)
 	}
 }
 

@@ -15,16 +15,18 @@
 // Observability: -stats collects telemetry during the run and prints a
 // report (retired instructions per opcode, allocator activity, check
 // outcomes, RTCALL cost); -top bounds the hottest-site listing; -events N
-// keeps and prints the last N execution events (alloc/free, trampoline
-// dispatch, check verdicts). Telemetry never alters cycle accounting.
+// prints the last N events of the flight ring (below) recorded at
+// execution grain: retires, trampoline entries, runtime calls, check
+// verdicts, alloc/free. Telemetry never alters cycle accounting.
 //
 // Forensics: -forensics resolves each detected error into a symbolized
 // ASan-style report (owning object, allocation/free backtraces);
 // -profile-guest samples guest execution by cycle budget and prints a
 // hot-site table; -folded FILE writes the profile as folded stacks
 // (flamegraph input); -trace-out FILE writes a Chrome trace-event JSON
-// (execution events plus profile samples) loadable in chrome://tracing.
-// All of it is host-side only: guest cycles are bit-identical either way.
+// (the flight ring at execution grain plus profile samples) loadable in
+// chrome://tracing. All of it is host-side only: guest cycles are
+// bit-identical either way.
 //
 // Run artifacts: -runpack DIR captures the run as a digest-signed
 // runpack (the executed binary, replay spec, packed result, forensic
@@ -45,9 +47,12 @@
 // instead of serving. An always-on flight recorder keeps the last -flight
 // events (block/trace entries, JIT compiles, deopts with reason, TLB
 // flushes, check failures, budget aborts) and dumps to stderr
-// automatically on a detection or budget abort. Both are host-side
-// knobs: guest cycles are bit-identical with them on or off, and
-// neither enters the runpack RunSpec.
+// automatically on a detection or budget abort. -events and -trace-out
+// switch that one ring to execution grain, which pins the run to the
+// interpreter, and widen it to the largest of -flight, the -events
+// window and 4096 events for -trace-out. Both are host-side knobs: guest
+// cycles are bit-identical with them on or off, and neither enters the
+// runpack RunSpec.
 //
 // Exit codes are stable so runpack replay and CI scripts can assert on
 // the detection kind:
@@ -78,6 +83,7 @@ import (
 	"strings"
 
 	"redfat"
+	"redfat/internal/obs"
 	"redfat/internal/runpack"
 )
 
@@ -90,7 +96,7 @@ func main() {
 	trace := flag.Int("trace", 0, "print an execution trace of up to N instructions")
 	stats := flag.Bool("stats", false, "collect telemetry and print a run report")
 	top := flag.Int("top", 10, "with -stats, hottest instrumentation sites to list")
-	events := flag.Int("events", 0, "record and print the last N execution events")
+	events := flag.Int("events", 0, "record execution events and print the last N")
 	forensic := flag.Bool("forensics", false, "resolve detected errors into symbolized forensic reports")
 	forensicJSON := flag.Bool("forensics-json", false, "with -forensics, also print the reports as JSON")
 	profGuest := flag.Bool("profile-guest", false, "sample guest execution and print a hot-site profile")
@@ -159,16 +165,6 @@ func main() {
 		reg = redfat.NewMetrics()
 		ro.Metrics = reg
 	}
-	var tracer *redfat.EventTracer
-	if *events > 0 {
-		tracer = redfat.NewEventTracer(*events)
-		ro.EventTrace = tracer
-	}
-	if *traceOut != "" && tracer == nil {
-		// The trace export needs the event ring even if -events is off.
-		tracer = redfat.NewEventTracer(4096)
-		ro.EventTrace = tracer
-	}
 	ro.Forensics = *forensic || *packDir != ""
 	// The guest profiler needs interpreter-grain sampling, which pins
 	// execution to tier 0 — so -listen alone must NOT enable it, or the
@@ -179,9 +175,22 @@ func main() {
 		prof = redfat.NewGuestProfiler(*profInterval)
 		ro.Profiler = prof
 	}
-	// The flight recorder is always on: it costs nothing off the hot path
-	// and its ring is deterministic in guest cycles.
-	flight := redfat.NewFlight(*flightCap)
+	// The flight recorder is always on: at default grain it costs nothing
+	// off the hot path, and its ring is deterministic in guest cycles.
+	// -events and -trace-out read the same ring at execution grain,
+	// sized so that each keeps at least its own window.
+	ringCap := *flightCap
+	if ringCap <= 0 {
+		ringCap = obs.DefaultFlightCapacity
+	}
+	if *traceOut != "" && ringCap < 4096 {
+		ringCap = 4096
+	}
+	if *events > ringCap {
+		ringCap = *events
+	}
+	flight := redfat.NewFlight(ringCap)
+	flight.Execution = *events > 0 || *traceOut != ""
 	ro.Flight = flight
 	var srv *redfat.ObsServer
 	if *listen != "" {
@@ -203,6 +212,7 @@ func main() {
 		}()
 	}
 	res, err := redfat.Run(bin, ro)
+	dump := flight.Dump()
 	if res != nil {
 		// -forensics prints the resolved reports; a bare -runpack only
 		// packs them.
@@ -235,7 +245,7 @@ func main() {
 		// a detection or a cycle-budget abort.
 		var cle *redfat.CycleLimitError
 		if len(res.Errors) > 0 || errors.As(err, &cle) {
-			if werr := flight.Dump().WriteText(os.Stderr); werr != nil {
+			if werr := dump.WriteText(os.Stderr); werr != nil {
 				fatal(werr)
 			}
 		}
@@ -250,10 +260,16 @@ func main() {
 					c.PC, c.Mode, c.Merged, c.Execs, c.Operand)
 			}
 		}
-		if tracer != nil && *events > 0 {
+		if *events > 0 {
+			window := *dump
+			if n := len(window.Events); n > *events {
+				window.Events = window.Events[n-*events:]
+			}
 			fmt.Printf("--- last %d of %d execution events ---\n",
-				len(tracer.Events()), tracer.Total())
-			tracer.WriteText(os.Stdout)
+				len(window.Events), window.Total)
+			if werr := window.WriteText(os.Stdout); werr != nil {
+				fatal(werr)
+			}
 		}
 		if reg != nil {
 			// Host wall-clock series (.ns/.ms) are stripped so -stats output
@@ -279,7 +295,7 @@ func main() {
 		}
 		if *traceOut != "" {
 			if werr := writeFile(*traceOut, func(f *os.File) error {
-				return redfat.WriteChromeTrace(f, tracer, prof, sym)
+				return redfat.WriteChromeTrace(f, dump, prof, sym)
 			}); werr != nil {
 				fatal(werr)
 			}
@@ -288,7 +304,7 @@ func main() {
 			st := &redfat.ObsState{
 				Telemetry: reg.Snapshot().StripHostTime(),
 				Traces:    redfat.TraceRows(res.Traces, sym),
-				Flight:    flight.Dump(),
+				Flight:    dump,
 			}
 			if prof != nil {
 				var fb bytes.Buffer
@@ -313,7 +329,7 @@ func main() {
 			Forensics: true,
 			Knobs:     knobs,
 		}
-		if perr := runpack.PackRun(*packDir, os.Args[1:], raw, bin, spec, res, err, reg, flight.Dump()); perr != nil {
+		if perr := runpack.PackRun(*packDir, os.Args[1:], raw, bin, spec, res, err, reg, dump); perr != nil {
 			fatal(perr)
 		}
 		fmt.Fprintf(os.Stderr, "rfvm: runpack written to %s\n", *packDir)

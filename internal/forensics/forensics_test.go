@@ -13,10 +13,10 @@ import (
 	"redfat/internal/asm"
 	"redfat/internal/forensics"
 	"redfat/internal/isa"
+	"redfat/internal/obs"
 	"redfat/internal/redfat"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
-	"redfat/internal/telemetry"
 	"redfat/internal/vm"
 	"redfat/internal/workload"
 )
@@ -509,7 +509,7 @@ func TestFoldedOutputConsumable(t *testing.T) {
 }
 
 // TestChromeTraceParses validates the trace-event export: well-formed
-// JSON with instant events from the tracer ring and duration events from
+// JSON with instant events from the flight ring and duration events from
 // the profiler timeline.
 func TestChromeTraceParses(t *testing.T) {
 	bin := buildOOBProgram(t)
@@ -517,15 +517,16 @@ func TestChromeTraceParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := telemetry.NewTracer(256)
+	flight := obs.NewFlight(256)
+	flight.Execution = true
 	prof := &vm.GuestProfiler{Interval: 16}
 	if _, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Input: []uint64{2}, Abort: true, EventTrace: tracer, Profiler: prof,
+		Input: []uint64{2}, Abort: true, Flight: flight, Profiler: prof,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := forensics.WriteChromeTrace(&buf, tracer, prof, forensics.NewSymbolizer(hard)); err != nil {
+	if err := forensics.WriteChromeTrace(&buf, flight.Dump(), prof, forensics.NewSymbolizer(hard)); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"io"
 
-	"redfat/internal/telemetry"
+	"redfat/internal/obs"
 	"redfat/internal/vm"
 )
 
-// Chrome trace-event export: the telemetry ring tracer's events plus the
+// Chrome trace-event export: a flight-recorder dump's events plus the
 // profiler's raw sample timeline, serialized in the trace-event JSON
 // format that chrome://tracing and Perfetto load directly. Guest cycles
 // stand in for microseconds — the importers only require a monotonic
@@ -34,21 +34,25 @@ type traceFile struct {
 	Meta        string       `json:"otherData,omitempty"`
 }
 
-// Trace-event virtual thread ids: ring-tracer events on one row, profiler
+// Trace-event virtual thread ids: flight events on one row, profiler
 // samples on another, so the viewer separates them.
 const (
 	traceTIDEvents  = 1
 	traceTIDSamples = 2
 )
 
-// WriteChromeTrace serializes the tracer's retained events and the
+// WriteChromeTrace serializes a flight dump's retained events and the
 // profiler's sample timeline (either may be nil) as trace-event JSON.
-func WriteChromeTrace(w io.Writer, tr *telemetry.Tracer, p *vm.GuestProfiler, sym *Symbolizer) error {
+func WriteChromeTrace(w io.Writer, d *obs.FlightDump, p *vm.GuestProfiler, sym *Symbolizer) error {
 	out := traceFile{TraceEvents: []traceEvent{}, Meta: "redfat guest trace (ts = guest cycles)"}
 
-	for _, e := range tr.Events() {
+	var evs []obs.FlightEvent
+	if d != nil {
+		evs = d.Events
+	}
+	for _, e := range evs {
 		ev := traceEvent{
-			Name:  e.Kind.String(),
+			Name:  e.Kind,
 			Cat:   "event",
 			Phase: "i",
 			TS:    e.Cycles,
@@ -60,11 +64,14 @@ func WriteChromeTrace(w io.Writer, tr *telemetry.Tracer, p *vm.GuestProfiler, sy
 				"pc":  sym.Format(e.PC),
 			},
 		}
-		if e.Addr != 0 {
-			ev.Args["addr"] = e.Addr
+		if e.Reason != "" {
+			ev.Args["reason"] = e.Reason
 		}
-		if e.Aux != 0 {
-			ev.Args["aux"] = e.Aux
+		if e.Arg != 0 {
+			ev.Args["arg"] = e.Arg
+		}
+		if e.Size != 0 {
+			ev.Args["size"] = e.Size
 		}
 		out.TraceEvents = append(out.TraceEvents, ev)
 	}

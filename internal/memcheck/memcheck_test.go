@@ -7,6 +7,7 @@ import (
 	"redfat/internal/asm"
 	"redfat/internal/isa"
 	"redfat/internal/memcheck"
+	"redfat/internal/obs"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
 	"redfat/internal/telemetry"
@@ -140,16 +141,23 @@ func TestDBIOverheadCharged(t *testing.T) {
 func TestTelemetryAttached(t *testing.T) {
 	bin := buildArrayProg(t)
 	reg := telemetry.New()
-	tr := telemetry.NewTracer(64)
-	v, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{2}, Metrics: reg, EventTrace: tr})
+	flight := obs.NewFlight(64)
+	flight.Execution = true
+	v, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{2}, Metrics: reg, Flight: flight})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["vm.retired.total"]; got != v.Insts || got == 0 {
 		t.Errorf("vm.retired.total = %d, want %d", got, v.Insts)
 	}
-	if len(tr.Events()) == 0 {
-		t.Error("event ring is empty")
+	retires := 0
+	for _, e := range flight.Events() {
+		if e.Kind == obs.EvInst {
+			retires++
+		}
+	}
+	if retires == 0 {
+		t.Error("event ring holds no retire events")
 	}
 }
 

@@ -1,16 +1,22 @@
-// Package obs is the live-observability layer: an always-on flight
-// recorder (a fixed-size, allocation-free ring of recent VM events) and
-// an HTTP introspection server that exposes telemetry, the JIT trace
-// table, the guest profile and the flight ring over five endpoints.
+// Package obs is the live-observability layer: the flight recorder (a
+// fixed-size, allocation-free ring of recent VM events, the system's one
+// event recorder) and an HTTP introspection server that exposes
+// telemetry, the JIT trace table, the guest profile and the flight ring
+// over five endpoints.
+//
+// The ring records at one of two grains. Default grain takes only
+// events off the per-instruction path, so the recorder is always on.
+// Execution grain adds per-instruction and per-call events and pins the
+// VM to the interpreter, like any per-instruction observer.
 //
 // The package is a leaf — it depends only on the standard library and
-// internal/telemetry — so the VM and guest-memory layers can record into
-// a Flight without import cycles. Everything recorded is keyed to guest
-// cycles, never host time, so the ring's content is a pure function of
-// the binary, input and knobs: attaching a recorder perturbs neither
-// guest cycle accounting nor detections (the same bit-identity contract
-// telemetry and forensics already uphold), and two runs of the same work
-// dump byte-identical rings.
+// internal/telemetry — so the VM, guest-memory and runtime layers can
+// record into a Flight without import cycles. Everything recorded is
+// keyed to guest cycles, never host time, so the ring's content is a
+// pure function of the binary, input, knobs and grain: attaching a
+// recorder perturbs neither guest cycle accounting nor detections (the
+// same bit-identity contract telemetry and forensics already uphold),
+// and two runs of the same work dump byte-identical rings.
 package obs
 
 import (
@@ -25,9 +31,10 @@ const SchemaVersion = 1
 // EventKind classifies one flight-recorder event.
 type EventKind uint8
 
-// Flight event kinds. Reason and Arg are kind-specific (documented per
-// kind); PC is the guest PC the event is attributed to, 0 when none
-// applies.
+// Flight event kinds. Reason, Arg and Size are kind-specific (documented
+// per kind; Size is used by EvAlloc alone); PC is the guest PC the event
+// is attributed to, 0 when none applies. The kinds up to EvBudgetPoll
+// are recorded at both grains, the rest at execution grain only.
 const (
 	EvBlockEntry EventKind = iota // a basic block was looked up uncached (Arg: build=1, cache hit=0)
 	EvTraceEnter                  // dispatch entered a compiled trace (PC: trace entry)
@@ -35,8 +42,14 @@ const (
 	EvDeopt                       // a trace deopted to the interpreter (Reason: vm.DeoptReason, PC: resume RIP, Arg: trace entry)
 	EvTLBFlush                    // guest-memory TLB invalidation (PC: first affected address, Arg: pages)
 	EvICacheGen                   // icache generation bump: blocks, chains and traces dropped
-	EvCheckFail                   // a memory error was reported (Reason: vm.MemErrorKind, PC: fault site, Arg: fault address)
+	EvCheckFail                   // a memory error was reported, or a profile-mode check failed (Reason: vm.MemErrorKind, PC: fault site, Arg: fault address)
 	EvBudgetPoll                  // the cycle budget expired (PC: abort RIP, Arg: cycles at abort)
+	EvInst                        // an instruction retired (Reason: isa.Op, PC: its address)
+	EvTrampEnter                  // a TRAP patch dispatched to its trampoline (PC: the trap, Arg: trampoline)
+	EvRTCall                      // a host runtime call returned (PC: the RTCALL, Arg: cycles the handler charged)
+	EvCheckPass                   // an instrumented check passed (PC: check site, Arg: accessed lower bound)
+	EvAlloc                       // heap allocation (PC: return address of the call, Arg: object, Size: requested bytes)
+	EvFree                        // heap free (PC: return address of the call, Arg: object)
 	numEventKinds
 )
 
@@ -59,33 +72,52 @@ func (k EventKind) String() string {
 		return "check-fail"
 	case EvBudgetPoll:
 		return "budget-abort"
+	case EvInst:
+		return "inst"
+	case EvTrampEnter:
+		return "tramp-enter"
+	case EvRTCall:
+		return "rtcall"
+	case EvCheckPass:
+		return "check-pass"
+	case EvAlloc:
+		return "alloc"
+	case EvFree:
+		return "free"
 	}
 	return "event?"
 }
 
 // Event is one recorded occurrence. Cycles is the guest cycle counter at
 // record time (0 before the VM binds it), so ordering and spacing are
-// meaningful in guest time, not wall time.
+// meaningful in guest time, not wall time. The sequence number is not
+// stored: it follows from the ring position (see Dump), which keeps an
+// event at 40 bytes with two payload words.
 type Event struct {
-	Seq    uint64
 	Cycles uint64
 	Kind   EventKind
 	Reason uint8
 	PC     uint64
 	Arg    uint64
+	Size   uint64
 }
 
 // DefaultFlightCapacity sizes the ring when the caller passes none. 1024
-// events (~48 KiB) comfortably covers the window between "something went
+// events (40 KiB) comfortably covers the window between "something went
 // wrong" and the dump.
 const DefaultFlightCapacity = 1024
 
-// Flight is the always-on flight recorder: a preallocated ring that
-// overwrites oldest-first. Record is allocation-free and safe on a nil
-// receiver, so the VM hot paths can call it unconditionally. A Flight is
+// Flight is the flight recorder: a preallocated ring that overwrites
+// oldest-first. Recording is allocation-free and safe on a nil receiver,
+// so the VM hot paths can call it unconditionally. A Flight is
 // single-goroutine like the VM it observes; dump under the same
 // discipline (after Run, or from the VM goroutine).
 type Flight struct {
+	// Execution selects execution grain: the ring also takes the
+	// execution-grain kinds (EvInst onward), and a VM running with it
+	// stays in the interpreter. The VM reads it once, at Run.
+	Execution bool
+
 	ring    []Event
 	seq     uint64
 	cycles  *uint64
@@ -120,24 +152,35 @@ func (f *Flight) SetLabeler(fn func(kind EventKind, reason uint8) string) {
 	}
 }
 
-// Record appends one event, overwriting the oldest when the ring is
-// full. Nil-safe and allocation-free: one bounds-checked store and two
-// increments on the hot path.
+// Record appends one event at either grain, overwriting the oldest when
+// the ring is full. Nil-safe and allocation-free: one bounds-checked
+// store and an increment.
 func (f *Flight) Record(kind EventKind, reason uint8, pc, arg uint64) {
-	if f == nil {
-		return
+	if f != nil {
+		f.put(kind, reason, pc, arg, 0)
 	}
+}
+
+// RecordExec appends one execution-grain event; at default grain it
+// records nothing, so callers may call it unconditionally.
+func (f *Flight) RecordExec(kind EventKind, reason uint8, pc, arg, size uint64) {
+	if f != nil && f.Execution {
+		f.put(kind, reason, pc, arg, size)
+	}
+}
+
+func (f *Flight) put(kind EventKind, reason uint8, pc, arg, size uint64) {
 	var cyc uint64
 	if f.cycles != nil {
 		cyc = *f.cycles
 	}
 	f.ring[f.seq%uint64(len(f.ring))] = Event{
-		Seq:    f.seq,
 		Cycles: cyc,
 		Kind:   kind,
 		Reason: reason,
 		PC:     pc,
 		Arg:    arg,
+		Size:   size,
 	}
 	f.seq++
 }
@@ -184,6 +227,7 @@ type FlightEvent struct {
 	Reason string `json:"reason,omitempty"`
 	PC     uint64 `json:"pc,omitempty"`
 	Arg    uint64 `json:"arg,omitempty"`
+	Size   uint64 `json:"size,omitempty"`
 }
 
 // FlightDump is the stable JSON projection of the ring: schema-versioned
@@ -201,13 +245,16 @@ type FlightDump struct {
 func (f *Flight) Dump() *FlightDump {
 	d := &FlightDump{SchemaVersion: SchemaVersion, Capacity: f.Capacity(),
 		Total: f.Total(), Events: []FlightEvent{}}
-	for _, e := range f.Events() {
+	evs := f.Events()
+	first := f.Total() - uint64(len(evs))
+	for i, e := range evs {
 		fe := FlightEvent{
-			Seq:    e.Seq,
+			Seq:    first + uint64(i),
 			Cycles: e.Cycles,
 			Kind:   e.Kind.String(),
 			PC:     e.PC,
 			Arg:    e.Arg,
+			Size:   e.Size,
 		}
 		if f.labeler != nil {
 			fe.Reason = f.labeler(e.Kind, e.Reason)
@@ -229,7 +276,8 @@ func (d *FlightDump) WriteJSON(w io.Writer) error {
 }
 
 // WriteText renders the window as one line per event for terminal dumps
-// (the rfvm crash dump): sequence, guest cycle, kind, reason, PC, arg.
+// (the rfvm crash dump and -events): sequence, guest cycle, kind,
+// reason, PC, arg, and size when nonzero.
 func (d *FlightDump) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "flight recorder: %d events recorded, last %d retained\n",
 		d.Total, len(d.Events)); err != nil {
@@ -241,8 +289,12 @@ func (d *FlightDump) WriteText(w io.Writer) error {
 		if reason != "" {
 			reason = " " + reason
 		}
-		if _, err := fmt.Fprintf(w, "  #%-6d cyc=%-12d %-12s%s pc=%#x arg=%#x\n",
-			e.Seq, e.Cycles, e.Kind, reason, e.PC, e.Arg); err != nil {
+		size := ""
+		if e.Size != 0 {
+			size = fmt.Sprintf(" size=%d", e.Size)
+		}
+		if _, err := fmt.Fprintf(w, "  #%-6d cyc=%-12d %-12s%s pc=%#x arg=%#x%s\n",
+			e.Seq, e.Cycles, e.Kind, reason, e.PC, e.Arg, size); err != nil {
 			return err
 		}
 	}

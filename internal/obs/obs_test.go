@@ -31,7 +31,7 @@ func TestFlightRingWrapsOldestFirst(t *testing.T) {
 	if got := f.Capacity(); got != 4 {
 		t.Fatalf("Capacity = %d, want 4", got)
 	}
-	evs := f.Events()
+	evs := f.Dump().Events
 	if len(evs) != 4 {
 		t.Fatalf("retained %d events, want 4", len(evs))
 	}

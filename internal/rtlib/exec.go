@@ -39,11 +39,6 @@ type RunConfig struct {
 	// host-side only: it never alters guest cycle accounting.
 	Metrics *telemetry.Registry
 
-	// EventTrace, when set, records execution events (instruction
-	// retirement, trampoline dispatch, check outcomes, alloc/free) into
-	// the bounded ring buffer.
-	EventTrace *telemetry.Tracer
-
 	// IndirectHook, when set, observes every indirect JMP/CALL transfer
 	// (pc → target) before it commits. Host-side observability only —
 	// the differential edge oracle uses it to compare actual transfers
@@ -63,12 +58,15 @@ type RunConfig struct {
 	// the dispatch loop (see vm.GuestProfiler). Host-side only.
 	Profiler *vm.GuestProfiler
 
-	// Flight, when set, is the always-on flight recorder fed by the VM
-	// and guest memory (dispatch events, deopts with reason, TLB flushes,
-	// check failures, budget aborts). Unlike Profiler and the hooks it
-	// never disables the superblock tier, and the ring's content is
-	// guest-deterministic. Host-side only: a deliberately un-replayed
-	// knob, absent from runpack RunSpecs.
+	// Flight, when set, is the flight recorder fed by the VM, guest
+	// memory, the allocator bindings and the check runtime (dispatch
+	// events, deopts with reason, TLB flushes, check failures, budget
+	// aborts; at execution grain also retires, trampoline entries,
+	// runtime calls, check passes, allocs and frees). At default grain it
+	// never disables the superblock tier; execution grain pins the run to
+	// the interpreter. The ring's content is guest-deterministic.
+	// Host-side only: a deliberately un-replayed knob, absent from
+	// runpack RunSpecs.
 	Flight *obs.Flight
 }
 
@@ -113,9 +111,7 @@ func NewProcess(cfg RunConfig, budget uint64, mods ...*relf.Binary) *Process {
 	v.JITThreshold = cfg.JITThreshold
 	v.Flight = cfg.Flight
 	v.Profiler = cfg.Profiler
-	if cfg.Metrics != nil || cfg.EventTrace != nil {
-		v.AttachTelemetry(cfg.Metrics, cfg.EventTrace)
-	}
+	v.AttachTelemetry(cfg.Metrics)
 	p := &Process{VM: v, cfg: cfg}
 	p.attachTrace()
 	p.attachIndirect(mods)
@@ -319,7 +315,7 @@ func runRedFat(main *relf.Binary, libs []*relf.Binary, cfg RunConfig, mainChecke
 		if err != nil {
 			return nil, err
 		}
-		rt.AttachTelemetry(cfg.Metrics, cfg.EventTrace)
+		rt.AttachTelemetry(cfg.Metrics)
 		rts = append(rts, rt)
 		mods[bin] = rt
 		return Merge(libc, rt.Bindings()), nil

@@ -16,8 +16,8 @@ import (
 
 	"redfat/internal/isa"
 	"redfat/internal/mem"
+	"redfat/internal/obs"
 	"redfat/internal/redzone"
-	"redfat/internal/telemetry"
 	"redfat/internal/vm"
 )
 
@@ -78,7 +78,7 @@ func LibC(a Allocator, m *mem.Memory) vm.Bindings {
 			v.Regs[isa.RAX] = 0
 			return nil
 		}
-		v.Tracer.RecordAt(telemetry.EvAlloc, v.RIP, p, v.Regs[isa.RDI], v.Cycles)
+		v.Flight.RecordExec(obs.EvAlloc, 0, v.RIP, p, v.Regs[isa.RDI])
 		v.Regs[isa.RAX] = p
 		return nil
 	}
@@ -88,7 +88,7 @@ func LibC(a Allocator, m *mem.Memory) vm.Bindings {
 		total := n * size
 		if size != 0 && total/size != n {
 			// n*size wrapped: glibc returns NULL without allocating, and
-			// neither the cycle cost nor the tracer may use the wrapped
+			// neither the cycle cost nor the alloc event may use the wrapped
 			// product (a huge request must not be billed as a tiny one).
 			v.Cycles += costMallocCall
 			v.Regs[isa.RAX] = 0
@@ -100,14 +100,14 @@ func LibC(a Allocator, m *mem.Memory) vm.Bindings {
 			v.Regs[isa.RAX] = 0
 			return nil
 		}
-		v.Tracer.RecordAt(telemetry.EvAlloc, v.RIP, p, total, v.Cycles)
+		v.Flight.RecordExec(obs.EvAlloc, 0, v.RIP, p, total)
 		v.Regs[isa.RAX] = p
 		return nil
 	}
 	b["free"] = func(v *vm.VM, _ uint32) error {
 		notePC(v)
 		v.Cycles += costFreeCall
-		v.Tracer.RecordAt(telemetry.EvFree, v.RIP, v.Regs[isa.RDI], 0, v.Cycles)
+		v.Flight.RecordExec(obs.EvFree, 0, v.RIP, v.Regs[isa.RDI], 0)
 		if err := a.Free(v.Regs[isa.RDI]); err != nil {
 			var ce *redzone.CanaryError
 			if errors.As(err, &ce) {
@@ -135,9 +135,19 @@ func LibC(a Allocator, m *mem.Memory) vm.Bindings {
 		ptr, size := v.Regs[isa.RDI], v.Regs[isa.RSI]
 		v.Cycles += costMallocCall + size/8*costPerByte8
 		p, err := a.Realloc(ptr, size)
+		var ce *redzone.CanaryError
+		if err == nil || errors.As(err, &ce) {
+			// Every allocator allocates a moved object's new block
+			// before it frees the old one.
+			if p != 0 && p != ptr {
+				v.Flight.RecordExec(obs.EvAlloc, 0, v.RIP, p, size)
+			}
+			if ptr != 0 && p != ptr {
+				v.Flight.RecordExec(obs.EvFree, 0, v.RIP, ptr, 0)
+			}
+		}
 		if err != nil {
-			var ce *redzone.CanaryError
-			if errors.As(err, &ce) {
+			if ce != nil {
 				// The resize itself succeeded; report the smash found
 				// while freeing the old object.
 				v.Regs[isa.RAX] = p

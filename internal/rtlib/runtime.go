@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"redfat/internal/lowfat"
+	"redfat/internal/obs"
 	"redfat/internal/redzone"
 	"redfat/internal/relf"
 	"redfat/internal/telemetry"
@@ -38,8 +39,7 @@ type Runtime struct {
 	// code at rewrite time).
 	fast []checkFast
 
-	tel    *checkMetrics
-	tracer *telemetry.Tracer
+	tel *checkMetrics
 }
 
 // checkMetrics holds the check runtime's aggregate registry handles; the
@@ -52,10 +52,9 @@ type checkMetrics struct {
 	nonfat      *telemetry.Counter
 }
 
-// AttachTelemetry binds the runtime's aggregate check counters to reg and
-// its check-outcome events to tr (either may be nil).
-func (rt *Runtime) AttachTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	rt.tracer = tr
+// AttachTelemetry binds the runtime's aggregate check counters to reg
+// (nil is a no-op). Check outcomes go to the VM's flight recorder.
+func (rt *Runtime) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
@@ -141,7 +140,6 @@ func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 		return &vm.MemError{Kind: vm.ErrCorruptMeta, PC: v.RIP,
 			Note: "check with invalid site index"}
 	}
-	c := &rt.Checks[arg]
 	cf := &rt.fast[arg]
 	rt.Stats[arg].Execs++
 	if rt.tel != nil {
@@ -162,7 +160,6 @@ func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 		base = lowfat.Base(ptr)
 		fat = base != 0
 	}
-	fallback := !fat
 	fallbackFat := false
 	if base == 0 {
 		base = lowfat.Base(lb)
@@ -216,52 +213,7 @@ func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 			Size: size, Class: class}
 	}
 
-	// Attribute the verdict: a violation found via base(ptr) is the
-	// LowFat component's, one found via the fallback base(LB) is the
-	// redzone component's. The split feeds both the allow-list (only
-	// LowFat failures disqualify a site) and the exported site stats.
-	component := ""
-	if bad {
-		if fat && !fallback {
-			component = "lowfat"
-			rt.Stats[arg].LowFatFails++
-			if rt.tel != nil {
-				rt.tel.lowfatFail.Inc()
-			}
-		} else {
-			component = "redzone"
-			rt.Stats[arg].RedzoneFails++
-			if rt.tel != nil {
-				rt.tel.redzoneFail.Inc()
-			}
-		}
-		if rt.tracer != nil {
-			rt.tracer.RecordAt(telemetry.EvCheckFail, c.PC, lb, uint64(arg), v.Cycles)
-		}
-	} else {
-		if rt.tel != nil {
-			rt.tel.passes.Inc()
-		}
-		if rt.tracer != nil {
-			rt.tracer.RecordAt(telemetry.EvCheckPass, c.PC, lb, uint64(arg), v.Cycles)
-		}
-	}
-
-	if cf.profile {
-		// Profiling records verdicts and never aborts.
-		return nil
-	}
-	if !bad {
-		return nil
-	}
-	return v.Report(vm.MemError{
-		Kind:      kind,
-		Addr:      lb,
-		PC:        c.PC,
-		Site:      arg,
-		Component: component,
-		Note:      rt.describe(c, base, size, lb),
-	})
+	return rt.verdict(v, arg, kind, bad, fat, base, size, lb)
 }
 
 // forwardSite replays a leading site's published outcome at an elided
@@ -272,7 +224,6 @@ func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 // own accounting — per-site stats, the charged cycle cost, telemetry,
 // and an error report with the site's own read/write kind and note.
 func (rt *Runtime) forwardSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
-	c := &rt.Checks[arg]
 	cf := &rt.fast[arg]
 	rt.Stats[arg].Execs++
 	if rt.tel != nil {
@@ -301,34 +252,41 @@ func (rt *Runtime) forwardSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 		kind = cf.oobKind
 	}
 
-	component := ""
-	if bad {
-		if o.Fat {
-			component = "lowfat"
-			rt.Stats[arg].LowFatFails++
-			if rt.tel != nil {
-				rt.tel.lowfatFail.Inc()
-			}
-		} else {
-			component = "redzone"
-			rt.Stats[arg].RedzoneFails++
-			if rt.tel != nil {
-				rt.tel.redzoneFail.Inc()
-			}
-		}
-		if rt.tracer != nil {
-			rt.tracer.RecordAt(telemetry.EvCheckFail, c.PC, lb, uint64(arg), v.Cycles)
-		}
-	} else {
+	return rt.verdict(v, arg, kind, bad, o.Fat, o.Base, o.Size, lb)
+}
+
+// verdict accounts one check outcome of site arg — per-site stats,
+// telemetry, the flight event — and reports a failure unless the site
+// only profiles. A violation found via base(ptr) (fat) is the LowFat
+// component's, one found via the fallback base(LB) is the redzone
+// component's. The split feeds both the allow-list (only LowFat
+// failures disqualify a site) and the exported site stats.
+func (rt *Runtime) verdict(v *vm.VM, arg uint32, kind vm.MemErrorKind, bad, fat bool, base, size, lb uint64) error {
+	c := &rt.Checks[arg]
+	if !bad {
 		if rt.tel != nil {
 			rt.tel.passes.Inc()
 		}
-		if rt.tracer != nil {
-			rt.tracer.RecordAt(telemetry.EvCheckPass, c.PC, lb, uint64(arg), v.Cycles)
+		v.Flight.RecordExec(obs.EvCheckPass, 0, c.PC, lb, 0)
+		return nil
+	}
+	component := "redzone"
+	if fat {
+		component = "lowfat"
+		rt.Stats[arg].LowFatFails++
+		if rt.tel != nil {
+			rt.tel.lowfatFail.Inc()
+		}
+	} else {
+		rt.Stats[arg].RedzoneFails++
+		if rt.tel != nil {
+			rt.tel.redzoneFail.Inc()
 		}
 	}
-
-	if cf.profile || !bad {
+	if rt.fast[arg].profile {
+		// Profiling counts the failure and never reports it, so the
+		// failure event is recorded here instead of by Report.
+		v.Flight.RecordExec(obs.EvCheckFail, uint8(kind), c.PC, lb, 0)
 		return nil
 	}
 	return v.Report(vm.MemError{
@@ -337,7 +295,7 @@ func (rt *Runtime) forwardSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 		PC:        c.PC,
 		Site:      arg,
 		Component: component,
-		Note:      rt.describe(c, o.Base, o.Size, lb),
+		Note:      rt.describe(c, base, size, lb),
 	})
 }
 

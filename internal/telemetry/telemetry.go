@@ -1,6 +1,7 @@
-// Package telemetry is the unified observability layer of the RedFat
-// reproduction: a low-overhead metrics registry (counters, gauges,
-// bounded histograms) plus a fixed-capacity ring-buffer event tracer.
+// Package telemetry is the metrics layer of the RedFat reproduction: a
+// low-overhead registry of counters, gauges and bounded histograms.
+// Events (what happened, in order) are not metrics; they go to the
+// flight recorder in internal/obs.
 //
 // Every instrumented layer — the VM dispatch loop, the allocators, the
 // check runtime, the rewriter — holds *handles* (pointers to Counter,

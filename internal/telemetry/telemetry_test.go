@@ -27,11 +27,6 @@ func TestNilSafety(t *testing.T) {
 	if s := r.Snapshot(); len(s.Counters) != 0 {
 		t.Error("nil registry snapshot must be empty")
 	}
-	var tr *Tracer
-	tr.Record(EvInst, 1, 2, 3)
-	if tr.Total() != 0 || tr.Events() != nil {
-		t.Error("nil tracer must be inert")
-	}
 }
 
 func TestRegistryIdentityAndValues(t *testing.T) {
@@ -120,51 +115,5 @@ func TestPrometheusExport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestTracerRingBuffer(t *testing.T) {
-	tr := NewTracer(4)
-	for i := uint64(0); i < 10; i++ {
-		tr.Record(EvInst, i, 0, 0)
-	}
-	if tr.Total() != 10 {
-		t.Errorf("total = %d, want 10", tr.Total())
-	}
-	ev := tr.Events()
-	if len(ev) != 4 {
-		t.Fatalf("kept %d events, want 4", len(ev))
-	}
-	for i, e := range ev {
-		wantPC := uint64(6 + i) // oldest-first: PCs 6,7,8,9
-		if e.PC != wantPC {
-			t.Errorf("event[%d].PC = %d, want %d", i, e.PC, wantPC)
-		}
-		if e.Seq != wantPC { // Seq is 0-based and tracks PC in this test
-			t.Errorf("event[%d].Seq = %d, want %d", i, e.Seq, wantPC)
-		}
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "6 earlier events evicted") {
-		t.Errorf("eviction note missing:\n%s", buf.String())
-	}
-}
-
-func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvInst, EvTramp, EvTrampExit, EvRTCall,
-		EvCheckPass, EvCheckFail, EvAlloc, EvFree}
-	seen := map[string]bool{}
-	for _, k := range kinds {
-		s := k.String()
-		if s == "" || strings.HasPrefix(s, "kind(") {
-			t.Errorf("kind %d has no name", k)
-		}
-		if seen[s] {
-			t.Errorf("duplicate kind name %q", s)
-		}
-		seen[s] = true
 	}
 }

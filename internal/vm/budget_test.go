@@ -9,6 +9,7 @@ import (
 	"redfat/internal/heap"
 	"redfat/internal/isa"
 	"redfat/internal/mem"
+	"redfat/internal/obs"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
 	"redfat/internal/telemetry"
@@ -84,8 +85,10 @@ func TestTelemetrySurvivesCycleAbort(t *testing.T) {
 	v := vm.New(m)
 	v.MaxCycles = 500
 	reg := telemetry.New()
-	tr := telemetry.NewTracer(16)
-	v.AttachTelemetry(reg, tr)
+	v.AttachTelemetry(reg)
+	flight := obs.NewFlight(16)
+	flight.Execution = true
+	v.Flight = flight
 	if err := v.Load(bin, rtlib.LibC(heap.New(m), m)); err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +112,10 @@ func TestTelemetrySurvivesCycleAbort(t *testing.T) {
 	if g := reg.GaugeValue("vm.insts"); g != v.Insts {
 		t.Errorf("vm.insts gauge = %d, want flushed %d", g, v.Insts)
 	}
-	if tr.Total() == 0 {
-		t.Error("tracer recorded no events before the abort")
+	if flight.Total() == 0 {
+		t.Error("flight recorded no events before the abort")
 	}
-	if got := len(tr.Events()); got != 16 {
+	if got := len(flight.Events()); got != 16 {
 		t.Errorf("ring kept %d events, want capacity 16", got)
 	}
 }

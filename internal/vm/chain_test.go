@@ -53,7 +53,7 @@ func runChainVM(t *testing.T, bin *relf.Binary, noChain bool) (*vm.VM, *telemetr
 	v.MaxCycles = 100_000_000
 	v.NoChain = noChain
 	reg := telemetry.New()
-	v.AttachTelemetry(reg, nil)
+	v.AttachTelemetry(reg)
 	if err := v.Load(bin, rtlib.LibC(heap.New(m), m)); err != nil {
 		t.Fatalf("load: %v", err)
 	}

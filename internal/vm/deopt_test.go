@@ -121,11 +121,11 @@ func buildOverflowLoop(t *testing.T) *relf.Binary {
 
 // hardenedRun executes a hardened binary under the superblock tier with
 // telemetry (and optionally a flight recorder) attached.
-func hardenedRun(t *testing.T, hard *relf.Binary, flight *obs.Flight) (*vm.VM, *telemetry.Snapshot, error) {
+func hardenedRun(t *testing.T, hard *relf.Binary, flight *obs.Flight, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
 	t.Helper()
 	reg := telemetry.New()
 	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Abort: true, Knobs: rtlib.Knobs{JITThreshold: 2}, MaxCycles: 1_000_000,
+		Abort: true, Knobs: rtlib.Knobs{JITThreshold: 2, NoJIT: noJIT}, MaxCycles: 1_000_000,
 		Metrics: reg, Flight: flight,
 	})
 	return v, reg.Snapshot(), err
@@ -209,7 +209,7 @@ func TestJITDeoptReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, snap, err = hardenedRun(t, hard, nil)
+	v, snap, err = hardenedRun(t, hard, nil, false)
 	var me *vm.MemError
 	if !errors.As(err, &me) {
 		t.Fatalf("hardened overflow loop: %v, want detection", err)
@@ -232,16 +232,17 @@ func TestJITDeoptReasons(t *testing.T) {
 
 // flightRun is jitRun plus an optional flight recorder on both the VM
 // and its guest memory.
-func flightRun(t *testing.T, bin *relf.Binary, flight *obs.Flight, maxCycles uint64) (*vm.VM, *telemetry.Snapshot, error) {
+func flightRun(t *testing.T, bin *relf.Binary, flight *obs.Flight, noJIT bool, maxCycles uint64) (*vm.VM, *telemetry.Snapshot, error) {
 	t.Helper()
 	m := mem.New()
 	v := vm.New(m)
 	v.MaxCycles = maxCycles
+	v.NoJIT = noJIT
 	v.JITThreshold = 2
 	v.Flight = flight
 	m.Flight = flight
 	reg := telemetry.New()
-	v.AttachTelemetry(reg, nil)
+	v.AttachTelemetry(reg)
 	if err := v.Load(bin, rtlib.LibC(heap.New(m), m)); err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -253,9 +254,11 @@ func flightRun(t *testing.T, bin *relf.Binary, flight *obs.Flight, maxCycles uin
 // observer: across clean, budget-aborting, faulting and hardened
 // detection runs, attaching a recorder leaves guest cycles, retirement,
 // exit state, detections and the whole (host-time-stripped) telemetry
-// snapshot bit-identical — while the ring actually records events.
+// snapshot bit-identical — while the ring actually records events. Each
+// case runs at both grains; execution grain pins tier 0, so its
+// reference run has no recorder and NoJIT.
 func TestFlightIdentityMatrix(t *testing.T) {
-	type runner func(t *testing.T, flight *obs.Flight) (*vm.VM, *telemetry.Snapshot, error)
+	type runner func(t *testing.T, flight *obs.Flight, noJIT bool) (*vm.VM, *telemetry.Snapshot, error)
 	hard, _, err := core.Harden(buildOverflowLoop(t), core.Defaults())
 	if err != nil {
 		t.Fatal(err)
@@ -264,52 +267,75 @@ func TestFlightIdentityMatrix(t *testing.T) {
 		name string
 		run  runner
 	}{
-		{"clean-jit", func(t *testing.T, f *obs.Flight) (*vm.VM, *telemetry.Snapshot, error) {
-			return flightRun(t, buildJIT(t), f, 100_000_000)
+		{"clean-jit", func(t *testing.T, f *obs.Flight, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
+			return flightRun(t, buildJIT(t), f, noJIT, 100_000_000)
 		}},
-		{"budget-abort", func(t *testing.T, f *obs.Flight) (*vm.VM, *telemetry.Snapshot, error) {
-			return flightRun(t, buildJIT(t), f, 4096)
+		{"budget-abort", func(t *testing.T, f *obs.Flight, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
+			return flightRun(t, buildJIT(t), f, noJIT, 4096)
 		}},
-		{"div-fault", func(t *testing.T, f *obs.Flight) (*vm.VM, *telemetry.Snapshot, error) {
-			return flightRun(t, buildDivFault(t), f, 1_000_000)
+		{"div-fault", func(t *testing.T, f *obs.Flight, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
+			return flightRun(t, buildDivFault(t), f, noJIT, 1_000_000)
 		}},
-		{"hardened-detect", func(t *testing.T, f *obs.Flight) (*vm.VM, *telemetry.Snapshot, error) {
-			return hardenedRun(t, hard, f)
+		{"hardened-detect", func(t *testing.T, f *obs.Flight, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
+			return hardenedRun(t, hard, f, noJIT)
 		}},
+	}
+	newFlight := func(execution bool) *obs.Flight {
+		f := obs.NewFlight(256)
+		f.Execution = execution
+		return f
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			flight := obs.NewFlight(256)
-			on, onSnap, onErr := tc.run(t, flight)
-			off, offSnap, offErr := tc.run(t, nil)
-			if (onErr == nil) != (offErr == nil) ||
-				(onErr != nil && onErr.Error() != offErr.Error()) {
-				t.Fatalf("error divergence: flight-on %v, flight-off %v", onErr, offErr)
-			}
-			if on.ExitCode != off.ExitCode || on.Cycles != off.Cycles ||
-				on.Insts != off.Insts || on.RIP != off.RIP {
-				t.Errorf("state divergence: exit %d/%d cycles %d/%d insts %d/%d rip %#x/%#x",
-					on.ExitCode, off.ExitCode, on.Cycles, off.Cycles,
-					on.Insts, off.Insts, on.RIP, off.RIP)
-			}
-			if !reflect.DeepEqual(on.Errors, off.Errors) {
-				t.Errorf("detection divergence: flight-on %v, flight-off %v", on.Errors, off.Errors)
-			}
-			if !reflect.DeepEqual(on.TraceStats(), off.TraceStats()) {
-				t.Errorf("trace-table divergence:\non:  %+v\noff: %+v", on.TraceStats(), off.TraceStats())
-			}
-			if !reflect.DeepEqual(onSnap.StripHostTime(), offSnap.StripHostTime()) {
-				t.Errorf("telemetry divergence:\non:  %+v\noff: %+v", onSnap, offSnap)
-			}
-			if flight.Total() == 0 {
-				t.Error("flight recorded nothing; the identity claim is vacuous")
-			}
-			// Determinism of the ring itself: a third run with a fresh
-			// recorder must dump byte-identical events.
-			flight2 := obs.NewFlight(256)
-			tc.run(t, flight2)
-			if !reflect.DeepEqual(flight.Dump(), flight2.Dump()) {
-				t.Error("two identical runs dumped different flight rings")
+			for _, execution := range []bool{false, true} {
+				flight := newFlight(execution)
+				on, onSnap, onErr := tc.run(t, flight, false)
+				off, offSnap, offErr := tc.run(t, nil, execution)
+				grain := "default"
+				if execution {
+					grain = "execution"
+				}
+				if (onErr == nil) != (offErr == nil) ||
+					(onErr != nil && onErr.Error() != offErr.Error()) {
+					t.Fatalf("%s grain: error divergence: flight-on %v, flight-off %v", grain, onErr, offErr)
+				}
+				if on.ExitCode != off.ExitCode || on.Cycles != off.Cycles ||
+					on.Insts != off.Insts || on.RIP != off.RIP {
+					t.Errorf("%s grain: state divergence: exit %d/%d cycles %d/%d insts %d/%d rip %#x/%#x",
+						grain, on.ExitCode, off.ExitCode, on.Cycles, off.Cycles,
+						on.Insts, off.Insts, on.RIP, off.RIP)
+				}
+				if !reflect.DeepEqual(on.Errors, off.Errors) {
+					t.Errorf("%s grain: detection divergence: flight-on %v, flight-off %v", grain, on.Errors, off.Errors)
+				}
+				if !reflect.DeepEqual(on.TraceStats(), off.TraceStats()) {
+					t.Errorf("%s grain: trace-table divergence:\non:  %+v\noff: %+v", grain, on.TraceStats(), off.TraceStats())
+				}
+				if !reflect.DeepEqual(onSnap.StripHostTime(), offSnap.StripHostTime()) {
+					t.Errorf("%s grain: telemetry divergence:\non:  %+v\noff: %+v", grain, onSnap, offSnap)
+				}
+				if flight.Total() == 0 {
+					t.Errorf("%s grain: flight recorded nothing; the identity claim is vacuous", grain)
+				}
+				retires := 0
+				for _, e := range flight.Events() {
+					if e.Kind == obs.EvInst {
+						retires++
+					}
+				}
+				if execution && retires == 0 {
+					t.Error("execution grain: the ring holds no inst events")
+				}
+				if !execution && retires != 0 {
+					t.Errorf("default grain: the ring holds %d inst events", retires)
+				}
+				// Determinism of the ring itself: a third run with a fresh
+				// recorder must dump byte-identical events.
+				flight2 := newFlight(execution)
+				tc.run(t, flight2, false)
+				if !reflect.DeepEqual(flight.Dump(), flight2.Dump()) {
+					t.Errorf("%s grain: two identical runs dumped different flight rings", grain)
+				}
 			}
 		})
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"redfat/internal/isa"
-	"redfat/internal/telemetry"
+	"redfat/internal/obs"
 )
 
 func widthMask(w uint16) uint64 {
@@ -253,8 +253,8 @@ func (v *VM) exec(pc uint64, in *isa.Inst) error {
 		v.tel.retiredAll.Inc()
 		v.tel.retired[in.Op].Inc()
 	}
-	if v.Tracer != nil {
-		v.Tracer.RecordAt(telemetry.EvInst, pc, 0, uint64(in.Op), v.Cycles)
+	if v.execEvents {
+		v.Flight.RecordExec(obs.EvInst, uint8(in.Op), pc, 0, 0)
 	}
 	v.Insts++
 	v.Cycles += CostInst + v.PerInstOverhead
@@ -274,8 +274,8 @@ func (v *VM) exec(pc uint64, in *isa.Inst) error {
 		if v.tel != nil {
 			v.tel.patchHits.Inc()
 		}
-		if v.Tracer != nil {
-			v.Tracer.RecordAt(telemetry.EvTramp, pc, target, 0, v.Cycles)
+		if v.execEvents {
+			v.Flight.RecordExec(obs.EvTrampEnter, 0, pc, target, 0)
 		}
 		v.RIP = target // trap dispatch is not a guest branch; no hook
 
@@ -526,8 +526,8 @@ func (v *VM) exec(pc uint64, in *isa.Inst) error {
 			v.tel.rtcallCost.Add(cost)
 			v.tel.rtcallHist.Observe(cost)
 		}
-		if v.Tracer != nil {
-			v.Tracer.RecordAt(telemetry.EvRTCall, pc, 0, v.Cycles-before, v.Cycles)
+		if v.execEvents {
+			v.Flight.RecordExec(obs.EvRTCall, 0, pc, v.Cycles-before, 0)
 		}
 		if err != nil {
 			return err

@@ -413,12 +413,12 @@ func (v *VM) TraceStats() []TraceStat {
 
 // jitEnabled decides whether this run may use the superblock tier: the
 // tier needs the block cache with chaining (a trace is a chain) and no
-// per-instruction observers — trace/mem/block hooks, the event tracer
-// and the guest profiler all require interpreter-grain callbacks, so
-// any of them pins execution to tier 0.
+// per-instruction observers — trace/mem/block hooks, an execution-grain
+// flight recorder and the guest profiler all require interpreter-grain
+// callbacks, so any of them pins execution to tier 0.
 func (v *VM) jitEnabled() bool {
 	return !v.NoJIT && !v.NoChain &&
-		v.TraceHook == nil && v.Tracer == nil && v.Profiler == nil &&
+		v.TraceHook == nil && !v.execEvents && v.Profiler == nil &&
 		v.MemHook == nil && v.BlockHook == nil
 }
 

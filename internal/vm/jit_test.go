@@ -85,7 +85,7 @@ func jitRun(t *testing.T, bin *relf.Binary, noJIT, noChain bool, threshold, maxC
 	v.NoChain = noChain
 	v.JITThreshold = threshold
 	reg := telemetry.New()
-	v.AttachTelemetry(reg, nil)
+	v.AttachTelemetry(reg)
 	if err := v.Load(bin, rtlib.LibC(heap.New(m), m)); err != nil {
 		t.Fatalf("load: %v", err)
 	}

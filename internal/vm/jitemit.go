@@ -13,8 +13,9 @@ package vm
 // here too, mirroring exactly which counters the interpreter would have
 // bumped on each partial path). Guest memory is accessed through the
 // same Mem.Load/Mem.Store primitives, so fault detection is identical.
-// jitEnabled guarantees no MemHook/BlockHook/Tracer/Profiler is
-// attached, which is what makes the bypass behaviour-preserving.
+// jitEnabled guarantees no MemHook/BlockHook/Profiler or
+// execution-grain recorder is attached, which is what makes the bypass
+// behaviour-preserving.
 
 import (
 	"fmt"

@@ -221,10 +221,12 @@ type VM struct {
 
 	// Flight, when set, records dispatch-level events (trace entries,
 	// compiles, deopts with reason, icache generations, check failures,
-	// budget aborts) into the always-on flight recorder. Unlike the
-	// per-instruction hooks it never pins execution to the interpreter:
-	// every record point is off the per-instruction fast path, events are
-	// stamped in guest cycles, and the ring's content is deterministic —
+	// budget aborts) into the flight recorder. At default grain it never
+	// pins execution to the interpreter: every record point is off the
+	// per-instruction fast path. At execution grain (Flight.Execution)
+	// it also records every retire, trampoline entry and runtime call,
+	// and the run stays in the interpreter. Either way events are
+	// stamped in guest cycles and the ring's content is deterministic —
 	// guest cycles, detections and telemetry are bit-identical with a
 	// recorder attached or not. Nil-safe: all record calls go through
 	// obs.Flight's nil receiver.
@@ -234,10 +236,9 @@ type VM struct {
 	// (single-step debugging / execution tracing).
 	TraceHook func(v *VM, pc uint64, in *isa.Inst)
 
-	// Tracer, if set, records dispatch events (instruction retirement,
-	// patch dispatch, runtime calls) into a bounded ring buffer. Other
-	// layers (checks, allocators) append their events to the same tracer.
-	Tracer *telemetry.Tracer
+	// execEvents caches Flight.Execution at Run, so the per-instruction
+	// cost of default grain is this one branch.
+	execEvents bool
 
 	// tel holds pre-resolved metric handles when telemetry is attached;
 	// nil (the default) means every instrumentation point is a single
@@ -405,11 +406,10 @@ type vmMetrics struct {
 	indirectEscapes *telemetry.Counter // indirect transfers outside the recovered target set
 }
 
-// AttachTelemetry binds the VM's dispatch-level metrics to reg and its
-// event stream to tr (either may be nil). Must be called before Run;
-// attaching costs nothing on the guest cycle count.
-func (v *VM) AttachTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	v.Tracer = tr
+// AttachTelemetry binds the VM's dispatch-level metrics to reg (nil is
+// a no-op). Must be called before Run; attaching costs nothing on the
+// guest cycle count.
+func (v *VM) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
@@ -638,6 +638,7 @@ func (v *VM) Run() error {
 	if v.Flight != nil {
 		v.Flight.BindCycles(&v.Cycles)
 		v.Flight.SetLabeler(flightLabel)
+		v.execEvents = v.Flight.Execution
 	}
 	defer v.FlushTelemetry()
 	return v.runBlocks()
@@ -653,14 +654,16 @@ func (v *VM) overBudget() error {
 }
 
 // flightLabel names the kind-specific reason bytes of flight events: the
-// deopt-reason enum for deopts and the memory-error kind for check
-// failures (obs cannot import these enums itself).
+// deopt-reason enum for deopts, the memory-error kind for check failures
+// and the opcode for retires (obs cannot import these enums itself).
 func flightLabel(kind obs.EventKind, reason uint8) string {
 	switch kind {
 	case obs.EvDeopt:
 		return DeoptReason(reason).String()
 	case obs.EvCheckFail:
 		return MemErrorKind(reason).String()
+	case obs.EvInst:
+		return isa.Op(reason).String()
 	}
 	return ""
 }

@@ -68,22 +68,20 @@ type CycleLimitError = vm.CycleLimitError
 // Snapshot/WriteJSON/WritePrometheus/WriteText methods.
 type Metrics = telemetry.Registry
 
-// EventTracer is a bounded ring buffer of execution events (instruction
-// retirement, trampoline dispatch, check outcomes, alloc/free). Create one
-// with NewEventTracer and pass it in RunOptions.
-type EventTracer = telemetry.Tracer
-
 // GuestProfiler is a cycle-budget-driven guest PC sampler attached to
 // the VM dispatch loop. Create one with NewGuestProfiler, pass it in
 // RunOptions, then export it with WriteFolded/WriteHotSites.
 type GuestProfiler = vm.GuestProfiler
 
-// Flight is the always-on flight recorder: a fixed-size, allocation-free
-// ring of recent VM events (block/trace entries, JIT compiles, deopts
-// with reason, TLB flushes, icache generations, check failures, budget
-// aborts), stamped in guest cycles. Create one with NewFlight, pass it
-// in RunOptions, then export it with Dump. Host-side only: guest cycle
-// accounting is bit-identical with it on or off.
+// Flight is the flight recorder, the one event ring: a fixed-size,
+// allocation-free ring of recent VM events (block/trace entries, JIT
+// compiles, deopts with reason, TLB flushes, icache generations, check
+// failures, budget aborts), stamped in guest cycles. Setting its
+// Execution field selects execution grain, which also records every
+// retire, trampoline entry, runtime call, check pass, alloc and free,
+// and pins the run to the interpreter. Create one with NewFlight, pass
+// it in RunOptions, then export it with Dump. Host-side only: guest
+// cycle accounting is bit-identical with it on or off.
 type Flight = obs.Flight
 
 // FlightDump is a flight recorder's serializable dump (see obs.FlightDump).
@@ -117,9 +115,6 @@ type Symbolizer = forensics.Symbolizer
 
 // NewMetrics creates an empty telemetry registry.
 func NewMetrics() *Metrics { return telemetry.New() }
-
-// NewEventTracer creates an event tracer keeping the last capacity events.
-func NewEventTracer(capacity int) *EventTracer { return telemetry.NewTracer(capacity) }
 
 // NewGuestProfiler creates a guest sampling profiler firing every
 // interval guest cycles (0 = the default interval).
@@ -185,11 +180,11 @@ func WriteHotSites(w io.Writer, p *GuestProfiler, sym *Symbolizer, top int) erro
 	return forensics.WriteHotSites(w, p, sym, top)
 }
 
-// WriteChromeTrace serializes an event tracer's retained events and a
-// profiler's sample timeline (either may be nil) as Chrome trace-event
-// JSON, loadable in chrome://tracing and Perfetto.
-func WriteChromeTrace(w io.Writer, tr *EventTracer, p *GuestProfiler, sym *Symbolizer) error {
-	return forensics.WriteChromeTrace(w, tr, p, sym)
+// WriteChromeTrace serializes a flight dump's events and a profiler's
+// sample timeline (either may be nil) as Chrome trace-event JSON,
+// loadable in chrome://tracing and Perfetto.
+func WriteChromeTrace(w io.Writer, d *FlightDump, p *GuestProfiler, sym *Symbolizer) error {
+	return forensics.WriteChromeTrace(w, d, p, sym)
 }
 
 // Defaults returns the fully optimized production configuration.
@@ -324,8 +319,6 @@ type RunOptions struct {
 	// instrumented layer. Telemetry is host-side only and never perturbs
 	// guest cycle accounting.
 	Metrics *Metrics
-	// EventTrace, when set, records execution events into its ring buffer.
-	EventTrace *EventTracer
 	// Forensics enables allocation-site tracking (guest backtraces per
 	// malloc/free) and error backtrace capture, and fills Result.Reports
 	// with fully resolved error reports. Host-side only: guest cycle
@@ -336,10 +329,11 @@ type RunOptions struct {
 	// Profiler, when set, samples guest execution by cycle budget from
 	// the VM dispatch loop. Host-side only.
 	Profiler *GuestProfiler
-	// Flight, when set, is the always-on flight recorder fed by the VM
-	// and guest memory. Unlike NoJIT/Profiler it never changes which
-	// execution tier runs, and its ring content is deterministic in
-	// guest cycles. Host-side only.
+	// Flight, when set, is the flight recorder fed by the VM, guest
+	// memory, the allocator and the check runtime. At default grain it
+	// never changes which execution tier runs; execution grain pins the
+	// run to the interpreter. Its ring content is deterministic in guest
+	// cycles. Host-side only.
 	Flight *Flight
 }
 
@@ -354,7 +348,6 @@ func (opt *RunOptions) config() rtlib.RunConfig {
 		TraceWriter:    opt.Trace,
 		TraceLimit:     opt.TraceLimit,
 		Metrics:        opt.Metrics,
-		EventTrace:     opt.EventTrace,
 		Forensics:      opt.Forensics,
 		ForensicsDepth: opt.ForensicsDepth,
 		Profiler:       opt.Profiler,
