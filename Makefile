@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-host bench-history clean
+.PHONY: check fmt vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
 
 # check is the tier-1 gate: formatting, static analysis (go vet plus the
 # repo-specific rfvet rules), build, tests (deterministic: the wall-clock
@@ -88,12 +88,6 @@ edge-audit-smoke:
 # fast end-to-end exercise of the experiment harness.
 bench-smoke:
 	$(GO) run ./cmd/rfbench -table1 -scale 0.02 -json results/bench.json
-
-# bench-host measures host wall-clock performance (VM block dispatch,
-# guest-memory TLB, block chaining, the superblock tier, worker-pool
-# scaling) and records it in results/BENCH_host.json.
-bench-host:
-	$(GO) run ./cmd/rfbench -hostbench -progress=false
 
 # bench-history appends the current revision's down-scaled Table 1 +
 # detection matrix to the trajectory series in results/history/ (and

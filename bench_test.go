@@ -247,31 +247,9 @@ func BenchmarkHardenThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkVMExecution measures raw interpreter speed (guest
-// instructions per wall-clock second) on an uninstrumented workload.
-func BenchmarkVMExecution(b *testing.B) {
-	bm := workload.ByName("bzip2")
-	cp := *bm
-	cp.RefScale = 20000
-	bin, err := cp.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := cp.RefInput()
-	b.ResetTimer()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		res, err := redfat.Run(bin, redfat.RunOptions{Input: input})
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts = res.Insts
-	}
-	b.ReportMetric(float64(insts), "guest-insts/op")
-}
-
-// BenchmarkVMDispatch measures the interpreter's block-cache dispatch on
-// a fixed workload, in guest MIPS.
+// BenchmarkVMDispatch measures VM dispatch (block cache, chains and the
+// superblock tier, as runs ship) on an uninstrumented workload, in guest
+// MIPS and guest instructions per run.
 func BenchmarkVMDispatch(b *testing.B) {
 	bm := workload.ByName("bzip2")
 	cp := *bm
@@ -294,48 +272,7 @@ func BenchmarkVMDispatch(b *testing.B) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(insts)*float64(b.N)/secs/1e6, "guest-MIPS")
 	}
-}
-
-// BenchmarkBlockChain isolates block chaining on the dispatch workload:
-// the block cache with every exit walking the per-page tables (nochain)
-// vs steady-state exits following cached successor pointers (chain), with
-// the software TLB ablated as a third axis.
-func BenchmarkBlockChain(b *testing.B) {
-	bm := workload.ByName("bzip2")
-	cp := *bm
-	cp.RefScale = 20000
-	bin, err := cp.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := cp.RefInput()
-	for _, mode := range []struct {
-		name    string
-		noChain bool
-		noTLB   bool
-	}{
-		{"chain", false, false},
-		{"nochain", true, false},
-		{"chain-notlb", false, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var insts uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := redfat.Run(bin, redfat.RunOptions{
-					Input: input, Knobs: redfat.Knobs{NoChain: mode.noChain, NoTLB: mode.noTLB},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts = res.Insts
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(insts)*float64(b.N)/secs/1e6, "guest-MIPS")
-			}
-		})
-	}
+	b.ReportMetric(float64(insts), "guest-insts/op")
 }
 
 // BenchmarkTable1Parallel measures the experiment harness's wall-clock

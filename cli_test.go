@@ -3,6 +3,7 @@ package redfat_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -10,21 +11,48 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// buildTools compiles the command-line tools once per test binary.
+// tools holds the command-line tools that buildTools compiles once per
+// test binary; TestMain removes the directory after the tests run.
+var tools struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if tools.dir != "" {
+		os.RemoveAll(tools.dir)
+	}
+	os.Exit(code)
+}
+
+// buildTools compiles the command-line tools once per test binary and
+// returns the directory holding them.
 func buildTools(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "./cmd/...")
-	cmd.Env = os.Environ()
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("building tools: %v\n%s", err, out)
+	tools.once.Do(func() {
+		dir, err := os.MkdirTemp("", "redfat-cli-")
+		if err != nil {
+			tools.err = err
+			return
+		}
+		tools.dir = dir
+		cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "./cmd/...")
+		cmd.Env = os.Environ()
+		if out, err := cmd.CombinedOutput(); err != nil {
+			tools.err = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if tools.err != nil {
+		t.Fatalf("building tools: %v", tools.err)
 	}
-	return dir
+	return tools.dir
 }
 
 func runTool(t *testing.T, dir, name string, args ...string) (string, int) {

@@ -7,8 +7,7 @@
 //	rfbench -table2                CVE + Juliet detection (Table 2)
 //	rfbench -figure8               Chrome/Kraken overhead (Figure 8)
 //	rfbench -ablation              patch tactics and batch-width ablations
-//	rfbench -hostbench             host wall-clock benchmarks (VM dispatch, pool scaling)
-//	rfbench -all                   everything except -hostbench
+//	rfbench -all                   all five of the above
 //
 // Experiments fan their independent units (benchmark × configuration
 // cells, Juliet cases, Kraken sub-benchmarks) over a worker pool of
@@ -22,7 +21,10 @@
 // numbers without scraping the text tables.
 //
 // -cpuprofile / -memprofile write pprof profiles of the harness itself
-// (host-side performance, not guest cycles).
+// (host-side performance, not guest cycles). Host wall-clock of the
+// pipelines these experiments run is measured by perfbench, with
+// repeated passes and a per-layer split: bash perfbench/run.sh
+// --workload spec-ref|chrome-harden|detect --seed 1 --seconds 35.
 //
 // Run artifacts and bench trajectory:
 //
@@ -67,20 +69,16 @@ func run() error {
 	table2 := flag.Bool("table2", false, "run the non-incremental detection table")
 	figure8 := flag.Bool("figure8", false, "run the Chrome/Kraken experiment")
 	ablation := flag.Bool("ablation", false, "run the ablation studies")
-	hostbench := flag.Bool("hostbench", false, "run the host wall-clock benchmarks")
 	guestprof := flag.Bool("guestprof", false, "profile guest execution per benchmark (hot sites + folded stacks)")
 	guestprofDir := flag.String("guestprofdir", filepath.Join("results", "guestprof"),
 		"output directory for -guestprof folded-stack files (empty = don't write)")
-	all := flag.Bool("all", false, "run every experiment (except -hostbench)")
+	all := flag.Bool("all", false, "run -table1 -falsepos -table2 -figure8 -ablation")
 	scale := flag.Float64("scale", 1.0, "workload scale for table1/falsepos (1.0 = full ref)")
 	fillers := flag.Int("fillers", 20000, "filler functions in the Chrome-scale image")
 	kscale := flag.Uint64("kscale", 5000, "Kraken workload scale")
 	parallel := flag.Int("parallel", bench.DefaultParallel(), "worker-pool width for experiment units")
 	progress := flag.Bool("progress", true, "print per-unit progress lines to stderr")
 	jsonPath := flag.String("json", "", "write the results of every experiment run as JSON to this file")
-	hostbenchOut := flag.String("hostbenchout", filepath.Join("results", "BENCH_host.json"),
-		"output path for -hostbench results")
-	hostbenchScale := flag.Float64("hostbenchscale", 0.02, "table1 scale for -hostbench")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the harness to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile of the harness to this file")
 	packDir := flag.String("runpack", "", "capture the results JSON as a digest-signed runpack in this directory")
@@ -274,32 +272,6 @@ func run() error {
 			fmt.Fprintf(w, "folded stacks written to %s%c<benchmark>.folded\n",
 				*guestprofDir, os.PathSeparator)
 		}
-		fmt.Fprintln(w)
-	}
-	if *hostbench {
-		ran = true
-		fmt.Fprintf(w, "=== Host benchmarks (parallel %d, table1 scale %.2f) ===\n",
-			*parallel, *hostbenchScale)
-		hb, err := bench.RunHostBench(*parallel, *hostbenchScale)
-		if err != nil {
-			return err
-		}
-		hb.Render(w)
-		if err := os.MkdirAll(filepath.Dir(*hostbenchOut), 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(*hostbenchOut)
-		if err != nil {
-			return err
-		}
-		if err := hb.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "host benchmark results written to %s\n", *hostbenchOut)
 		fmt.Fprintln(w)
 	}
 	if !ran {

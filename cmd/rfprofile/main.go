@@ -20,6 +20,7 @@ import (
 
 	"redfat"
 	"redfat/internal/fuzz"
+	"redfat/internal/profile"
 )
 
 func main() {
@@ -96,11 +97,7 @@ func main() {
 // coverage-guided boost of the profiling phase (paper §5).
 func fuzzBoostedWorkflow(bin *redfat.Binary, suite [][]uint64,
 	opt redfat.Options, runs int) (*redfat.Binary, redfat.AllowList, *redfat.Report, error) {
-	profOpt := opt
-	profOpt.Profile = true
-	profOpt.Merge = false
-	profOpt.CheckReads = true
-	profBin, _, err := redfat.Harden(bin, profOpt)
+	profBin, _, err := redfat.Harden(bin, profile.Options(opt))
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -8,9 +8,12 @@
 // RedFat runtime (the LD_PRELOAD model) and is required for binaries
 // produced by the redfat tool. -memcheck runs under the Valgrind Memcheck
 // model instead. The execution knobs (-nojit, -jit-threshold, -noindirect,
-// -nolibccheck, -nochain, -notlb and the RedFat heap's allocator modes
-// -quarantine, -canary and -underalloc, which require -hardened) are the
-// fields of redfat.Knobs.
+// -nolibccheck and the RedFat heap's allocator modes -quarantine, -canary
+// and -underalloc, which require -hardened) are the fields of
+// redfat.Knobs, and a -runpack replays every one of them. Host timing of
+// runs like these comes from perfbench (bash perfbench/run.sh --workload
+// spec-ref|chrome-harden|detect), which repeats each pass and splits
+// the wall time per layer.
 //
 // Observability: -stats collects telemetry during the run and prints a
 // report (retired instructions per opcode, allocator activity, check

@@ -6,6 +6,7 @@ import (
 
 	"redfat/internal/fuzz"
 	"redfat/internal/kraken"
+	"redfat/internal/profile"
 	"redfat/internal/redfat"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
@@ -218,10 +219,7 @@ func (h *Harness) FuzzBoostStudy(benchName string, budgets []int, w io.Writer) (
 	if err != nil {
 		return nil, err
 	}
-	profOpt := redfat.Defaults()
-	profOpt.Profile = true
-	profOpt.Merge = false
-	profBin, _, err := redfat.Harden(bin, profOpt)
+	profBin, _, err := redfat.Harden(bin, profile.Options(redfat.Defaults()))
 	if err != nil {
 		return nil, err
 	}

@@ -209,10 +209,7 @@ func Table1Bench(bm *workload.Benchmark, scale float64) (*Table1Row, error) {
 }
 
 func allowListFor(bin *relf.Binary, bm *workload.Benchmark, reg *telemetry.Registry) (profile.AllowList, error) {
-	opt := redfat.Defaults()
-	opt.Profile = true
-	opt.Merge = false
-	profBin, _, err := redfat.Harden(bin, opt)
+	profBin, _, err := redfat.Harden(bin, profile.Options(redfat.Defaults()))
 	if err != nil {
 		return nil, err
 	}

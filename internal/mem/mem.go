@@ -153,9 +153,10 @@ type Memory struct {
 	tlbExec  [TLBSize]tlbEntry
 
 	// NoTLB disables TLB fills (every probe misses and walks the page
-	// map), restoring the pre-TLB lookup behaviour for A/B validation.
-	// Set it before the first access; guest-visible behaviour is
-	// identical either way.
+	// map). It is the reference path the TLB tests and the cache-free
+	// dispatch identity row compare against, not a run knob. Set it
+	// before the first access; guest-visible behaviour is identical
+	// either way.
 	NoTLB bool
 
 	tlbHits   uint64

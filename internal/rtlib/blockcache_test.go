@@ -41,53 +41,50 @@ func stripHostOnly(s *telemetry.Snapshot) *telemetry.Snapshot {
 	return s
 }
 
-// fastPathConfigs is the host fast-path knob matrix: {block cache +
-// chaining + superblock tier, no JIT, no chaining, the VM.Step
-// per-instruction reference} × {TLB, no TLB}. The first entry
-// (everything on) is the reference the rest are diffed against. NoChain
-// implies no JIT (traces are built over chained successors), so the
-// noChain rows ablate both layers at once and the noJIT rows isolate
-// just the tier; the step rows bypass every dispatch cache.
+// fastPathConfigs is the dispatch identity matrix. The first row — the
+// block cache with chaining, the superblock tier and the software TLB,
+// as every run ships — is the reference the rest are diffed against.
+// The noJIT row isolates the tier; the step row is the cache-free
+// reference: VM.Step over memory whose TLB is off from before load, so
+// it bypasses the block cache, chains, traces and TLB at once.
 var fastPathConfigs = []struct {
-	name                        string
-	step, noChain, noTLB, noJIT bool
+	name        string
+	step, noJIT bool
 }{
-	{"block+chain+jit+tlb", false, false, false, false},
-	{"block+chain+jit", false, false, true, false},
-	{"block+chain+tlb", false, false, false, true},
-	{"block+chain", false, false, true, true},
-	{"block+tlb", false, true, false, true},
-	{"block", false, true, true, true},
-	{"step+tlb", true, false, false, true},
-	{"step", true, false, true, true},
+	{"jit", false, false},
+	{"nojit", false, true},
+	{"step", true, true},
 }
 
-// runBoth executes the same binary under every fast-path knob combination
-// and fails the test on any guest-visible divergence from the reference
-// (all fast paths enabled).
+// runBoth executes the same binary under every row of the dispatch
+// identity matrix and fails the test on any guest-visible divergence
+// from the reference (all fast paths enabled).
 func runBoth(t *testing.T, name string, run func(cfg rtlib.RunConfig) (*vm.VM, error)) {
 	t.Helper()
-	exec := func(step, noChain, noTLB, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
+	exec := func(step, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
 		if step {
 			defer rtlib.StepReference()()
 		}
 		reg := telemetry.New()
 		v, err := run(rtlib.RunConfig{
-			Knobs:   rtlib.Knobs{NoChain: noChain, NoTLB: noTLB, NoJIT: noJIT},
+			Knobs:   rtlib.Knobs{NoJIT: noJIT},
 			Metrics: reg,
 		})
 		return v, stripHostOnly(reg.Snapshot()), err
 	}
 	ref := fastPathConfigs[0]
-	refVM, refTel, refErr := exec(ref.step, ref.noChain, ref.noTLB, ref.noJIT)
+	refVM, refTel, refErr := exec(ref.step, ref.noJIT)
 	for _, c := range fastPathConfigs[1:] {
-		gotVM, gotTel, gotErr := exec(c.step, c.noChain, c.noTLB, c.noJIT)
+		gotVM, gotTel, gotErr := exec(c.step, c.noJIT)
 		label := name + "/" + c.name
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error divergence: ref %v, got %v", label, refErr, gotErr)
 		}
 		if refErr != nil && refErr.Error() != gotErr.Error() {
 			t.Errorf("%s: error text differs: ref %q, got %q", label, refErr, gotErr)
+		}
+		if hits := gotVM.Mem.TLB().Hits; c.step && hits != 0 {
+			t.Errorf("%s: cache-free reference hit the software TLB %d times", label, hits)
 		}
 		if refVM.Cycles != gotVM.Cycles {
 			t.Errorf("%s: cycles differ: ref %d, got %d", label, refVM.Cycles, gotVM.Cycles)
@@ -165,14 +162,14 @@ func TestFastPathForensicsIdentity(t *testing.T) {
 		v       *vm.VM
 		samples []vm.ProfSample
 	}
-	exec := func(step, noChain, noTLB, noJIT bool) forensicRun {
+	exec := func(step, noJIT bool) forensicRun {
 		if step {
 			defer rtlib.StepReference()()
 		}
 		prof := &vm.GuestProfiler{Interval: 64}
 		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
 			Input:     input,
-			Knobs:     rtlib.Knobs{NoChain: noChain, NoTLB: noTLB, NoJIT: noJIT},
+			Knobs:     rtlib.Knobs{NoJIT: noJIT},
 			Forensics: true,
 			Profiler:  prof,
 		})
@@ -182,12 +179,12 @@ func TestFastPathForensicsIdentity(t *testing.T) {
 		return forensicRun{v: v, samples: prof.Samples()}
 	}
 	refCfg := fastPathConfigs[0]
-	ref := exec(refCfg.step, refCfg.noChain, refCfg.noTLB, refCfg.noJIT)
+	ref := exec(refCfg.step, refCfg.noJIT)
 	if len(ref.v.Errors) == 0 {
 		t.Fatal("calculix run detected no errors; forensics path unexercised")
 	}
 	for _, c := range fastPathConfigs[1:] {
-		got := exec(c.step, c.noChain, c.noTLB, c.noJIT)
+		got := exec(c.step, c.noJIT)
 		if ref.v.Cycles != got.v.Cycles || ref.v.Insts != got.v.Insts {
 			t.Errorf("%s: cycles/insts differ: ref %d/%d, got %d/%d",
 				c.name, ref.v.Cycles, ref.v.Insts, got.v.Cycles, got.v.Insts)

@@ -78,9 +78,13 @@ const defaultBudget = 2_000_000_000
 // and no explicit depth is configured.
 const defaultForensicsDepth = 8
 
-// run is the dispatch loop every runner ends in. The dispatch identity
-// tests swap in a VM.Step loop as the per-instruction reference.
-var run = (*vm.VM).Run
+// run is the dispatch loop every runner ends in, and newMemory builds
+// each run's guest memory. The dispatch identity tests swap in a VM.Step
+// loop over memory without the software TLB as the cache-free reference.
+var (
+	run       = (*vm.VM).Run
+	newMemory = mem.New
+)
 
 // Process is one run on the shared set-up: a VM and its guest memory
 // (VM.Mem) with every knob and host-side observer of the RunConfig
@@ -96,8 +100,7 @@ type Process struct {
 // NewProcess builds the VM and guest memory for a run of mods. budget is
 // the cycle budget when cfg.MaxCycles is 0.
 func NewProcess(cfg RunConfig, budget uint64, mods ...*relf.Binary) *Process {
-	m := mem.New()
-	m.NoTLB = cfg.NoTLB
+	m := newMemory()
 	m.Flight = cfg.Flight
 	v := vm.New(m)
 	v.Input = cfg.Input
@@ -106,7 +109,6 @@ func NewProcess(cfg RunConfig, budget uint64, mods ...*relf.Binary) *Process {
 		v.MaxCycles = budget
 	}
 	v.AbortOnError = cfg.Abort
-	v.NoChain = cfg.NoChain
 	v.NoJIT = cfg.NoJIT
 	v.JITThreshold = cfg.JITThreshold
 	v.Flight = cfg.Flight

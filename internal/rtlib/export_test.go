@@ -1,11 +1,15 @@
 package rtlib
 
-import "redfat/internal/vm"
+import (
+	"redfat/internal/mem"
+	"redfat/internal/vm"
+)
 
 // StepReference makes every runner dispatch through VM.Step — each
 // instruction decoded afresh, with no block cache, chaining or
-// superblock tier — until the returned restore func runs. It is the
-// per-instruction reference row of the dispatch identity tests.
+// superblock tier — over guest memory whose software TLB is off from
+// before the binary loads, until the returned restore func runs. It is
+// the cache-free reference row of the dispatch identity tests.
 func StepReference() (restore func()) {
 	run = func(v *vm.VM) error {
 		defer v.FlushTelemetry()
@@ -16,5 +20,10 @@ func StepReference() (restore func()) {
 		}
 		return nil
 	}
-	return func() { run = (*vm.VM).Run }
+	newMemory = func() *mem.Memory {
+		m := mem.New()
+		m.NoTLB = true
+		return m
+	}
+	return func() { run, newMemory = (*vm.VM).Run, mem.New }
 }

@@ -5,11 +5,11 @@ import "flag"
 // Knobs declares every execution knob once. RunConfig, the root
 // RunOptions and the runpack RunSpec embed it, so a knob travels from
 // the rfvm flag line through a run and into a replayed pack as one
-// value. The JSON tags are the RunSpec keys, in RunSpec order; the
-// host-only knobs are tagged "-" because guest cycles, detections and
-// output are bit-identical with them on or off, so replay has nothing to
-// restore. Only the shared run set-up (NewProcess and the heap and libc
-// builders in exec.go) applies them.
+// value. The JSON tags are the RunSpec keys, in RunSpec order, and every
+// knob has one: a pack replays all of them. Only the shared run set-up
+// (NewProcess and the heap and libc builders in exec.go) applies them.
+// Host timing is not a knob: perfbench measures the pipelines with the
+// fast paths as they ship.
 //
 // Adding a knob means a field here with its tag and flag, the set-up
 // line that applies it, and the package that implements it.
@@ -51,15 +51,6 @@ type Knobs struct {
 	// mode, deterministic via vm.NextRand). Induced detections carry a
 	// "self-test under-allocation" note tag.
 	UnderAllocEvery uint64 `json:"under_alloc_every,omitempty"`
-
-	// NoChain disables block chaining (direct block→successor links)
-	// while keeping the block cache itself; a trace is a chain, so it
-	// disables the superblock tier too. Host-only.
-	NoChain bool `json:"-"`
-
-	// NoTLB disables the guest-memory software TLB, forcing every page
-	// access through the page-map lookup. Host-only.
-	NoTLB bool `json:"-"`
 }
 
 // RegisterFlags registers one command-line flag per knob on fs, each
@@ -72,8 +63,6 @@ func (k *Knobs) RegisterFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&k.QuarantineBytes, "quarantine", 0, "free-quarantine byte budget (-1 disables, 0 default; hardened runs)")
 	fs.BoolVar(&k.Canary, "canary", false, "arm canary-poisoned redzones (verified on free and span checks; hardened runs)")
 	fs.Uint64Var(&k.UnderAllocEvery, "underalloc", 0, "self-test: under-allocate ~1 in N heap objects by one byte (0 = off; hardened runs)")
-	fs.BoolVar(&k.NoChain, "nochain", false, "disable block chaining (host A/B validation)")
-	fs.BoolVar(&k.NoTLB, "notlb", false, "disable the guest-memory software TLB (host A/B validation)")
 }
 
 // HeapModes reports whether any allocator mode is set. The modes

@@ -22,13 +22,15 @@ import (
 type knobField struct {
 	index int
 	name  string // Go field name
-	key   string // RunSpec key; "-" for host-only knobs
+	key   string // RunSpec key
 	flag  string // the one flag RegisterFlags gives it
 }
 
 // knobFields walks rtlib.Knobs and pairs each field with the flag that
-// sets it, failing unless RegisterFlags gives every field exactly one
-// flag and every flag exactly one field.
+// sets it and its RunSpec key, failing unless RegisterFlags gives every
+// field exactly one flag and every flag exactly one field, and unless
+// every field has a RunSpec key: a knob replay does not restore has to
+// be argued for here, not slipped in with a "-" tag.
 func knobFields(t *testing.T) []knobField {
 	t.Helper()
 	typ := reflect.TypeOf(rtlib.Knobs{})
@@ -66,8 +68,9 @@ func knobFields(t *testing.T) []knobField {
 			t.Fatalf("knob %s is set by flags %v, want exactly one", sf.Name, flagsOf[i])
 		}
 		key, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
-		if key == "" {
-			t.Fatalf("knob %s has no json tag", sf.Name)
+		if key == "" || key == "-" {
+			t.Fatalf("knob %s has no RunSpec key (json tag %q); every execution knob is replayed",
+				sf.Name, sf.Tag.Get("json"))
 		}
 		fields[i] = knobField{index: i, name: sf.Name, key: key, flag: flagsOf[i][0]}
 	}
@@ -137,7 +140,7 @@ func tamperRecordedKnobs(t *testing.T, dir string) {
 	}
 	kv := reflect.ValueOf(man.Run.Knobs)
 	for _, f := range knobFields(t) {
-		if f.key == "-" || kv.Field(f.index).IsZero() {
+		if kv.Field(f.index).IsZero() {
 			continue
 		}
 		t.Run(f.flag, func(t *testing.T) { tamperKnob(t, dir, f.key) })
@@ -146,10 +149,9 @@ func tamperRecordedKnobs(t *testing.T, dir string) {
 
 // TestRunSpecCoversEveryKnob holds the runpack contract to rtlib.Knobs
 // field by field, so a new knob is covered without editing this test:
-// exactly one rfvm flag sets it; a replayed knob round-trips through a
-// sealed RunSpec and editing its key alone breaks the seal; a host-only
-// knob never reaches the manifest; and the RunSpec bytes with every knob
-// set match the golden file.
+// exactly one rfvm flag sets it; it has a RunSpec key, round-trips
+// through a sealed RunSpec, and editing its key alone breaks the seal;
+// and the RunSpec bytes with every knob set match the golden file.
 func TestRunSpecCoversEveryKnob(t *testing.T) {
 	fields := knobFields(t)
 	spec := RunSpec{Input: []uint64{40, 2}, Hardened: true, Memcheck: true, Abort: true,
@@ -199,21 +201,13 @@ func TestRunSpecCoversEveryKnob(t *testing.T) {
 	sent, back := reflect.ValueOf(spec.Knobs), reflect.ValueOf(man.Run.Knobs)
 	for _, f := range fields {
 		t.Run(f.flag, func(t *testing.T) {
-			if f.key == "-" {
-				if !back.Field(f.index).IsZero() {
-					t.Errorf("host-only knob %s reached the manifest", f.name)
-				}
-				return
-			}
 			if !reflect.DeepEqual(back.Field(f.index).Interface(), sent.Field(f.index).Interface()) {
 				t.Errorf("knob %s: sealed %v, read back %v", f.name,
 					sent.Field(f.index), back.Field(f.index))
 			}
 			tamperKnob(t, dir, f.key)
 		})
-		if f.key != "-" {
-			wantKeys = append(wantKeys, f.key)
-		}
+		wantKeys = append(wantKeys, f.key)
 	}
 	var gotKeys []string
 	for k := range raw.Run {

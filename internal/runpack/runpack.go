@@ -81,10 +81,9 @@ type Member struct {
 }
 
 // RunSpec records everything replay needs to re-execute a run pack's
-// binary deterministically: the run itself and its execution knobs,
-// declared once in rtlib.Knobs. Host-only knobs (TLB, chaining) carry
-// the "-" tag there and never reach the manifest: they cannot change
-// guest cycles, detections or output.
+// binary deterministically: the run itself and every execution knob,
+// declared once in rtlib.Knobs. Host-side observers (telemetry, the
+// flight recorder, profilers) are not knobs and are not recorded.
 type RunSpec struct {
 	Input     []uint64 `json:"input,omitempty"`
 	Hardened  bool     `json:"hardened,omitempty"`

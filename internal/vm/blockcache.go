@@ -27,7 +27,8 @@ package vm
 // (TraceHook, MemHook, BlockHook), error reporting and the cycle-budget
 // abort point are bit-identical to VM.Step, which decodes every
 // instruction afresh and is the reference the identity tests compare
-// against; VM.NoChain ablates just the chaining layer.
+// against. Chaining is unconditional; perfbench reports how many block
+// exits it absorbs (vm.chain_hit_rate).
 
 import (
 	"redfat/internal/isa"
@@ -209,35 +210,31 @@ func (v *VM) runBlocks() error {
 		}
 		// Block exit: follow the chain if the observed target matches.
 		rip := v.RIP
-		if !v.NoChain {
-			if rip == b.fallPC && b.fall != nil {
-				b = b.fall
-				if v.tel != nil {
-					v.tel.chainHits.Inc()
-				}
-				continue
+		if rip == b.fallPC && b.fall != nil {
+			b = b.fall
+			if v.tel != nil {
+				v.tel.chainHits.Inc()
 			}
-			if rip == b.takenPC && b.taken != nil {
-				b = b.taken
-				if v.tel != nil {
-					v.tel.chainHits.Inc()
-				}
-				continue
+			continue
+		}
+		if rip == b.takenPC && b.taken != nil {
+			b = b.taken
+			if v.tel != nil {
+				v.tel.chainHits.Inc()
 			}
+			continue
 		}
 		nb, err := v.blockAt(rip)
 		if err != nil {
 			return err
 		}
-		if !v.NoChain {
-			if v.tel != nil {
-				v.tel.chainMisses.Inc()
-			}
-			if rip == b.fallPC {
-				b.fall = nb
-			} else {
-				b.takenPC, b.taken = rip, nb
-			}
+		if v.tel != nil {
+			v.tel.chainMisses.Inc()
+		}
+		if rip == b.fallPC {
+			b.fall = nb
+		} else {
+			b.takenPC, b.taken = rip, nb
 		}
 		b = nb
 	}

@@ -44,29 +44,42 @@ func chainProgram(b *asm.Builder) {
 	b.Ret()
 }
 
-// runChainVM executes the given binary with the given knobs and returns
-// the VM plus its telemetry snapshot.
-func runChainVM(t *testing.T, bin *relf.Binary, noChain bool) (*vm.VM, *telemetry.Snapshot) {
+// runChainVM executes the given binary through Run (block cache, chains)
+// or, with step, through a VM.Step loop that decodes every instruction
+// afresh, and returns the VM plus its telemetry snapshot.
+func runChainVM(t *testing.T, bin *relf.Binary, step bool) (*vm.VM, *telemetry.Snapshot) {
 	t.Helper()
 	m := mem.New()
 	v := vm.New(m)
 	v.MaxCycles = 100_000_000
-	v.NoChain = noChain
 	reg := telemetry.New()
 	v.AttachTelemetry(reg)
 	if err := v.Load(bin, rtlib.LibC(heap.New(m), m)); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if err := v.Run(); err != nil {
+	run := v.Run
+	if step {
+		run = func() error {
+			defer v.FlushTelemetry()
+			for !v.Halted {
+				if err := v.Step(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	if err := run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return v, reg.Snapshot()
 }
 
 // TestChainIdentityAndHits checks that chaining changes nothing
-// guest-visible while absorbing nearly all block exits on a loop-heavy
-// workload, and that the alternating indirect target keeps retargeting
-// the BTB slot without misdirecting execution.
+// guest-visible against the per-instruction VM.Step reference while
+// absorbing nearly all block exits on a loop-heavy workload, and that
+// the alternating indirect target keeps retargeting the BTB slot
+// without misdirecting execution.
 func TestChainIdentityAndHits(t *testing.T) {
 	b := asm.NewBuilder(asm.Options{})
 	chainProgram(b)
@@ -75,13 +88,13 @@ func TestChainIdentityAndHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	chained, chainTel := runChainVM(t, bin, false)
-	plain, plainTel := runChainVM(t, bin, true)
+	ref, refTel := runChainVM(t, bin, true)
 
-	if chained.ExitCode != plain.ExitCode || chained.Cycles != plain.Cycles ||
-		chained.Insts != plain.Insts {
-		t.Fatalf("chain/no-chain divergence: exit %d/%d cycles %d/%d insts %d/%d",
-			chained.ExitCode, plain.ExitCode, chained.Cycles, plain.Cycles,
-			chained.Insts, plain.Insts)
+	if chained.ExitCode != ref.ExitCode || chained.Cycles != ref.Cycles ||
+		chained.Insts != ref.Insts {
+		t.Fatalf("chain/step divergence: exit %d/%d cycles %d/%d insts %d/%d",
+			chained.ExitCode, ref.ExitCode, chained.Cycles, ref.Cycles,
+			chained.Insts, ref.Insts)
 	}
 	// 200 even + 200 odd iterations: 200*1 + 200*3.
 	if chained.ExitCode != 800 {
@@ -98,8 +111,8 @@ func TestChainIdentityAndHits(t *testing.T) {
 	if hits < misses {
 		t.Errorf("chain hits %d < misses %d; static edges not chaining", hits, misses)
 	}
-	if got := plainTel.Counters["vm.icache.chain.hits"]; got != 0 {
-		t.Errorf("NoChain run recorded %d chain hits", got)
+	if got := refTel.Counters["vm.icache.chain.hits"]; got != 0 {
+		t.Errorf("VM.Step reference recorded %d chain hits", got)
 	}
 }
 

@@ -299,18 +299,10 @@ type VM struct {
 	hostFuncs []HostFunc // import bindings of the main executable
 	binary    *relf.Binary
 
-	// NoChain disables block chaining on the block-cache path: every
-	// block exit re-enters the per-page block tables instead of following
-	// cached successor pointers. An ablation knob; guest-visible
-	// behaviour is identical with chaining on or off. A superblock trace
-	// is a chain, so NoChain also disables the JIT tier (see jit.go).
-	NoChain bool
-
 	// NoJIT disables the superblock translation tier: hot chained traces
 	// are never compiled and every instruction retires through the
-	// interpreter. An ablation knob with the same identity guarantee as
-	// NoChain — guest cycles, detections and exit codes are bit-identical
-	// with the tier on or off.
+	// interpreter. An ablation knob: guest cycles, detections and exit
+	// codes are bit-identical with the tier on or off.
 	NoJIT bool
 
 	// JITThreshold is the number of block entries before a trace rooted

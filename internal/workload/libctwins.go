@@ -35,8 +35,9 @@ func twinKernel(name string, emit func(*emitter)) *Benchmark {
 
 // LibcTwins returns the intrinsic/loop twin pairs. They are deliberately
 // NOT part of All(): Table 1's benchmark set, planted counts and rows
-// stay exactly as seeded; the twins feed the libc_span hostbench section
-// and the perf-smoke guard.
+// stay exactly as seeded; the twins feed the perf-smoke guard
+// (TestPerfSmokeLibcSpan), which logs each pair's guest cycles and their
+// ratio.
 func LibcTwins() []Twin {
 	return []Twin{
 		{
