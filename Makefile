@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
+.PHONY: check fmt vet perfbench-vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
 
-# check is the tier-1 gate: formatting, static analysis (go vet plus the
-# repo-specific rfvet rules), build, tests (deterministic: the wall-clock
-# perf guards live behind the perfsmoke build tag, see perf-smoke), a
-# race-detector pass over the concurrent harness (short mode), the
-# runpack replay smoke, the live introspection smoke, and the
-# indirect-edge audit smoke.
-check: fmt vet rfvet build test race replay-smoke obs-smoke edge-audit-smoke
+# check is the tier-1 gate: formatting, static analysis (go vet of this
+# module and of the perfbench module, plus the repo-specific rfvet
+# rules), build, tests (deterministic: the wall-clock perf guards live
+# behind the perfsmoke build tag, see perf-smoke), a race-detector pass
+# over the concurrent harness (short mode), the runpack replay smoke,
+# the live introspection smoke, and the indirect-edge audit smoke.
+check: fmt vet perfbench-vet rfvet build test race replay-smoke obs-smoke edge-audit-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -18,6 +18,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench-vet type-checks the benchmark harness. perfbench/ is its own
+# Go module, so `go vet ./...` and `go build ./...` never compile it, yet
+# it builds rtlib.RunConfig literals and reads redfat.Options fields and
+# rtlib.Runtime stats. vet, unlike `go build` there, writes no binary
+# into the benchmark directory.
+perfbench-vet:
+	$(GO) -C perfbench vet .
 
 # rfvet enforces repo conventions plain vet cannot: telemetry metric
 # naming (<pkg>.<noun>.<verb>) and deterministic iteration in table and

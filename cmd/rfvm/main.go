@@ -7,13 +7,14 @@
 // Plain runs use the baseline glibc-style allocator. -hardened selects the
 // RedFat runtime (the LD_PRELOAD model) and is required for binaries
 // produced by the redfat tool. -memcheck runs under the Valgrind Memcheck
-// model instead. The execution knobs (-nojit, -jit-threshold, -noindirect,
+// model instead. The execution knobs (-nojit, -jit-threshold,
 // -nolibccheck and the RedFat heap's allocator modes -quarantine, -canary
 // and -underalloc, which require -hardened) are the fields of
-// redfat.Knobs, and a -runpack replays every one of them. Host timing of
-// runs like these comes from perfbench (bash perfbench/run.sh --workload
-// spec-ref|chrome-harden|detect), which repeats each pass and splits
-// the wall time per layer.
+// redfat.Knobs. The flags fill one redfat.RunOptions, which runs the
+// program and which a -runpack records as its replay spec. Host timing
+// of runs like these comes from perfbench (bash perfbench/run.sh
+// --workload spec-ref|chrome-harden|detect), which repeats each pass and
+// splits the wall time per layer.
 //
 // Observability: -stats collects telemetry during the run and prints a
 // report (retired instructions per opcode, allocator activity, check
@@ -55,7 +56,7 @@
 // interpreter, and widen it to the largest of -flight, the -events
 // window and 4096 events for -trace-out. Both are host-side knobs: guest
 // cycles are bit-identical with them on or off, and neither enters the
-// runpack RunSpec.
+// runpack's replay spec.
 //
 // Exit codes are stable so runpack replay and CI scripts can assert on
 // the detection kind:
@@ -91,11 +92,14 @@ import (
 )
 
 func main() {
+	// ro is the one description of the run: the flags fill it, redfat.Run
+	// executes it and a runpack records it as the replay spec.
+	var ro redfat.RunOptions
 	input := flag.String("input", "", "comma-separated input values for rf_input")
-	hardened := flag.Bool("hardened", false, "run with the RedFat runtime (libredfat model)")
-	mcheck := flag.Bool("memcheck", false, "run under the Memcheck model")
-	abort := flag.Bool("abort", false, "abort on the first detected memory error")
-	max := flag.Uint64("max", 0, "cycle budget (0 = default)")
+	flag.BoolVar(&ro.Hardened, "hardened", false, "run with the RedFat runtime (libredfat model)")
+	flag.BoolVar(&ro.Memcheck, "memcheck", false, "run under the Memcheck model")
+	flag.BoolVar(&ro.Abort, "abort", false, "abort on the first detected memory error")
+	flag.Uint64Var(&ro.MaxCycles, "max", 0, "cycle budget (0 = default)")
 	trace := flag.Int("trace", 0, "print an execution trace of up to N instructions")
 	stats := flag.Bool("stats", false, "collect telemetry and print a run report")
 	top := flag.Int("top", 10, "with -stats, hottest instrumentation sites to list")
@@ -106,8 +110,7 @@ func main() {
 	profInterval := flag.Uint64("profile-interval", 0, "guest cycles between profile samples (0 = default)")
 	folded := flag.String("folded", "", "write the guest profile as folded stacks (flamegraph input) to FILE")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (events + profile samples) to FILE")
-	var knobs redfat.Knobs
-	knobs.RegisterFlags(flag.CommandLine)
+	ro.Knobs.RegisterFlags(flag.CommandLine)
 	doVerify := flag.Bool("verify", false, "with -hardened, structurally validate the binary before running it")
 	packDir := flag.String("runpack", "", "capture the run as a digest-signed runpack in this directory (implies forensics)")
 	listen := flag.String("listen", "", "serve live introspection HTTP (/metrics /snapshot /traces /profile /flight) on ADDR until killed")
@@ -121,7 +124,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if knobs.HeapModes() && !*hardened {
+	if ro.HeapModes() && !ro.Hardened {
 		fatal(fmt.Errorf("-quarantine, -canary and -underalloc require -hardened"))
 	}
 	bin, err := redfat.LoadBinary(flag.Arg(0))
@@ -129,7 +132,7 @@ func main() {
 		fatal(err)
 	}
 	if *doVerify {
-		if !*hardened {
+		if !ro.Hardened {
 			fatal(fmt.Errorf("-verify requires -hardened"))
 		}
 		vrep, err := redfat.VerifyStructural(bin)
@@ -141,26 +144,17 @@ func main() {
 			fatal(fmt.Errorf("binary failed structural validation"))
 		}
 	}
-	var in []uint64
 	if *input != "" {
 		for _, f := range strings.Split(*input, ",") {
 			v, err := strconv.ParseUint(strings.TrimSpace(f), 0, 64)
 			if err != nil {
 				fatal(fmt.Errorf("bad -input value %q", f))
 			}
-			in = append(in, v)
+			ro.Input = append(ro.Input, v)
 		}
 	}
-	ro := redfat.RunOptions{
-		Input:        in,
-		Hardened:     *hardened,
-		Memcheck:     *mcheck,
-		AbortOnError: *abort,
-		MaxCycles:    *max,
-		Knobs:        knobs,
-	}
 	if *trace > 0 {
-		ro.Trace = os.Stderr
+		ro.TraceWriter = os.Stderr
 		ro.TraceLimit = *trace
 	}
 	var reg *redfat.Metrics
@@ -323,16 +317,7 @@ func main() {
 		if rerr != nil {
 			fatal(rerr)
 		}
-		spec := runpack.RunSpec{
-			Input:     in,
-			Hardened:  *hardened,
-			Memcheck:  *mcheck,
-			Abort:     *abort,
-			MaxCycles: *max,
-			Forensics: true,
-			Knobs:     knobs,
-		}
-		if perr := runpack.PackRun(*packDir, os.Args[1:], raw, bin, spec, res, err, reg, dump); perr != nil {
+		if perr := runpack.PackRun(*packDir, os.Args[1:], raw, bin, ro, res, err); perr != nil {
 			fatal(perr)
 		}
 		fmt.Fprintf(os.Stderr, "rfvm: runpack written to %s\n", *packDir)

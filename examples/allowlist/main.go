@@ -48,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	_, err = redfat.Run(naive, redfat.RunOptions{
-		Input: validInput, Hardened: true, AbortOnError: true,
+		Input: validInput, Hardened: true, Abort: true,
 	})
 	if me, ok := err.(*redfat.MemError); ok {
 		fmt.Printf("naive full hardening: FALSE POSITIVE on a valid access: %v\n", me)
@@ -68,7 +68,7 @@ func main() {
 		rep.Checks, rep.FullChecks, rep.Checks-rep.FullChecks)
 
 	res, err := redfat.Run(hard, redfat.RunOptions{
-		Input: validInput, Hardened: true, AbortOnError: true,
+		Input: validInput, Hardened: true, Abort: true,
 	})
 	if err != nil {
 		log.Fatalf("production binary still false-positives: %v", err)
@@ -79,7 +79,7 @@ func main() {
 	// And the protection still works: an actual overflow through the
 	// idiomatic pointer is caught by the allow-listed full check.
 	_, err = redfat.Run(hard, redfat.RunOptions{
-		Input: []uint64{100 + 500}, Hardened: true, AbortOnError: true,
+		Input: []uint64{100 + 500}, Hardened: true, Abort: true,
 	})
 	if me, ok := err.(*redfat.MemError); ok {
 		fmt.Printf("real overflow (index 600): still DETECTED: %v\n", me)

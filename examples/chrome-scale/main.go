@@ -47,7 +47,7 @@ func main() {
 			log.Fatal(err)
 		}
 		hv, err := redfat.Run(hard, redfat.RunOptions{
-			Input: input, Hardened: true, AbortOnError: true,
+			Input: input, Hardened: true, Abort: true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -52,7 +52,7 @@ func main() {
 	// rides along: counters from the VM, allocator and check runtime.
 	metrics := redfat.NewMetrics()
 	res, err = redfat.Run(hard, redfat.RunOptions{
-		Input: []uint64{2}, Hardened: true, AbortOnError: true,
+		Input: []uint64{2}, Hardened: true, Abort: true,
 		Metrics: metrics,
 	})
 	if err != nil {
@@ -66,7 +66,7 @@ func main() {
 
 	// Step 4: the attack.
 	_, err = redfat.Run(hard, redfat.RunOptions{
-		Input: []uint64{40}, Hardened: true, AbortOnError: true,
+		Input: []uint64{40}, Hardened: true, Abort: true,
 	})
 	if me, ok := err.(*redfat.MemError); ok {
 		fmt.Printf("hardened binary, index 40: DETECTED %v\n", me)

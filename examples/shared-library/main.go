@@ -69,7 +69,7 @@ func main() {
 	// 1. Main hardened, library not: the access happens inside the
 	// uninstrumented library → undetected.
 	res, err := redfat.RunLinked(hardExe, []*redfat.Binary{lib},
-		redfat.RunOptions{Input: attack, Hardened: true, AbortOnError: true})
+		redfat.RunOptions{Input: attack, Hardened: true, Abort: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func main() {
 	}
 	fmt.Printf("instrumenting libparser.so separately: %d checks\n", rep.Checks)
 	_, err = redfat.RunLinked(hardExe, []*redfat.Binary{hardLib},
-		redfat.RunOptions{Input: attack, Hardened: true, AbortOnError: true})
+		redfat.RunOptions{Input: attack, Hardened: true, Abort: true})
 	if me, ok := err.(*redfat.MemError); ok {
 		fmt.Printf("main + libparser hardened: DETECTED %v\n", me)
 		fmt.Printf("   %s\n", me.Note)

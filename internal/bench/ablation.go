@@ -242,7 +242,7 @@ func (h *Harness) FuzzBoostStudy(benchName string, budgets []int, w io.Writer) (
 			if err != nil {
 				return FuzzRow{}, err
 			}
-			return FuzzRow{Runs: budgets[i], Coverage: rt.Coverage()}, nil
+			return FuzzRow{Runs: budgets[i], Coverage: rtlib.Coverage(rt)}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -462,8 +462,7 @@ func (h *Harness) IndirectSweep(names []string, scale float64, w io.Writer) ([]I
 			if err != nil {
 				return cell{}, err
 			}
-			v, _, err := rtlib.RunHardened(hard,
-				rtlib.RunConfig{Input: p.bm.RefInput(), Knobs: rtlib.Knobs{NoIndirect: c.noInd}, Metrics: reg})
+			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: p.bm.RefInput(), Metrics: reg})
 			if err != nil {
 				return cell{}, err
 			}

@@ -167,7 +167,7 @@ func table1Config(p *t1prep, c int, reg *telemetry.Registry) (t1res, error) {
 	}
 	r := t1res{cycles: v.Cycles, exitOK: v.ExitCode == p.base.ExitCode}
 	if c == 3 { // +merge: full checking with per-site reports intact
-		r.coverage = rt.Coverage()
+		r.coverage = rtlib.Coverage(rt)
 		r.errors = vm.DistinctErrorSites(v.Errors)
 	}
 	return r, nil

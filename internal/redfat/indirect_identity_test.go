@@ -37,8 +37,7 @@ func TestNoIndirectIdentityNonMarker(t *testing.T) {
 					t.Fatal(err)
 				}
 				hards = append(hards, hard)
-				v, _, err := rtlib.RunHardened(hard,
-					rtlib.RunConfig{Input: cp.RefInput(), Knobs: rtlib.Knobs{NoIndirect: noind}})
+				v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: cp.RefInput()})
 				if err != nil {
 					t.Fatal(err)
 				}

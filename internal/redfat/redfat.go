@@ -26,33 +26,28 @@ import (
 // Options selects the instrumentation configuration. The zero value is a
 // valid conservative configuration (redzone-only, unoptimized, read+write
 // checking); use Defaults() for the fully optimized production defaults.
+//
+// Options is also the hardening record of a runpack manifest (the
+// runpack KnobSpec embeds it): the JSON tags are the manifest keys, in
+// manifest order. The allow-list itself is a pack member, not a key.
 type Options struct {
 	// LowFat enables the combined (Redzone)+(LowFat) check. Sites not in
 	// the allow-list (when one is given) fall back to redzone-only.
-	LowFat bool
-
-	// AllowList restricts full checking to the given instruction
-	// addresses (from the profiling phase). Nil means "all sites" —
-	// the configuration the paper evaluates for false positives.
-	AllowList map[uint64]bool
-
-	// Profile builds the profiling binary of paper Fig. 5 step 1:
-	// every site uses the profiling check variant and never aborts.
-	Profile bool
+	LowFat bool `json:"lowfat"`
 
 	// CheckReads instruments read accesses as well as writes. Disabling
 	// it is the paper's -reads configuration (write-only protection).
-	CheckReads bool
+	CheckReads bool `json:"check_reads"`
 
 	// SizeCheck enables metadata hardening (validating the stored SIZE
 	// against the immutable low-fat slot size). Disabling it is the
 	// paper's -size configuration.
-	SizeCheck bool
+	SizeCheck bool `json:"size_check"`
 
 	// Elim, Batch, Merge enable the three optimizations of paper §6.
-	Elim  bool
-	Batch bool
-	Merge bool
+	Elim  bool `json:"elim"`
+	Batch bool `json:"batch"`
+	Merge bool `json:"merge"`
 
 	// ElimDom enables dominator-based redundant-check elimination on
 	// top of the syntactic Elim rule: a checked operand whose address
@@ -61,29 +56,38 @@ type Options struct {
 	// registers unredefined and no call in between — is dropped; the
 	// dominating check subsumes it. Ignored in Profile mode, where
 	// per-site execution statistics must stay complete.
-	ElimDom bool
+	ElimDom bool `json:"elim_dom"`
 
 	// LocalLiveness restricts the dead-register/dead-flags trampoline
 	// specialization to the legacy block-local scans instead of the
 	// whole-CFG liveness solution. Exposed for ablation measurements;
 	// the block-local answer is never more precise.
-	LocalLiveness bool
-
-	// MaxBatch bounds the number of accesses per trampoline (0 = 8).
-	MaxBatch int
+	LocalLiveness bool `json:"local_liveness,omitempty"`
 
 	// NoClobberSpec disables the dead-register trampoline
 	// specialization (paper §6, "Additional low-level optimizations"):
 	// every trampoline then saves the full scratch set and flags.
 	// Exposed for ablation measurements.
-	NoClobberSpec bool
+	NoClobberSpec bool `json:"no_clobber_spec,omitempty"`
+
+	// Profile builds the profiling binary of paper Fig. 5 step 1:
+	// every site uses the profiling check variant and never aborts.
+	Profile bool `json:"profile,omitempty"`
+
+	// MaxBatch bounds the number of accesses per trampoline (0 = 8).
+	MaxBatch int `json:"max_batch"`
+
+	// AllowList restricts full checking to the given instruction
+	// addresses (from the profiling phase). Nil means "all sites" —
+	// the configuration the paper evaluates for false positives.
+	AllowList map[uint64]bool `json:"-"`
 
 	// NoIndirect disables indirect-flow recovery (jump-table resolution,
 	// landing-pad target sets, RET/call-site pairing) in the dataflow
 	// engine: indirect control flow stays ⊤ as in the seed analysis.
 	// Only observable on marker-built inputs (those carrying .rf.jt);
 	// exposed for ablation measurements.
-	NoIndirect bool
+	NoIndirect bool `json:"no_indirect,omitempty"`
 }
 
 // Defaults returns the fully optimized production configuration
@@ -257,8 +261,8 @@ func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 	// Pass A': dominator-based redundant-check elimination. A site whose
 	// address shape, mode and span are covered by an available dominating
 	// check is dropped; the provider protects it. Skipped in Profile
-	// mode (per-site execution statistics must stay complete). Under
-	// AbortOnError the guest-visible detections are identical: the
+	// mode (per-site execution statistics must stay complete). In an
+	// aborting run the guest-visible detections are identical: the
 	// provider executes first on every path and fails on a superset of
 	// the dropped check's failures.
 	elimBy := make(map[int][]int) // provider inst → eliminated dependents

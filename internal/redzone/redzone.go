@@ -99,7 +99,7 @@ type Heap struct {
 	// CanaryByte on every allocation and verifies it on free; span
 	// checks additionally verify it when they cross an object. Guest
 	// visible (slack bytes read back as the pattern), so the mode is
-	// recorded in runpack RunSpecs.
+	// recorded in runpack replay specs.
 	Canary bool
 
 	// UnderAllocEvery enables the REDFAT_TEST-style self-test mode:

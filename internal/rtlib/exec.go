@@ -16,47 +16,63 @@ import (
 	"redfat/internal/vm"
 )
 
-// RunConfig parameterizes an execution.
+// RunConfig describes one run: the runtime model, the input, every
+// setting that can change what the guest sees, and the host-side
+// observers attached to it. It is the one declaration of a run: the
+// root package's RunOptions is this type, and a runpack manifest records
+// it as the replay spec. Every field with a JSON key is replayed; the
+// observers are tagged "-" and are not. The keys and their order are the
+// runpack's, and a field that changes guest behaviour needs one.
+//
+// Hardened selects the RedFat runtime and Memcheck the Valgrind-Memcheck
+// model; with neither the run uses the glibc baseline. Only redfat.Run
+// and runpack replay read the two: RunBaseline, RunHardened, RunLinked
+// and memcheck.Run each are one runtime already.
 type RunConfig struct {
-	Input     []uint64
-	MaxCycles uint64 // 0 → the runner's default budget
-	Abort     bool   // abort on detected memory errors (hardening mode)
+	Input    []uint64 `json:"input,omitempty"` // consumed by rf_input
+	Hardened bool     `json:"hardened,omitempty"`
+	Memcheck bool     `json:"memcheck,omitempty"`
+
+	// Abort stops at the first detected memory error (hardening mode);
+	// otherwise errors are recorded and execution continues (testing and
+	// profiling).
+	Abort     bool   `json:"abort,omitempty"`
+	MaxCycles uint64 `json:"max_cycles,omitempty"` // 0 → the runner's default budget
+
+	// Forensics enables allocation-site backtrace capture in the bound
+	// allocator and guest-backtrace capture on trapped memory errors
+	// (forensicsDepth frames each), feeding the forensic report builder.
+	// Guest cycle counts are bit-identical with it on or off; it is
+	// replayed because it decides whether a run has reports to compare.
+	Forensics bool `json:"forensics,omitempty"`
 
 	// Knobs are the execution knobs (see Knobs).
 	Knobs
 
 	// RandomizeHeap enables the low-fat allocator's placement
 	// randomization (the basic heap randomization paper §8 mentions).
-	RandomizeHeap bool
+	// Guest-visible: it moves the pointers malloc returns.
+	RandomizeHeap bool `json:"randomize_heap,omitempty"`
 
 	// TraceWriter, when set, receives one line per executed instruction
 	// (address and disassembly), up to TraceLimit lines (0 = 10000).
-	TraceWriter io.Writer
-	TraceLimit  int
+	TraceWriter io.Writer `json:"-"`
+	TraceLimit  int       `json:"-"`
 
 	// Metrics, when set, receives counters/gauges/histograms from every
 	// instrumented layer (VM dispatch, allocators, checks). Telemetry is
 	// host-side only: it never alters guest cycle accounting.
-	Metrics *telemetry.Registry
+	Metrics *telemetry.Registry `json:"-"`
 
 	// IndirectHook, when set, observes every indirect JMP/CALL transfer
 	// (pc → target) before it commits. Host-side observability only —
 	// the differential edge oracle uses it to compare actual transfers
 	// against the statically recovered target sets.
-	IndirectHook func(pc, target uint64)
-
-	// Forensics enables allocation-site backtrace capture in the bound
-	// allocator and guest-backtrace capture on trapped memory errors,
-	// feeding the forensic report builder. Host-side only: guest cycle
-	// counts are bit-identical with it on or off.
-	Forensics bool
-
-	// ForensicsDepth bounds the captured backtraces (0 = default 8).
-	ForensicsDepth int
+	IndirectHook func(pc, target uint64) `json:"-"`
 
 	// Profiler, when set, samples guest execution by cycle budget from
 	// the dispatch loop (see vm.GuestProfiler). Host-side only.
-	Profiler *vm.GuestProfiler
+	Profiler *vm.GuestProfiler `json:"-"`
 
 	// Flight, when set, is the flight recorder fed by the VM, guest
 	// memory, the allocator bindings and the check runtime (dispatch
@@ -65,18 +81,16 @@ type RunConfig struct {
 	// runtime calls, check passes, allocs and frees). At default grain it
 	// never disables the superblock tier; execution grain pins the run to
 	// the interpreter. The ring's content is guest-deterministic.
-	// Host-side only: a deliberately un-replayed knob, absent from
-	// runpack RunSpecs.
-	Flight *obs.Flight
+	// Host-side only.
+	Flight *obs.Flight `json:"-"`
 }
 
 // defaultBudget is the cycle budget of a native-speed run whose
 // RunConfig leaves MaxCycles at 0.
 const defaultBudget = 2_000_000_000
 
-// defaultForensicsDepth is the backtrace depth used when Forensics is on
-// and no explicit depth is configured.
-const defaultForensicsDepth = 8
+// forensicsDepth bounds the backtraces a Forensics run captures.
+const forensicsDepth = 8
 
 // run is the dispatch loop every runner ends in, and newMemory builds
 // each run's guest memory. The dispatch identity tests swap in a VM.Step
@@ -108,7 +122,7 @@ func NewProcess(cfg RunConfig, budget uint64, mods ...*relf.Binary) *Process {
 	if v.MaxCycles == 0 {
 		v.MaxCycles = budget
 	}
-	v.AbortOnError = cfg.Abort
+	v.Abort = cfg.Abort
 	v.NoJIT = cfg.NoJIT
 	v.JITThreshold = cfg.JITThreshold
 	v.Flight = cfg.Flight
@@ -142,11 +156,11 @@ func (p *Process) attachTrace() {
 
 // attachIndirect arms the CET-style landing-pad machinery when every
 // module carries the .rf.jt marker: indirect jumps/calls to non-LPAD
-// bytes fault (binary semantics, independent of any knob), and — unless
-// NoIndirect — the static recovery is re-run so the VM can count dynamic
-// transfers escaping the recovered target sets (host-side telemetry).
-// Mixed marker/legacy module sets leave enforcement off, like a legacy
-// DSO disabling process-wide IBT.
+// bytes fault (binary semantics, independent of any knob), and the
+// static recovery is re-run over the non-PIC modules so the VM can count
+// dynamic transfers escaping the recovered target sets (host-side
+// telemetry, vm.indirect.escape.count). Mixed marker/legacy module sets
+// leave enforcement off, like a legacy DSO disabling process-wide IBT.
 func (p *Process) attachIndirect(mods []*relf.Binary) {
 	v := p.VM
 	v.IndirectHook = p.cfg.IndirectHook
@@ -156,9 +170,6 @@ func (p *Process) attachIndirect(mods []*relf.Binary) {
 		}
 	}
 	v.LPADCheck = true
-	if p.cfg.NoIndirect {
-		return
-	}
 	targets := make(map[uint64]map[uint64]bool)
 	for _, b := range mods {
 		if b.PIC {
@@ -234,13 +245,9 @@ func (p *Process) Exec(alloc Allocator, env func(*relf.Binary) (vm.Bindings, err
 	v := p.VM
 	v.Allocator = alloc
 	if p.cfg.Forensics {
-		depth := p.cfg.ForensicsDepth
-		if depth <= 0 {
-			depth = defaultForensicsDepth
-		}
-		v.ErrorStackDepth = depth
+		v.ErrorStackDepth = forensicsDepth
 		if t, ok := alloc.(siteTracker); ok {
-			t.EnableSiteTracking(depth)
+			t.EnableSiteTracking(forensicsDepth)
 		}
 	}
 	for _, lib := range libs {

@@ -2,14 +2,13 @@ package rtlib
 
 import "flag"
 
-// Knobs declares every execution knob once. RunConfig, the root
-// RunOptions and the runpack RunSpec embed it, so a knob travels from
-// the rfvm flag line through a run and into a replayed pack as one
-// value. The JSON tags are the RunSpec keys, in RunSpec order, and every
-// knob has one: a pack replays all of them. Only the shared run set-up
-// (NewProcess and the heap and libc builders in exec.go) applies them.
-// Host timing is not a knob: perfbench measures the pipelines with the
-// fast paths as they ship.
+// Knobs declares every execution knob once. RunConfig embeds it, so a
+// knob travels from the rfvm flag line through a run and into a
+// replayed runpack as one value. The JSON tags are the runpack keys, in
+// manifest order, and every knob has one: a pack replays all of them.
+// Only the shared run set-up (NewProcess and the heap and libc builders
+// in exec.go) applies them. Host timing is not a knob: perfbench
+// measures the pipelines with the fast paths as they ship.
 //
 // Adding a knob means a field here with its tag and flag, the set-up
 // line that applies it, and the package that implements it.
@@ -19,13 +18,6 @@ type Knobs struct {
 	// results are identical either way, but the tier replaces the
 	// execution engine wholesale, so replay restores it as provenance.
 	NoJIT bool `json:"no_jit,omitempty"`
-
-	// NoIndirect disables the recovered-edge soundness monitor that is
-	// otherwise armed for marker-built binaries (host-side telemetry:
-	// vm.indirect.escape.count). It does NOT disable the landing-pad
-	// enforcement itself — that is binary semantics, owned by the binary
-	// via its .rf.jt marker, and must not vary with an ablation knob.
-	NoIndirect bool `json:"no_indirect,omitempty"`
 
 	// JITThreshold overrides the block-hotness threshold at which traces
 	// are compiled (0 keeps vm.DefaultJITThreshold).
@@ -57,7 +49,6 @@ type Knobs struct {
 // writing straight into k.
 func (k *Knobs) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&k.NoJIT, "nojit", false, "disable the superblock trace tier (host A/B validation)")
-	fs.BoolVar(&k.NoIndirect, "noindirect", false, "disable the recovered-edge monitor for marker-built binaries (host A/B validation)")
 	fs.Uint64Var(&k.JITThreshold, "jit-threshold", 0, "block hotness before trace compilation (0 = default)")
 	fs.BoolVar(&k.NoLibcCheck, "nolibccheck", false, "disable the hardened libc span intrinsics (ablation; guest-visible)")
 	fs.Int64Var(&k.QuarantineBytes, "quarantine", 0, "free-quarantine byte budget (-1 disables, 0 default; hardened runs)")

@@ -333,17 +333,21 @@ func (rt *Runtime) describe(c *Check, base, size, lb uint64) string {
 		desc, where, objSize, allocPC, tag)
 }
 
-// Coverage returns the dynamic full-check coverage: the fraction of
-// executed sites whose mode is ModeFull (paper Table 1, "coverage").
-func (rt *Runtime) Coverage() float64 {
+// Coverage returns the dynamic full-check coverage of a run over its
+// check runtimes: the fraction of executed checks, weighted by the
+// operands each covers, whose mode is ModeFull (paper Table 1,
+// "coverage"). It is 0 when no check executed.
+func Coverage(rts ...*Runtime) float64 {
 	var full, total int
-	for i := range rt.Checks {
-		if rt.Stats[i].Execs == 0 {
-			continue
-		}
-		total += int(rt.Checks[i].Merged)
-		if rt.Checks[i].Mode == ModeFull {
-			full += int(rt.Checks[i].Merged)
+	for _, rt := range rts {
+		for i := range rt.Checks {
+			if rt.Stats[i].Execs == 0 {
+				continue
+			}
+			total += int(rt.Checks[i].Merged)
+			if rt.Checks[i].Mode == ModeFull {
+				full += int(rt.Checks[i].Merged)
+			}
 		}
 	}
 	if total == 0 {
@@ -351,3 +355,6 @@ func (rt *Runtime) Coverage() float64 {
 	}
 	return float64(full) / float64(total)
 }
+
+// Coverage returns the dynamic full-check coverage of rt alone.
+func (rt *Runtime) Coverage() float64 { return Coverage(rt) }

@@ -22,14 +22,14 @@ import (
 type knobField struct {
 	index int
 	name  string // Go field name
-	key   string // RunSpec key
+	key   string // runpack key
 	flag  string // the one flag RegisterFlags gives it
 }
 
 // knobFields walks rtlib.Knobs and pairs each field with the flag that
-// sets it and its RunSpec key, failing unless RegisterFlags gives every
+// sets it and its runpack key, failing unless RegisterFlags gives every
 // field exactly one flag and every flag exactly one field, and unless
-// every field has a RunSpec key: a knob replay does not restore has to
+// every field has a runpack key: a knob replay does not restore has to
 // be argued for here, not slipped in with a "-" tag.
 func knobFields(t *testing.T) []knobField {
 	t.Helper()
@@ -69,12 +69,49 @@ func knobFields(t *testing.T) []knobField {
 		}
 		key, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
 		if key == "" || key == "-" {
-			t.Fatalf("knob %s has no RunSpec key (json tag %q); every execution knob is replayed",
+			t.Fatalf("knob %s has no runpack key (json tag %q); every execution knob is replayed",
 				sf.Name, sf.Tag.Get("json"))
 		}
 		fields[i] = knobField{index: i, name: sf.Name, key: key, flag: flagsOf[i][0]}
 	}
 	return fields
+}
+
+// runKeys walks rtlib.RunConfig and returns the runpack keys of its
+// replayed fields, the embedded Knobs contributing theirs (see
+// knobFields). It fails on a field without an explicit JSON tag, and
+// unless the fields tagged "-" are exactly the host-side observers,
+// which never change what the guest sees: a run field that changes
+// guest behaviour needs a key, and leaving one out has to be argued for
+// here.
+func runKeys(t *testing.T) []string {
+	t.Helper()
+	var keys, hostOnly []string
+	typ := reflect.TypeOf(rtlib.RunConfig{})
+	for i := 0; i < typ.NumField(); i++ {
+		sf := typ.Field(i)
+		if sf.Anonymous && sf.Type == reflect.TypeOf(rtlib.Knobs{}) {
+			for _, f := range knobFields(t) {
+				keys = append(keys, f.key)
+			}
+			continue
+		}
+		tag, ok := sf.Tag.Lookup("json")
+		key, _, _ := strings.Cut(tag, ",")
+		switch {
+		case !ok || key == "":
+			t.Fatalf("RunConfig.%s has no explicit json tag: give it a runpack key, or \"-\" if it is host-only", sf.Name)
+		case key == "-":
+			hostOnly = append(hostOnly, sf.Name)
+		default:
+			keys = append(keys, key)
+		}
+	}
+	observers := []string{"TraceWriter", "TraceLimit", "Metrics", "IndirectHook", "Profiler", "Flight"}
+	if !reflect.DeepEqual(hostOnly, observers) {
+		t.Fatalf("RunConfig fields tagged \"-\" are %v, want exactly %v", hostOnly, observers)
+	}
+	return keys
 }
 
 // setAllKnobs sets every knob to a non-zero value: bools true, numbers
@@ -147,15 +184,18 @@ func tamperRecordedKnobs(t *testing.T, dir string) {
 	}
 }
 
-// TestRunSpecCoversEveryKnob holds the runpack contract to rtlib.Knobs
-// field by field, so a new knob is covered without editing this test:
-// exactly one rfvm flag sets it; it has a RunSpec key, round-trips
-// through a sealed RunSpec, and editing its key alone breaks the seal;
-// and the RunSpec bytes with every knob set match the golden file.
+// TestRunSpecCoversEveryKnob holds the runpack contract to rtlib.RunConfig
+// field by field, so a new run field or knob is covered without editing
+// this test: every field is either replayed (it has a runpack key) or
+// one of the named host-only observers; every knob is set by exactly one
+// rfvm flag, round-trips through a sealed manifest, and editing its key
+// alone breaks the seal; and the replay spec with every replayed field
+// set matches the golden file.
 func TestRunSpecCoversEveryKnob(t *testing.T) {
 	fields := knobFields(t)
-	spec := RunSpec{Input: []uint64{40, 2}, Hardened: true, Memcheck: true, Abort: true,
-		MaxCycles: 1_000_000, Forensics: true}
+	wantKeys := runKeys(t)
+	spec := rtlib.RunConfig{Input: []uint64{40, 2}, Hardened: true, Memcheck: true, Abort: true,
+		MaxCycles: 1_000_000, Forensics: true, RandomizeHeap: true}
 	setAllKnobs(t, &spec.Knobs)
 
 	golden, err := os.ReadFile(filepath.Join("testdata", "runspec.golden.json"))
@@ -167,7 +207,7 @@ func TestRunSpecCoversEveryKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, golden) {
-		t.Errorf("RunSpec JSON drifted from testdata/runspec.golden.json:\n%s", got)
+		t.Errorf("replay spec JSON drifted from testdata/runspec.golden.json:\n%s", got)
 	}
 
 	bin, err := juliet.CVECases()[0].Build()
@@ -179,13 +219,15 @@ func TestRunSpecCoversEveryKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "pack")
-	if err := PackRun(dir, []string{"prog.relf"}, binData, bin, spec,
-		&redfat.Result{}, nil, nil, nil); err != nil {
+	if err := PackRun(dir, []string{"prog.relf"}, binData, bin, spec, &redfat.Result{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	man, err := VerifyPath(dir)
 	if err != nil {
 		t.Fatalf("clean pack failed verify: %v", err)
+	}
+	if !reflect.DeepEqual(*man.Run, spec) {
+		t.Errorf("run spec did not round-trip: sealed %+v, read back %+v", spec, *man.Run)
 	}
 	manData, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -197,7 +239,6 @@ func TestRunSpecCoversEveryKnob(t *testing.T) {
 	if err := json.Unmarshal(manData, &raw); err != nil {
 		t.Fatal(err)
 	}
-	wantKeys := []string{"input", "hardened", "memcheck", "abort", "max_cycles", "forensics"}
 	sent, back := reflect.ValueOf(spec.Knobs), reflect.ValueOf(man.Run.Knobs)
 	for _, f := range fields {
 		t.Run(f.flag, func(t *testing.T) {
@@ -207,8 +248,9 @@ func TestRunSpecCoversEveryKnob(t *testing.T) {
 			}
 			tamperKnob(t, dir, f.key)
 		})
-		wantKeys = append(wantKeys, f.key)
 	}
+	// Every replayed key is omitempty, so a replayed field the spec
+	// above leaves zero shows up here as a missing key.
 	var gotKeys []string
 	for k := range raw.Run {
 		gotKeys = append(gotKeys, k)

@@ -9,11 +9,10 @@ import (
 
 	"redfat"
 	"redfat/internal/forensics"
-	"redfat/internal/obs"
 	"redfat/internal/profile"
 	core "redfat/internal/redfat"
 	"redfat/internal/relf"
-	"redfat/internal/telemetry"
+	"redfat/internal/rtlib"
 	"redfat/internal/vm"
 )
 
@@ -112,25 +111,11 @@ func reportsJSON(reps []*forensics.ErrorReport) ([]byte, error) {
 	return stableJSON(reps)
 }
 
-// KnobsFromOptions encodes a hardening configuration as a manifest
+// KnobsFromOptions records a hardening configuration as a manifest
 // KnobSpec, including the raw .rf.config bytes for exact replay.
 func KnobsFromOptions(opt redfat.Options) *KnobSpec {
-	return &KnobSpec{
-		LowFat:        opt.LowFat,
-		CheckReads:    opt.CheckReads,
-		SizeCheck:     opt.SizeCheck,
-		Elim:          opt.Elim,
-		Batch:         opt.Batch,
-		Merge:         opt.Merge,
-		ElimDom:       opt.ElimDom,
-		LocalLiveness: opt.LocalLiveness,
-		NoClobberSpec: opt.NoClobberSpec,
-		Profile:       opt.Profile,
-		MaxBatch:      opt.MaxBatch,
-		AllowList:     opt.AllowList != nil,
-		NoIndirect:    opt.NoIndirect,
-		ConfigHex:     hex.EncodeToString(core.EncodeConfig(opt)),
-	}
+	return &KnobSpec{Options: opt, AllowList: opt.AllowList != nil,
+		ConfigHex: hex.EncodeToString(core.EncodeConfig(opt))}
 }
 
 // KnobsFromBinary extracts the KnobSpec recorded in a hardened binary's
@@ -145,15 +130,13 @@ func KnobsFromBinary(bin *relf.Binary) (*KnobSpec, bool) {
 	if err != nil {
 		return nil, false
 	}
-	k := KnobsFromOptions(opt)
-	k.AllowList = hasAllow
-	k.ConfigHex = hex.EncodeToString(s.Data)
-	return k, true
+	return &KnobSpec{Options: opt, AllowList: hasAllow, ConfigHex: hex.EncodeToString(s.Data)}, true
 }
 
-// Options reconstructs the hardening configuration a rewrite pack
-// recorded (the allow-list itself, if any, is a separate member).
-func (k *KnobSpec) Options() (redfat.Options, error) {
+// Config decodes the hardening configuration from the recorded config
+// bytes, the form a rewrite pack replays (the allow-list itself, if any,
+// is a separate member).
+func (k *KnobSpec) Config() (redfat.Options, error) {
 	if k.ConfigHex == "" {
 		return redfat.Options{}, fmt.Errorf("runpack: knob spec has no config bytes")
 	}
@@ -192,21 +175,20 @@ func buildRewriteReport(rep *redfat.Report) *RewriteReport {
 }
 
 // PackRun writes a sealed run pack: the executed binary image (as loaded
-// from disk), the replay spec, the packed result, forensic reports when
-// the run collected them, and — when attached — the telemetry snapshot
-// and the flight-recorder dump. flight.json participates in the digest
-// chain like every member (tampering is detected), but replay does not
-// re-derive it: the flight ring is a host-side observability artifact,
-// and its knobs are deliberately absent from the RunSpec.
+// from disk), the run description cfg as the replay spec, the packed
+// result, forensic reports when the run collected them, and the
+// telemetry snapshot and flight-recorder dump of the observers cfg
+// attached. flight.json participates in the digest chain like every
+// member (tampering is detected), but replay does not re-derive it: the
+// flight ring is a host-side observability artifact, and the replay spec
+// records no observer.
 func PackRun(dir string, args []string, binData []byte, bin *relf.Binary,
-	spec RunSpec, res *redfat.Result, runErr error, metrics *telemetry.Registry,
-	flight *obs.FlightDump) error {
+	cfg rtlib.RunConfig, res *redfat.Result, runErr error) error {
 	b, err := NewBuilder(dir, KindRun, "rfvm", args)
 	if err != nil {
 		return err
 	}
-	sp := spec
-	b.SetRun(&sp)
+	b.SetRun(&cfg)
 	if k, ok := KnobsFromBinary(bin); ok {
 		b.SetKnobs(k)
 	}
@@ -216,18 +198,18 @@ func PackRun(dir string, args []string, binData []byte, bin *relf.Binary,
 		return err
 	}
 	b.AddBytes(MemberResult, resultData)
-	if spec.Forensics {
+	if cfg.Forensics {
 		repData, err := reportsJSON(res.Reports)
 		if err != nil {
 			return err
 		}
 		b.AddBytes(MemberReports, repData)
 	}
-	if metrics != nil {
-		b.AddJSON(MemberTelemetry, metrics.Snapshot())
+	if cfg.Metrics != nil {
+		b.AddJSON(MemberTelemetry, cfg.Metrics.Snapshot())
 	}
-	if flight != nil {
-		flightData, err := stableJSON(flight)
+	if cfg.Flight != nil {
+		flightData, err := stableJSON(cfg.Flight.Dump())
 		if err != nil {
 			return err
 		}
@@ -311,9 +293,9 @@ func Replay(p *Pack, man *Manifest) (*ReplayReport, error) {
 		Reason: fmt.Sprintf("replay is not supported for %q packs; use verify and rfbench -baseline", man.Kind)}
 }
 
-// replayRun re-executes the packed binary under the recorded spec and
-// compares result.json (cycles, detections, output, exit status) and
-// reports.json byte-for-byte.
+// replayRun re-executes the packed binary under the recorded run
+// description and compares result.json (cycles, detections, output,
+// exit status) and reports.json byte-for-byte.
 func replayRun(p *Pack, man *Manifest) (*ReplayReport, error) {
 	if man.Run == nil {
 		return nil, &VerifyError{Code: ExitBadSchema,
@@ -327,16 +309,7 @@ func replayRun(p *Pack, man *Manifest) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := man.Run
-	res, runErr := redfat.Run(bin, redfat.RunOptions{
-		Input:        spec.Input,
-		Hardened:     spec.Hardened,
-		Memcheck:     spec.Memcheck,
-		AbortOnError: spec.Abort,
-		MaxCycles:    spec.MaxCycles,
-		Forensics:    spec.Forensics,
-		Knobs:        spec.Knobs,
-	})
+	res, runErr := redfat.Run(bin, *man.Run)
 	if res == nil {
 		return nil, runErr
 	}
@@ -348,7 +321,7 @@ func replayRun(p *Pack, man *Manifest) (*ReplayReport, error) {
 	if err := rep.compare(p, MemberResult, fresh); err != nil {
 		return nil, err
 	}
-	if spec.Forensics {
+	if man.Run.Forensics {
 		freshReports, err := reportsJSON(res.Reports)
 		if err != nil {
 			return nil, err
@@ -385,7 +358,7 @@ func replayRewrite(p *Pack, man *Manifest) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := man.Knobs.Options()
+	opt, err := man.Knobs.Config()
 	if err != nil {
 		return nil, err
 	}

@@ -43,6 +43,7 @@ import (
 	"runtime/debug"
 	"strings"
 
+	"redfat"
 	"redfat/internal/rtlib"
 )
 
@@ -80,53 +81,29 @@ type Member struct {
 	SHA256 string `json:"sha256"`
 }
 
-// RunSpec records everything replay needs to re-execute a run pack's
-// binary deterministically: the run itself and every execution knob,
-// declared once in rtlib.Knobs. Host-side observers (telemetry, the
-// flight recorder, profilers) are not knobs and are not recorded.
-type RunSpec struct {
-	Input     []uint64 `json:"input,omitempty"`
-	Hardened  bool     `json:"hardened,omitempty"`
-	Memcheck  bool     `json:"memcheck,omitempty"`
-	Abort     bool     `json:"abort,omitempty"`
-	MaxCycles uint64   `json:"max_cycles,omitempty"`
-	Forensics bool     `json:"forensics,omitempty"`
-	rtlib.Knobs
-}
-
-// KnobSpec is the decoded .rf.config hardening configuration: which
-// checks the binary carries and which optimizations shaped them. For
-// rewrite packs it is the configuration to replay; for run packs it is
-// provenance extracted from the executed binary.
+// KnobSpec is the hardening record: the .rf.config configuration the
+// binary carries (which checks, which optimizations shaped them),
+// whether an allow-list gated it, and the raw config bytes replay
+// decodes. For rewrite packs it is the configuration to replay; for run
+// packs it is provenance extracted from the executed binary.
 type KnobSpec struct {
-	LowFat        bool   `json:"lowfat"`
-	CheckReads    bool   `json:"check_reads"`
-	SizeCheck     bool   `json:"size_check"`
-	Elim          bool   `json:"elim"`
-	Batch         bool   `json:"batch"`
-	Merge         bool   `json:"merge"`
-	ElimDom       bool   `json:"elim_dom"`
-	LocalLiveness bool   `json:"local_liveness,omitempty"`
-	NoClobberSpec bool   `json:"no_clobber_spec,omitempty"`
-	Profile       bool   `json:"profile,omitempty"`
-	MaxBatch      int    `json:"max_batch"`
-	AllowList     bool   `json:"allow_list,omitempty"`
-	NoIndirect    bool   `json:"no_indirect,omitempty"`
-	ConfigHex     string `json:"config_hex,omitempty"` // raw .rf.config bytes
+	redfat.Options
+	AllowList bool   `json:"allow_list,omitempty"`
+	ConfigHex string `json:"config_hex,omitempty"` // raw .rf.config bytes
 }
 
 // Manifest is the signed description of a pack.
 type Manifest struct {
-	SchemaVersion int       `json:"schema_version"`
-	Kind          string    `json:"kind"`
-	Tool          string    `json:"tool"`
-	ToolVersion   string    `json:"tool_version"`
-	GitRev        string    `json:"git_rev,omitempty"`
-	Args          []string  `json:"args,omitempty"`
-	Run           *RunSpec  `json:"run,omitempty"`
-	Knobs         *KnobSpec `json:"knobs,omitempty"`
-	Members       []Member  `json:"members"`
-	ChainDigest   string    `json:"chain_digest"`
+	SchemaVersion int              `json:"schema_version"`
+	Kind          string           `json:"kind"`
+	Tool          string           `json:"tool"`
+	ToolVersion   string           `json:"tool_version"`
+	GitRev        string           `json:"git_rev,omitempty"`
+	Args          []string         `json:"args,omitempty"`
+	Run           *rtlib.RunConfig `json:"run,omitempty"` // run packs: the replay spec
+	Knobs         *KnobSpec        `json:"knobs,omitempty"`
+	Members       []Member         `json:"members"`
+	ChainDigest   string           `json:"chain_digest"`
 }
 
 // GitRev best-effort reads the VCS revision stamped into the running
@@ -177,7 +154,7 @@ func NewBuilder(dir, kind, tool string, args []string) (*Builder, error) {
 }
 
 // SetRun attaches the replay specification (run packs).
-func (b *Builder) SetRun(spec *RunSpec) { b.man.Run = spec }
+func (b *Builder) SetRun(cfg *rtlib.RunConfig) { b.man.Run = cfg }
 
 // SetKnobs attaches the hardening configuration.
 func (b *Builder) SetKnobs(k *KnobSpec) { b.man.Knobs = k }

@@ -36,11 +36,9 @@ func makeRunPack(t *testing.T) (dir string, res *redfat.Result, runErr error) {
 	t.Helper()
 	c := juliet.CVECases()[0]
 	_, hard, _ := hardenCase(t, c, redfat.Defaults())
-	spec := RunSpec{Input: juliet.Trigger(c), Hardened: true, Forensics: true}
-	flight := redfat.NewFlight(0)
-	res, runErr = redfat.Run(hard, redfat.RunOptions{
-		Input: spec.Input, Hardened: true, Forensics: true, Flight: flight,
-	})
+	cfg := rtlib.RunConfig{Input: juliet.Trigger(c), Hardened: true, Forensics: true,
+		Flight: redfat.NewFlight(0)}
+	res, runErr = redfat.Run(hard, cfg)
 	if res == nil {
 		t.Fatalf("run produced no result: %v", runErr)
 	}
@@ -52,7 +50,7 @@ func makeRunPack(t *testing.T) (dir string, res *redfat.Result, runErr error) {
 		t.Fatal(err)
 	}
 	dir = filepath.Join(t.TempDir(), "pack")
-	if err := PackRun(dir, []string{"-hardened", "prog.relf"}, hardData, hard, spec, res, runErr, nil, flight.Dump()); err != nil {
+	if err := PackRun(dir, []string{"-hardened", "prog.relf"}, hardData, hard, cfg, res, runErr); err != nil {
 		t.Fatal(err)
 	}
 	return dir, res, runErr
@@ -103,12 +101,9 @@ func TestRunPackVerifiesAndReplaysByteIdentical(t *testing.T) {
 func TestRunSpecRecordsJITConfig(t *testing.T) {
 	c := juliet.CVECases()[0]
 	_, hard, _ := hardenCase(t, c, redfat.Defaults())
-	spec := RunSpec{Input: juliet.Trigger(c), Hardened: true, Forensics: true,
+	cfg := rtlib.RunConfig{Input: juliet.Trigger(c), Hardened: true, Forensics: true,
 		Knobs: rtlib.Knobs{JITThreshold: 2}}
-	res, runErr := redfat.Run(hard, redfat.RunOptions{
-		Input: spec.Input, Hardened: true, Forensics: true,
-		Knobs: redfat.Knobs{NoJIT: spec.NoJIT, JITThreshold: spec.JITThreshold},
-	})
+	res, runErr := redfat.Run(hard, cfg)
 	if res == nil {
 		t.Fatalf("run produced no result: %v", runErr)
 	}
@@ -118,7 +113,7 @@ func TestRunSpecRecordsJITConfig(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "pack")
 	if err := PackRun(dir, []string{"-hardened", "-jit-threshold", "2", "prog.relf"},
-		hardData, hard, spec, res, runErr, nil, nil); err != nil {
+		hardData, hard, cfg, res, runErr); err != nil {
 		t.Fatal(err)
 	}
 	man, err := VerifyPath(dir)
@@ -151,13 +146,9 @@ func TestRunSpecRecordsJITConfig(t *testing.T) {
 func TestRunSpecRecordsLibcAndAllocatorModes(t *testing.T) {
 	c := juliet.LibcCases()[0] // OOB through memcpy: only the span check sees it
 	_, hard, _ := hardenCase(t, c, redfat.Defaults())
-	spec := RunSpec{Input: juliet.Trigger(c), Hardened: true,
+	cfg := rtlib.RunConfig{Input: juliet.Trigger(c), Hardened: true,
 		Knobs: rtlib.Knobs{QuarantineBytes: 4096, Canary: true, UnderAllocEvery: 64}}
-	res, runErr := redfat.Run(hard, redfat.RunOptions{
-		Input: spec.Input, Hardened: true,
-		Knobs: redfat.Knobs{QuarantineBytes: spec.QuarantineBytes, Canary: spec.Canary,
-			UnderAllocEvery: spec.UnderAllocEvery},
-	})
+	res, runErr := redfat.Run(hard, cfg)
 	if res == nil {
 		t.Fatalf("run produced no result: %v", runErr)
 	}
@@ -170,7 +161,7 @@ func TestRunSpecRecordsLibcAndAllocatorModes(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "pack")
 	if err := PackRun(dir, []string{"-hardened", "-canary", "prog.relf"},
-		hardData, hard, spec, res, runErr, nil, nil); err != nil {
+		hardData, hard, cfg, res, runErr); err != nil {
 		t.Fatal(err)
 	}
 	man, err := VerifyPath(dir)
@@ -203,10 +194,8 @@ func TestRunSpecRecordsLibcAndAllocatorModes(t *testing.T) {
 func TestRunSpecNoLibcCheckIdentity(t *testing.T) {
 	c := juliet.LibcCases()[0]
 	_, hard, _ := hardenCase(t, c, redfat.Defaults())
-	spec := RunSpec{Input: juliet.Trigger(c), Hardened: true, Knobs: rtlib.Knobs{NoLibcCheck: true}}
-	res, runErr := redfat.Run(hard, redfat.RunOptions{
-		Input: spec.Input, Hardened: true, Knobs: redfat.Knobs{NoLibcCheck: true},
-	})
+	cfg := rtlib.RunConfig{Input: juliet.Trigger(c), Hardened: true, Knobs: rtlib.Knobs{NoLibcCheck: true}}
+	res, runErr := redfat.Run(hard, cfg)
 	if res == nil {
 		t.Fatalf("run produced no result: %v", runErr)
 	}
@@ -219,7 +208,7 @@ func TestRunSpecNoLibcCheckIdentity(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "pack")
 	if err := PackRun(dir, []string{"-hardened", "-nolibccheck", "prog.relf"},
-		hardData, hard, spec, res, runErr, nil, nil); err != nil {
+		hardData, hard, cfg, res, runErr); err != nil {
 		t.Fatal(err)
 	}
 	man, err := VerifyPath(dir)
@@ -239,6 +228,108 @@ func TestRunSpecNoLibcCheckIdentity(t *testing.T) {
 	}
 	if !rep.Identical() {
 		t.Fatalf("replay diverged in %v", rep.Mismatched)
+	}
+}
+
+// heapReuseSrc allocates eight 24-byte objects, frees them in order and
+// returns how far the next 24-byte allocation lands from the first one.
+// With the quarantine off the freed slots are reused at once: LIFO by
+// default, a random pick under heap randomization.
+const heapReuseSrc = `
+.data
+ptrs:
+.zero 64
+.text
+.func main
+    mov $0, %r12
+alloc:
+    mov $24, %rdi
+    call @malloc
+    mov $ptrs, %rbx
+    mov %rax, (%rbx,%r12,8)
+    add $1, %r12
+    cmp $8, %r12
+    jl alloc
+    mov $0, %r12
+release:
+    mov $ptrs, %rbx
+    mov (%rbx,%r12,8), %rdi
+    call @free
+    add $1, %r12
+    cmp $8, %r12
+    jl release
+    mov $24, %rdi
+    call @malloc
+    mov $ptrs, %rbx
+    sub (%rbx), %rax
+    ret
+`
+
+// TestRunSpecRecordsRandomizedHeap packs a run whose result depends on
+// heap randomization: the manifest must record randomize_heap, the pack
+// must replay byte-identically, and its result must differ from the same
+// run without randomization (so replay cannot pass by ignoring the
+// field).
+func TestRunSpecRecordsRandomizedHeap(t *testing.T) {
+	bin, err := redfat.Assemble(heapReuseSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard, _, err := redfat.Harden(bin, redfat.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hardData, err := hard.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack := func(randomize bool) string {
+		t.Helper()
+		cfg := rtlib.RunConfig{Hardened: true, RandomizeHeap: randomize,
+			Knobs: rtlib.Knobs{QuarantineBytes: -1}}
+		res, runErr := redfat.Run(hard, cfg)
+		if runErr != nil {
+			t.Fatalf("run (randomize=%v): %v", randomize, runErr)
+		}
+		dir := filepath.Join(t.TempDir(), "pack")
+		if err := PackRun(dir, []string{"-hardened", "prog.relf"}, hardData, hard, cfg, res, nil); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	dir := pack(true)
+	manData, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(manData, []byte(`"randomize_heap": true`)) {
+		t.Fatalf("manifest does not record randomize_heap:\n%s", manData)
+	}
+	p, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := Verify(p)
+	if err != nil {
+		t.Fatalf("clean pack failed verify: %v", err)
+	}
+	rep, err := Replay(p, man)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !rep.Identical() {
+		t.Fatalf("replay diverged in %v", rep.Mismatched)
+	}
+	randomized, err := os.ReadFile(filepath.Join(dir, MemberResult))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := os.ReadFile(filepath.Join(pack(false), MemberResult))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(randomized, plain) {
+		t.Fatalf("heap randomization did not change the result; the test cannot tell a replay that drops it:\n%s", plain)
 	}
 }
 
@@ -420,7 +511,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 
 // TestFlightIsHostOnly pins the observability knobs outside the replay
 // contract: flight.json is sealed in the pack (the tamper matrix covers
-// it) but the RunSpec carries no flight or listen field, so replay —
+// it) but the replay spec carries no flight or listen field, so replay —
 // which runs without any recorder or server attached — still reproduces
 // the packed result byte-for-byte and never re-derives the flight dump.
 func TestFlightIsHostOnly(t *testing.T) {

@@ -267,11 +267,11 @@ type VM struct {
 	// patch tactic). Loaded from the binary's .rf.patch section.
 	PatchTable map[uint64]uint64
 
-	// AbortOnError makes detected memory errors terminate execution
+	// Abort makes detected memory errors terminate execution
 	// (hardening mode); otherwise they are recorded and execution
 	// continues (profiling / bug-finding mode).
-	AbortOnError bool
-	Errors       []MemError
+	Abort  bool
+	Errors []MemError
 
 	// ErrorStackDepth, when positive, makes Report capture a guest
 	// backtrace of up to that many frames into MemError.Stack. Capture is
@@ -313,7 +313,7 @@ type VM struct {
 	// whose target byte is not an LPAD instruction faults. Set by the
 	// runtime layer when the binary opted in (it carries a .rf.jt
 	// section); this is guest-visible binary semantics, not an ablation
-	// knob, so it is never toggled by -noindirect.
+	// knob.
 	LPADCheck bool
 
 	// IndirectTargets, when set by the runtime layer, maps each
@@ -505,7 +505,7 @@ func (v *VM) Load(bin *relf.Binary, env Bindings) error {
 	return nil
 }
 
-// Report records a detected memory error, honouring AbortOnError. When
+// Report records a detected memory error, honouring Abort. When
 // ErrorStackDepth is set and the reporter did not capture a stack itself,
 // the guest backtrace at the point of detection is attached.
 func (v *VM) Report(e MemError) error {
@@ -517,7 +517,7 @@ func (v *VM) Report(e MemError) error {
 	if v.tel != nil {
 		v.tel.memErrors.Inc()
 	}
-	if v.AbortOnError {
+	if v.Abort {
 		v.Halted = true
 		cp := e
 		return &cp

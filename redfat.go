@@ -284,76 +284,20 @@ func ProfileAndHarden(bin *Binary, testSuite [][]uint64, opt Options) (*Binary, 
 }
 
 // Knobs declares the execution knobs once (see rtlib.Knobs): RunOptions
-// embeds it, runpack RunSpecs record it, and Knobs.RegisterFlags gives
-// each its rfvm flag.
+// embeds it, a runpack replays it, and Knobs.RegisterFlags gives each
+// its rfvm flag.
 type Knobs = rtlib.Knobs
 
-// RunOptions configures an execution.
-type RunOptions struct {
-	// Input is the program's input vector (consumed by rf_input).
-	Input []uint64
-	// MaxCycles bounds execution (0 = a large default).
-	MaxCycles uint64
-	// Hardened selects the RedFat runtime: the low-fat/redzone allocator
-	// and the check routine (required for binaries produced by Harden).
-	Hardened bool
-	// Memcheck runs the binary under the Valgrind-Memcheck model
-	// instead (redzone-only DBI; for comparisons).
-	Memcheck bool
-	// AbortOnError stops at the first detected memory error (hardening
-	// deployments); otherwise errors are recorded and execution
-	// continues (testing/profiling).
-	AbortOnError bool
-	// Knobs are the execution knobs: the superblock tier, the
-	// recovered-edge monitor, libc checking, the allocator modes of the
-	// RedFat heap (Hardened runs only) and the host-only dispatch
-	// ablations.
-	Knobs
-	// RandomizeHeap enables low-fat allocator placement randomization.
-	RandomizeHeap bool
-	// Trace, when set, receives an execution trace (one disassembled
-	// instruction per line), capped at TraceLimit lines (0 = 10000).
-	Trace      io.Writer
-	TraceLimit int
-	// Metrics, when set, collects counters/gauges/histograms from every
-	// instrumented layer. Telemetry is host-side only and never perturbs
-	// guest cycle accounting.
-	Metrics *Metrics
-	// Forensics enables allocation-site tracking (guest backtraces per
-	// malloc/free) and error backtrace capture, and fills Result.Reports
-	// with fully resolved error reports. Host-side only: guest cycle
-	// counts are bit-identical with it on or off.
-	Forensics bool
-	// ForensicsDepth bounds the captured backtraces (0 = default 8).
-	ForensicsDepth int
-	// Profiler, when set, samples guest execution by cycle budget from
-	// the VM dispatch loop. Host-side only.
-	Profiler *GuestProfiler
-	// Flight, when set, is the flight recorder fed by the VM, guest
-	// memory, the allocator and the check runtime. At default grain it
-	// never changes which execution tier runs; execution grain pins the
-	// run to the interpreter. Its ring content is deterministic in guest
-	// cycles. Host-side only.
-	Flight *Flight
-}
-
-// config is the runtime configuration of opt.
-func (opt *RunOptions) config() rtlib.RunConfig {
-	return rtlib.RunConfig{
-		Input:          opt.Input,
-		MaxCycles:      opt.MaxCycles,
-		Abort:          opt.AbortOnError,
-		Knobs:          opt.Knobs,
-		RandomizeHeap:  opt.RandomizeHeap,
-		TraceWriter:    opt.Trace,
-		TraceLimit:     opt.TraceLimit,
-		Metrics:        opt.Metrics,
-		Forensics:      opt.Forensics,
-		ForensicsDepth: opt.ForensicsDepth,
-		Profiler:       opt.Profiler,
-		Flight:         opt.Flight,
-	}
-}
+// RunOptions describes an execution: the runtime model (Hardened for the
+// RedFat runtime, required for binaries produced by Harden; Memcheck for
+// the Valgrind-Memcheck model; neither for the glibc baseline), the
+// Input, Abort (stop at the first detected memory error), the MaxCycles
+// budget, Forensics (fills Result.Reports), the execution Knobs and
+// RandomizeHeap, plus the host-side observers TraceWriter/TraceLimit,
+// Metrics, Profiler, Flight and IndirectHook. It is rtlib.RunConfig,
+// whose fields carry the full documentation, and a runpack records it
+// as the replay spec.
+type RunOptions = rtlib.RunConfig
 
 // CheckStat reports one instrumentation site's runtime behaviour.
 type CheckStat struct {
@@ -373,7 +317,7 @@ type Result struct {
 	Insts    uint64
 	Output   []byte
 	// Errors are the detected memory errors (also returned as the run
-	// error when AbortOnError is set).
+	// error when Abort is set).
 	Errors []MemError
 	// Coverage is the fraction of executed checks running in full
 	// (Redzone)+(LowFat) mode; only set for hardened runs.
@@ -397,19 +341,19 @@ func Run(bin *Binary, opt RunOptions) (*Result, error) {
 		rt  *rtlib.Runtime
 		err error
 	)
-	switch cfg := opt.config(); {
+	switch {
 	case opt.Memcheck && opt.Hardened:
 		return nil, fmt.Errorf("redfat: Memcheck and Hardened are mutually exclusive")
 	case opt.Memcheck:
-		v, err = memcheck.Run(bin, cfg)
+		v, err = memcheck.Run(bin, opt)
 	case opt.Hardened:
-		v, rt, err = rtlib.RunHardened(bin, cfg)
+		v, rt, err = rtlib.RunHardened(bin, opt)
 	default:
-		v, err = rtlib.RunBaseline(bin, cfg)
+		v, err = rtlib.RunBaseline(bin, opt)
 	}
 	res := newResult(v, &opt, bin)
 	if rt != nil {
-		res.Coverage = rt.Coverage()
+		res.Coverage = rtlib.Coverage(rt)
 		rt.PublishSiteStats(opt.Metrics)
 		for i := range rt.Checks {
 			c := &rt.Checks[i]
@@ -439,23 +383,11 @@ func RunLinked(main *Binary, libs []*Binary, opt RunOptions) (*Result, error) {
 	if opt.Memcheck {
 		return nil, fmt.Errorf("redfat: Memcheck does not support linked programs")
 	}
-	v, rts, err := rtlib.RunLinked(main, libs, opt.config())
+	v, rts, err := rtlib.RunLinked(main, libs, opt)
 	res := newResult(v, &opt, append([]*Binary{main}, libs...)...)
-	var full, total int
+	res.Coverage = rtlib.Coverage(rts...)
 	for _, rt := range rts {
 		rt.PublishSiteStats(opt.Metrics)
-		for i := range rt.Checks {
-			if rt.Stats[i].Execs == 0 {
-				continue
-			}
-			total += int(rt.Checks[i].Merged)
-			if rt.Checks[i].Mode.String() == "full" {
-				full += int(rt.Checks[i].Merged)
-			}
-		}
-	}
-	if total > 0 {
-		res.Coverage = float64(full) / float64(total)
 	}
 	return res, err
 }

@@ -41,13 +41,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Benign input passes, attack is caught.
 	res, err = redfat.Run(hard, redfat.RunOptions{
-		Input: []uint64{2}, Hardened: true, AbortOnError: true,
+		Input: []uint64{2}, Hardened: true, Abort: true,
 	})
 	if err != nil || len(res.Errors) != 0 {
 		t.Fatalf("benign hardened run: %v %v", err, res.Errors)
 	}
 	_, err = redfat.Run(hard, redfat.RunOptions{
-		Input: []uint64{5}, Hardened: true, AbortOnError: true,
+		Input: []uint64{5}, Hardened: true, Abort: true,
 	})
 	if _, ok := err.(*redfat.MemError); !ok {
 		t.Fatalf("attack not detected: %v", err)
@@ -98,7 +98,7 @@ func TestProfileAndHardenAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := redfat.Run(hard, redfat.RunOptions{
-		Input: []uint64{70}, Hardened: true, AbortOnError: true,
+		Input: []uint64{70}, Hardened: true, Abort: true,
 	})
 	if err != nil || len(res.Errors) != 0 {
 		t.Fatalf("false positive after profiling: %v %v", err, res.Errors)
@@ -164,7 +164,7 @@ func TestRunLinkedAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := redfat.RunLinked(hardMain, []*redfat.Binary{hardLib},
-		redfat.RunOptions{Hardened: true, AbortOnError: true})
+		redfat.RunOptions{Hardened: true, Abort: true})
 	if err != nil || res.ExitCode != 55 {
 		t.Fatalf("linked run: exit=%d err=%v", res.ExitCode, err)
 	}
