@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet perfbench-vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
+.PHONY: check fmt vet perfbench-vet rfvet build test race fuzz perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
 
 # check is the tier-1 gate: formatting, static analysis (go vet of this
 # module and of the perfbench module, plus the repo-specific rfvet
@@ -42,8 +42,24 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# fuzz runs every native Go fuzz target (a func Fuzz* in a _test.go file
+# of this module) for 30 s each, one target per `go test -fuzz` call, as
+# the go command requires. A crasher lands in the package's
+# testdata/fuzz/<target>/ directory; committed there, it runs as a seed
+# in `go test ./...` (tier-1) from then on. Minimizing an input is
+# quadratic in its length, so it is capped at 5 s (the default 60 s can
+# stall a whole campaign on one new-coverage input). Campaigns are
+# time-boxed but not deterministic, so fuzz is not part of check.
+fuzz:
+	@set -e; for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go 2>/dev/null); do \
+			echo "fuzz: $$t in $$dir"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 30s -fuzzminimizetime 5s "$$dir"; \
+		done; \
+	done
+
 # perf-smoke runs the host fast-path guards in isolation: the
-# software-TLB access path must not be slower than the raw page-map walk,
+# software-TLB access path must not be slower than the raw page-table walk,
 # the superblock tier must beat the block interpreter by ≥20%, and the
 # always-on flight recorder must stay within 3% of a bare hot loop
 # (relative wall-clock comparisons with retries), and the span-checked

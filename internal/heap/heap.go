@@ -154,8 +154,13 @@ func chunkSize(size uint64) uint64 {
 	return c
 }
 
-// Malloc allocates size bytes, 16-byte aligned.
+// Malloc allocates size bytes, 16-byte aligned. A request larger than the
+// arena fails with an out-of-memory error before chunkSize rounds it (the
+// rounding would wrap near 2^64).
 func (h *Heap) Malloc(size uint64) (uint64, error) {
+	if size > ArenaEnd-ArenaBase-headerSize {
+		return 0, fmt.Errorf("heap: out of memory: malloc(%d) exceeds the arena", size)
+	}
 	c := chunkSize(size)
 	if lst := h.bins[c]; len(lst) > 0 {
 		chunk := lst[len(lst)-1]

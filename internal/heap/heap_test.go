@@ -1,8 +1,10 @@
 package heap
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"redfat/internal/lowfat"
 	"redfat/internal/mem"
@@ -143,5 +145,35 @@ func TestStressNoOverlap(t *testing.T) {
 	allocs, frees, errs := h.Stats()
 	if allocs == 0 || frees == 0 || errs != 0 {
 		t.Errorf("stats: %d %d %d", allocs, frees, errs)
+	}
+}
+
+// TestMallocHugeFails pins the out-of-memory path: a request the arena
+// can never hold fails with an error. Sizes above 2^63 used to wrap
+// chunkSize's doubling to 0 and spin forever, so the calls run under a
+// bounded wait. The largest request that fits still succeeds.
+func TestMallocHugeFails(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		h := New(mem.New())
+		for _, size := range []uint64{1<<63 + 1, ^uint64(0), ^uint64(0) - headerSize + 1, ArenaEnd - ArenaBase} {
+			if p, err := h.Malloc(size); err == nil {
+				done <- fmt.Errorf("Malloc(%#x) = %#x, want an out-of-memory error", size, p)
+				return
+			}
+		}
+		if _, err := h.Malloc(ArenaEnd - ArenaBase - headerSize); err != nil {
+			done <- fmt.Errorf("Malloc of the whole arena: %v", err)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Malloc of a huge size did not return")
 	}
 }

@@ -1,6 +1,7 @@
 package juliet_test
 
 import (
+	"runtime"
 	"testing"
 
 	"redfat/internal/juliet"
@@ -110,6 +111,56 @@ func TestGoodVariantsClean(t *testing.T) {
 		})
 		if err != nil || len(v.Errors) != 0 {
 			t.Errorf("%s (good): false alarm: %v %v", c.ID, err, v.Errors)
+		}
+	}
+}
+
+// TestRunSetupAllocBudget guards a run's host set-up cost: the baseline,
+// hardened and Memcheck runs of one Juliet good variant (about 20 guest
+// instructions each) must each allocate at most 128 KiB of Go memory per
+// run, averaged over 50 runs. Guest memory is paid for per page touched
+// (page tables, growing frame slabs and code-page lines), so a short run
+// costs tens of KiB even though it maps an 8 MiB stack. The measure is
+// runtime.MemStats.TotalAlloc, which is deterministic enough for tier-1,
+// unlike wall time.
+func TestRunSetupAllocBudget(t *testing.T) {
+	const runs, budget = 50, 128 << 10
+	c := juliet.JulietCases()[0]
+	bin, err := c.BuildGood()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard, _, err := redfat.Harden(bin, redfat.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := rtlib.RunConfig{Input: juliet.GoodInput(c), Abort: true}
+	for _, r := range []struct {
+		name string
+		run  func() (*vm.VM, error)
+	}{
+		{"baseline", func() (*vm.VM, error) { return rtlib.RunBaseline(bin, cfg) }},
+		{"hardened", func() (*vm.VM, error) {
+			v, _, err := rtlib.RunHardened(hard, cfg)
+			return v, err
+		}},
+		{"memcheck", func() (*vm.VM, error) { return memcheck.Run(bin, cfg) }},
+	} {
+		if _, err := r.run(); err != nil { // warm up package-level state
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := r.run(); err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d KiB per run", r.name, perRun>>10)
+		if perRun > budget {
+			t.Errorf("%s run allocates %d KiB, budget %d KiB", r.name, perRun>>10, budget>>10)
 		}
 	}
 }

@@ -317,8 +317,10 @@ func (a *Allocator) Alloc(size uint64) (uint64, error) {
 }
 
 func (a *Allocator) allocLegacy(size uint64) (uint64, error) {
+	// A request larger than the whole region can never fit. Testing that
+	// first keeps the bound from seeing a page rounding that wrapped.
 	mapped := (size + pageAlign) &^ uint64(pageAlign)
-	if a.legacy.next+mapped > a.legacy.end {
+	if size > RegionSize || a.legacy.next+mapped > a.legacy.end {
 		return 0, fmt.Errorf("lowfat: legacy region exhausted")
 	}
 	ptr := a.legacy.next

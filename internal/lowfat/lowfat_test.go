@@ -348,3 +348,18 @@ func BenchmarkBase(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestLegacyHugeFails: an oversized request near 2^64 fails with an
+// error. Page rounding used to wrap such a size to no pages at all and
+// return an unmapped pointer.
+func TestLegacyHugeFails(t *testing.T) {
+	a := New(mem.New())
+	for _, size := range []uint64{^uint64(0) - 100, ^uint64(0), RegionSize + 1} {
+		if p, err := a.Alloc(size); err == nil {
+			t.Errorf("Alloc(%#x) = %#x, want an error", size, p)
+		}
+	}
+	if a.Stats().Allocs != 0 {
+		t.Errorf("Allocs = %d after failed requests", a.Stats().Allocs)
+	}
+}

@@ -1,11 +1,25 @@
 // Package mem implements the sparse paged virtual memory used by the RF64
 // virtual machine.
 //
-// The address space is the full 64-bit range, backed lazily by 4 KiB page
-// frames allocated on Map. This is what lets the low-fat allocator (package
-// lowfat) reserve many 32 GB virtual regions (paper Fig. 2) without
-// committing physical memory — exactly the virtual-address-space trick the
-// LowFat allocator plays on Linux with mmap(PROT_NONE) reservations.
+// The address space is the full 64-bit range. This is what lets the
+// low-fat allocator (package lowfat) reserve many 32 GB virtual regions
+// (paper Fig. 2) without committing physical memory — exactly the
+// virtual-address-space trick the LowFat allocator plays on Linux with
+// mmap(PROT_NONE) reservations.
+//
+// # Page tables and frames
+//
+// A run pays for the guest memory it touches, not for what it maps. The
+// address space is a directory of page tables, each covering 512 pages
+// (2 MiB). A table holds one pointer-free permission byte per page, so
+// mapping a range (an 8 MiB stack, a 64 KiB heap extension) only writes
+// those bytes. The table's array of frame pointers is allocated when one
+// of its pages is first written, and the 4 KiB frame itself is carved out
+// of a slab at that moment. Slabs grow geometrically (4, 8, … up to 256
+// frames), so a short run allocates a few frames rather than a whole MiB.
+// A mapped page that was never written reads as zero: reads and fetches
+// are served from one shared zero frame. Frames are never recycled: Unmap
+// drops the page's frame, so every frame handed out is demand-zero.
 //
 // All simulated program memory lives in these explicitly managed frames, so
 // the Go garbage collector never interacts with simulated pointers.
@@ -14,16 +28,16 @@
 //
 // Every guest memory access resolves its page through a direct-mapped
 // software TLB (the classic binary-translation fast path), not through the
-// Go page map. The TLB has TLBSize entries per access kind, with separate
+// page tables. The TLB has TLBSize entries per access kind, with separate
 // read/write/exec ways: an entry is only ever installed in a way whose
 // permission the page actually grants, so the permission check is folded
 // into the tag match and the hot path is one compare plus one indexed load
 // — no branch on perm. Map/Unmap/Protect invalidate precisely (by page
 // index when the affected range is small, full flush otherwise), so a TLB
-// hit is always coherent with the page map.
+// hit is always coherent with the page tables.
 //
 // The TLB is a host-side cache only: hit or miss, every access faults at
-// the same address with the same verdict as a page-map walk, so guest
+// the same address with the same verdict as a page-table walk, so guest
 // behaviour is bit-identical with the TLB disabled (NoTLB).
 package mem
 
@@ -104,14 +118,25 @@ type page struct {
 	data [PageSize]byte
 }
 
-// pte maps one guest page: its permissions plus the backing frame. frame
-// is nil until the first write materializes it, so mapping a large range
-// allocates (and zeroes) nothing; reads and fetches of an unmaterialized
-// page are served from the shared zeroFrame. Guest-visible behaviour is
-// unchanged — pages are demand-zero either way.
-type pte struct {
-	frame *page
-	perm  Perm
+// Page-table geometry: a table covers tablePages pages (2 MiB).
+const (
+	tableShift = 9
+	tablePages = 1 << tableShift
+	tableMask  = tablePages - 1
+)
+
+// pageMapped marks a page as mapped in its table's permission byte, next
+// to the Perm bits, so a page mapped with no permissions stays mapped.
+const pageMapped Perm = 1 << 7
+
+// pageTable maps one 2 MiB-aligned run of pages. perm is pointer-free, so
+// mapping costs the garbage collector nothing. frames is nil until one of
+// the table's pages is first written, and a frame is nil until its page
+// is first written; reads and fetches of an unwritten page are served
+// from the shared zeroFrame, so pages are demand-zero.
+type pageTable struct {
+	perm   [tablePages]Perm // pageMapped | permissions, 0 when unmapped
+	frames *[tablePages]*page
 }
 
 // zeroFrame backs every mapped-but-never-written page. It is shared
@@ -145,7 +170,12 @@ func (s TLBStats) HitRate() float64 {
 // Memory is a sparse paged address space. The zero value is not ready for
 // use; call New.
 type Memory struct {
-	pages map[uint64]pte
+	// tables is the page-table directory, keyed by page index >>
+	// tableShift. Tables are never removed, so the one-entry cache
+	// (lastIdx, last) of the most recently walked table stays valid.
+	tables  map[uint64]*pageTable
+	lastIdx uint64
+	last    *pageTable
 
 	// The software TLB: direct-mapped, one way per access kind.
 	tlbRead  [TLBSize]tlbEntry
@@ -153,7 +183,7 @@ type Memory struct {
 	tlbExec  [TLBSize]tlbEntry
 
 	// NoTLB disables TLB fills (every probe misses and walks the page
-	// map). It is the reference path the TLB tests and the cache-free
+	// tables). It is the reference path the TLB tests and the cache-free
 	// dispatch identity row compare against, not a run knob. Set it
 	// before the first access; guest-visible behaviour is identical
 	// either way.
@@ -171,23 +201,30 @@ type Memory struct {
 	mapped uint64 // number of mapped pages, for accounting
 
 	// slab is the bump allocator behind materialized page frames: frames
-	// are carved out of slabPages-sized arrays so first-write
-	// materialization costs one bulk allocation (and one bulk zeroing)
-	// per slabPages frames instead of one small heap object per 4 KiB
-	// page. Frames are never recycled within a Memory (an unmapped
-	// page's frame is dropped with its map entry), so every frame handed
-	// out is still demand-zero.
-	slab []page
+	// are carved out of slab arrays so first-write materialization costs
+	// one bulk allocation (and one bulk zeroing) per slab instead of one
+	// small heap object per 4 KiB page. Each slab is twice the size of
+	// the previous one (slabSize frames), from minSlabPages up to
+	// maxSlabPages, so a run that writes a handful of pages allocates a
+	// handful of frames. Frames are never recycled within a Memory (an
+	// unmapped page's frame is dropped), so every frame handed out is
+	// still demand-zero.
+	slab     []page
+	slabSize int
 }
 
-// slabPages is the bump-allocation granule for page frames (1 MiB of
-// guest memory per host allocation).
-const slabPages = 256
+// Slab geometry: the first slab holds minSlabPages frames (16 KiB of
+// guest memory), the largest maxSlabPages (1 MiB).
+const (
+	minSlabPages = 4
+	maxSlabPages = 256
+)
 
 // newPage carves the next zeroed frame out of the slab.
 func (m *Memory) newPage() *page {
 	if len(m.slab) == 0 {
-		m.slab = make([]page, slabPages)
+		m.slabSize = min(max(2*m.slabSize, minSlabPages), maxSlabPages)
+		m.slab = make([]page, m.slabSize)
 	}
 	p := &m.slab[0]
 	m.slab = m.slab[1:]
@@ -196,9 +233,43 @@ func (m *Memory) newPage() *page {
 
 // New returns an empty address space.
 func New() *Memory {
-	m := &Memory{pages: make(map[uint64]pte, 1024)}
+	m := &Memory{tables: make(map[uint64]*pageTable), lastIdx: invalidTag}
 	m.flushTLB()
 	return m
+}
+
+// table returns the page table covering page index idx, or nil.
+func (m *Memory) table(idx uint64) *pageTable {
+	ti := idx >> tableShift
+	if ti == m.lastIdx {
+		return m.last
+	}
+	t := m.tables[ti]
+	if t != nil {
+		m.lastIdx, m.last = ti, t
+	}
+	return t
+}
+
+// eachTable calls fn for every page table overlapping page indexes
+// [first, last], with the overlap as in-table indexes [lo, hi]. Missing
+// tables are created when create is set and skipped otherwise.
+func (m *Memory) eachTable(first, last uint64, create bool, fn func(t *pageTable, lo, hi uint64)) {
+	for idx := first; ; {
+		end := min(idx|tableMask, last)
+		t := m.table(idx)
+		if t == nil && create {
+			t = &pageTable{}
+			m.tables[idx>>tableShift] = t
+		}
+		if t != nil {
+			fn(t, idx&tableMask, end&tableMask)
+		}
+		if end == last {
+			return
+		}
+		idx = end + 1
+	}
 }
 
 // TLB returns the TLB hit/miss counters accumulated so far.
@@ -239,6 +310,18 @@ func (m *Memory) invalidate(first, last uint64) {
 	}
 }
 
+// frame returns the frame backing page idx of table t for a read or
+// fetch: the private frame once the page has been written, else the
+// shared zeroFrame.
+func (t *pageTable) frame(idx uint64) *page {
+	if t.frames != nil {
+		if f := t.frames[idx&tableMask]; f != nil {
+			return f
+		}
+	}
+	return &zeroFrame
+}
+
 // readPage resolves the page containing addr for a read access, or nil if
 // the access would fault. The TLB probe is the hot path: one compare, one
 // indexed load.
@@ -254,14 +337,11 @@ func (m *Memory) readPage(addr uint64) *page {
 
 func (m *Memory) readPageSlow(idx uint64) *page {
 	m.tlbMisses++
-	e, ok := m.pages[idx]
-	if !ok || e.perm&PermRead == 0 {
+	t := m.table(idx)
+	if t == nil || t.perm[idx&tableMask]&PermRead == 0 {
 		return nil
 	}
-	f := e.frame
-	if f == nil {
-		f = &zeroFrame
-	}
+	f := t.frame(idx)
 	if !m.NoTLB {
 		m.tlbRead[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
@@ -281,13 +361,17 @@ func (m *Memory) writePage(addr uint64) *page {
 
 func (m *Memory) writePageSlow(idx uint64) *page {
 	m.tlbMisses++
-	e, ok := m.pages[idx]
-	if !ok || e.perm&PermWrite == 0 {
+	t := m.table(idx)
+	if t == nil || t.perm[idx&tableMask]&PermWrite == 0 {
 		return nil
 	}
-	if e.frame == nil {
-		e.frame = m.newPage()
-		m.pages[idx] = e
+	if t.frames == nil {
+		t.frames = new([tablePages]*page)
+	}
+	f := t.frames[idx&tableMask]
+	if f == nil {
+		f = m.newPage()
+		t.frames[idx&tableMask] = f
 		// The read and exec ways may alias this page to the shared
 		// zeroFrame; drop those entries so future reads see the
 		// materialized frame.
@@ -300,9 +384,9 @@ func (m *Memory) writePageSlow(idx uint64) *page {
 		}
 	}
 	if !m.NoTLB {
-		m.tlbWrite[idx&tlbMask] = tlbEntry{tag: idx, page: e.frame}
+		m.tlbWrite[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
-	return e.frame
+	return f
 }
 
 // execPage resolves the page containing addr for instruction fetch, or nil.
@@ -318,14 +402,11 @@ func (m *Memory) execPage(addr uint64) *page {
 
 func (m *Memory) execPageSlow(idx uint64) *page {
 	m.tlbMisses++
-	e, ok := m.pages[idx]
-	if !ok || e.perm&PermExec == 0 {
+	t := m.table(idx)
+	if t == nil || t.perm[idx&tableMask]&PermExec == 0 {
 		return nil
 	}
-	f := e.frame
-	if f == nil {
-		f = &zeroFrame
-	}
+	f := t.frame(idx)
 	if !m.NoTLB {
 		m.tlbExec[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
@@ -334,43 +415,44 @@ func (m *Memory) execPageSlow(idx uint64) *page {
 
 // Map ensures [addr, addr+size) is mapped with the given permissions.
 // Already-mapped pages have their permissions replaced. Mapping rounds
-// outward to page boundaries, as mmap does.
+// outward to page boundaries, as mmap does. Mapping writes one byte per
+// page; frames materialize on first write.
 func (m *Memory) Map(addr, size uint64, perm Perm) {
 	if size == 0 {
 		return
 	}
 	first := addr >> PageShift
 	last := (addr + size - 1) >> PageShift
-	for idx := first; ; idx++ {
-		e, ok := m.pages[idx]
-		if !ok {
-			m.mapped++ // new page; its frame materializes on first write
+	m.eachTable(first, last, true, func(t *pageTable, lo, hi uint64) {
+		for i := lo; i <= hi; i++ {
+			if t.perm[i]&pageMapped == 0 {
+				m.mapped++
+			}
+			t.perm[i] = pageMapped | perm
 		}
-		e.perm = perm
-		m.pages[idx] = e
-		if idx == last {
-			break
-		}
-	}
+	})
 	m.invalidate(first, last) // permissions changed
 }
 
-// Unmap removes the pages covering [addr, addr+size).
+// Unmap removes the pages covering [addr, addr+size) and drops their
+// frames, so a page mapped again reads as zero.
 func (m *Memory) Unmap(addr, size uint64) {
 	if size == 0 {
 		return
 	}
 	first := addr >> PageShift
 	last := (addr + size - 1) >> PageShift
-	for idx := first; ; idx++ {
-		if _, ok := m.pages[idx]; ok {
-			delete(m.pages, idx)
-			m.mapped--
+	m.eachTable(first, last, false, func(t *pageTable, lo, hi uint64) {
+		for i := lo; i <= hi; i++ {
+			if t.perm[i]&pageMapped != 0 {
+				t.perm[i] = 0
+				m.mapped--
+			}
+			if t.frames != nil {
+				t.frames[i] = nil
+			}
 		}
-		if idx == last {
-			break
-		}
-	}
+	})
 	m.invalidate(first, last)
 }
 
@@ -382,29 +464,29 @@ func (m *Memory) Protect(addr, size uint64, perm Perm) {
 	}
 	first := addr >> PageShift
 	last := (addr + size - 1) >> PageShift
-	for idx := first; ; idx++ {
-		if e, ok := m.pages[idx]; ok {
-			e.perm = perm
-			m.pages[idx] = e
+	m.eachTable(first, last, false, func(t *pageTable, lo, hi uint64) {
+		for i := lo; i <= hi; i++ {
+			if t.perm[i]&pageMapped != 0 {
+				t.perm[i] = pageMapped | perm
+			}
 		}
-		if idx == last {
-			break
-		}
-	}
+	})
 	m.invalidate(first, last)
 }
 
 // Mapped reports whether addr lies on a mapped page.
 func (m *Memory) Mapped(addr uint64) bool {
-	_, ok := m.pages[addr>>PageShift]
-	return ok
+	idx := addr >> PageShift
+	t := m.table(idx)
+	return t != nil && t.perm[idx&tableMask]&pageMapped != 0
 }
 
 // PermAt returns the permissions of the page containing addr (zero if
 // unmapped).
 func (m *Memory) PermAt(addr uint64) Perm {
-	if e, ok := m.pages[addr>>PageShift]; ok {
-		return e.perm
+	idx := addr >> PageShift
+	if t := m.table(idx); t != nil {
+		return t.perm[idx&tableMask] &^ pageMapped
 	}
 	return 0
 }

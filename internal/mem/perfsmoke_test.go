@@ -11,7 +11,7 @@ import "testing"
 
 // TestPerfSmokeTLB is the cheap perf guard of `make perf-smoke`: on the
 // dispatch-shaped micro (a load loop over a multi-page working set) the
-// TLB path must not be slower than the page-map path. It compares the two
+// TLB path must not be slower than the page-table walk. It compares the two
 // paths against each other rather than an absolute threshold, so it is
 // robust to slow CI hosts; it retries to ride out scheduling noise.
 func TestPerfSmokeTLB(t *testing.T) {
@@ -35,11 +35,11 @@ func TestPerfSmokeTLB(t *testing.T) {
 	for attempt := 1; ; attempt++ {
 		tlb, pmap := measure(false), measure(true)
 		if tlb <= pmap*1.05 { // equality tolerance: both paths in noise
-			t.Logf("tlb %.2f ns/access vs map %.2f ns/access", tlb, pmap)
+			t.Logf("tlb %.2f ns/access vs walk %.2f ns/access", tlb, pmap)
 			return
 		}
 		if attempt == 3 {
-			t.Fatalf("TLB path slower than page-map path after %d attempts: %.2f vs %.2f ns/access",
+			t.Fatalf("TLB path slower than page-table walk after %d attempts: %.2f vs %.2f ns/access",
 				attempt, tlb, pmap)
 		}
 	}

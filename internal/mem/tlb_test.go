@@ -157,6 +157,10 @@ func TestCrossPageFaultAddress(t *testing.T) {
 // TestTLBIdentityRandomOps drives an identical random operation sequence
 // against a TLB-enabled and a TLB-disabled Memory and requires identical
 // results — the mem-level statement of the repo's bit-identity invariant.
+// The operations land in three windows: one straddling the 2 MiB
+// page-table boundary at 0x200000, one straddling the 32 GB low-fat
+// region boundary of region 5, and one far above both; permissions
+// include 0 (mapped, every access faults).
 func TestTLBIdentityRandomOps(t *testing.T) {
 	run := func(noTLB bool) (vals []uint64, errs []string) {
 		m := New()
@@ -170,18 +174,19 @@ func TestTLBIdentityRandomOps(t *testing.T) {
 				errs = append(errs, "")
 			}
 		}
-		const base, span = 0x10000, 0x40000
+		const span = 0x40000
+		bases := []uint64{0x200000 - span/2, 5<<35 - span/2, 0x7fff_0000_0000}
 		for i := 0; i < 5000; i++ {
-			addr := base + uint64(r.Intn(span))
+			addr := bases[r.Intn(len(bases))] + uint64(r.Intn(span))
 			switch r.Intn(7) {
 			case 0:
-				m.Map(addr&^uint64(pageMask), uint64(1+r.Intn(4))*PageSize, Perm(1+r.Intn(7)))
+				m.Map(addr&^uint64(pageMask), uint64(1+r.Intn(4))*PageSize, Perm(r.Intn(8)))
 				record(0, nil)
 			case 1:
 				m.Unmap(addr&^uint64(pageMask), uint64(1+r.Intn(4))*PageSize)
 				record(0, nil)
 			case 2:
-				m.Protect(addr&^uint64(pageMask), uint64(1+r.Intn(4))*PageSize, Perm(1+r.Intn(7)))
+				m.Protect(addr&^uint64(pageMask), uint64(1+r.Intn(4))*PageSize, Perm(r.Intn(8)))
 				record(0, nil)
 			case 3:
 				w := []uint16{1, 2, 4, 8}[r.Intn(4)]
@@ -203,7 +208,7 @@ func TestTLBIdentityRandomOps(t *testing.T) {
 	v2, e2 := run(true)
 	for i := range v1 {
 		if v1[i] != v2[i] || e1[i] != e2[i] {
-			t.Fatalf("op %d diverged: tlb=(%#x,%q) map=(%#x,%q)", i, v1[i], e1[i], v2[i], e2[i])
+			t.Fatalf("op %d diverged: tlb=(%#x,%q) walk=(%#x,%q)", i, v1[i], e1[i], v2[i], e2[i])
 		}
 	}
 }
@@ -261,7 +266,8 @@ func BenchmarkTLBMiss(b *testing.B) {
 	b.ReportMetric(m.TLB().HitRate()*100, "hit-%")
 }
 
-// BenchmarkMapLookup is the no-TLB baseline the smoke test guards against.
+// BenchmarkMapLookup is the no-TLB baseline the smoke test guards against:
+// every load walks the page tables.
 func BenchmarkMapLookup(b *testing.B) {
 	m := New()
 	m.NoTLB = true

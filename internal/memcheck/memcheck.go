@@ -69,6 +69,9 @@ func (w *Wrapper) EnableSiteTracking(depth int) { w.H.EnableSiteTracking(depth) 
 
 // Malloc allocates with redzones on both sides and poisons them.
 func (w *Wrapper) Malloc(size uint64) (uint64, error) {
+	if size > ^uint64(0)-2*RedzoneSize {
+		return 0, errOutOfMemory
+	}
 	raw, err := w.H.Malloc(size + 2*RedzoneSize)
 	if err != nil {
 		return 0, err
@@ -142,6 +145,7 @@ func (e constError) Error() string { return string(e) }
 const (
 	errOverflow    = constError("memcheck: calloc overflow")
 	errInvalidFree = constError("memcheck: invalid free")
+	errOutOfMemory = constError("memcheck: out of memory")
 )
 
 // budget is Memcheck's default cycle budget: runs take ~10× longer than

@@ -1,11 +1,15 @@
 package memcheck_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"redfat/internal/asm"
+	"redfat/internal/heap"
 	"redfat/internal/isa"
+	"redfat/internal/mem"
 	"redfat/internal/memcheck"
 	"redfat/internal/obs"
 	"redfat/internal/relf"
@@ -181,5 +185,32 @@ func TestLandingPadsEnforced(t *testing.T) {
 	if _, err := memcheck.Run(bin, rtlib.RunConfig{}); err == nil ||
 		!strings.Contains(err.Error(), "not a landing pad") {
 		t.Fatalf("indirect jump to a non-LPAD target: err = %v", err)
+	}
+}
+
+// TestWrapperMallocHugeFails: a request near 2^64 fails with an
+// out-of-memory error. 2^63 used to spin in the heap's size rounding, so
+// the calls run under a bounded wait; it comes first because the sizes
+// whose redzones wrap past 2^64 used to allocate a tiny chunk and then
+// unpoison (and so allocate shadow for) a 2^64-byte range.
+func TestWrapperMallocHugeFails(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		w := memcheck.NewWrapper(heap.New(mem.New()))
+		for _, size := range []uint64{1 << 63, ^uint64(0), ^uint64(0) - 2*memcheck.RedzoneSize + 1} {
+			if p, err := w.Malloc(size); err == nil {
+				done <- fmt.Errorf("Malloc(%#x) = %#x, want an out-of-memory error", size, p)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Malloc of a huge size did not return")
 	}
 }

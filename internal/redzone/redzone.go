@@ -233,6 +233,9 @@ func (h *Heap) RecordOf(id uint64) (AllocRecord, bool) {
 // byte short of the request; in canary mode the slot slack is filled
 // with the canary pattern.
 func (h *Heap) Malloc(size uint64) (uint64, error) {
+	if size > lowfat.SizeMax-Size {
+		return 0, fmt.Errorf("redzone: out of memory: malloc(%d)", size)
+	}
 	slot, err := h.LF.Alloc(size + Size)
 	if err != nil {
 		return 0, err

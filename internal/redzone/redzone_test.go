@@ -236,3 +236,15 @@ func TestQuickStateInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMallocHugeFails: a request whose size plus the 16-byte metadata
+// header wraps past 2^64 fails with an out-of-memory error instead of
+// returning a tiny slot that records the huge size.
+func TestMallocHugeFails(t *testing.T) {
+	h := newHeap()
+	for _, size := range []uint64{^uint64(0), ^uint64(0) - 7, ^uint64(0) - Size + 1, ^uint64(0) - Size, 1 << 63} {
+		if p, err := h.Malloc(size); err == nil {
+			t.Errorf("Malloc(%#x) = %#x, want an out-of-memory error", size, p)
+		}
+	}
+}

@@ -8,9 +8,12 @@ package vm
 // into blocks — maximal fall-through sequences ending at the first
 // control transfer, TRAP patch site, or RTCALL — and Run executes a whole
 // block with nothing but a slice index per instruction. Blocks are
-// indexed by flat per-code-page tables (one pointer per page offset), so
-// locating the next block after a branch costs a single-entry page-cache
-// hit plus an array index in the common case.
+// indexed by per-code-page tables: a page's 4096 offsets are split into
+// 64-offset lines of block pointers, and a line is allocated when the
+// first block starting in it is cached, so a short run that executes a
+// few blocks of a page allocates a few hundred bytes for it. Locating the
+// next block after a branch costs a single-entry page-cache hit plus two
+// array indexes in the common case.
 //
 // Block chaining removes even that cost from the steady state: each block
 // carries two successor slots — a fall-through slot (keyed by the fixed
@@ -74,10 +77,35 @@ type block struct {
 	trace   *trace
 }
 
+// Code-page line geometry: a line indexes the blocks of lineSize
+// consecutive page offsets.
+const (
+	lineShift = 6
+	lineSize  = 1 << lineShift
+)
+
 // codePage indexes the blocks that begin on one 4 KiB code page by page
-// offset.
+// offset, through lines allocated on first use.
 type codePage struct {
-	blocks [mem.PageSize]*block
+	lines [mem.PageSize / lineSize]*[lineSize]*block
+}
+
+// block returns the cached block starting at page offset off, or nil.
+func (cp *codePage) block(off uint64) *block {
+	if l := cp.lines[off>>lineShift]; l != nil {
+		return l[off&(lineSize-1)]
+	}
+	return nil
+}
+
+// setBlock caches b as the block starting at page offset off.
+func (cp *codePage) setBlock(off uint64, b *block) {
+	l := cp.lines[off>>lineShift]
+	if l == nil {
+		l = new([lineSize]*block)
+		cp.lines[off>>lineShift] = l
+	}
+	l[off&(lineSize-1)] = b
 }
 
 // endsBlock reports whether op terminates a straight-line block: control
@@ -100,13 +128,13 @@ func (v *VM) blockAt(pc uint64) (*block, error) {
 		}
 		v.bcPageIdx, v.bcPage = idx, cp
 	}
-	b := cp.blocks[pc&pageOffMask]
+	b := cp.block(pc & pageOffMask)
 	if b == nil {
 		var err error
 		if b, err = v.buildBlock(pc); err != nil {
 			return nil, err
 		}
-		cp.blocks[pc&pageOffMask] = b
+		cp.setBlock(pc&pageOffMask, b)
 		v.nBlocks++
 		v.nBlockInsts += len(b.insts)
 		v.Flight.Record(obs.EvBlockEntry, 0, pc, 1)

@@ -1,8 +1,10 @@
 package redfat_test
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"redfat"
 )
@@ -173,5 +175,72 @@ func TestRunLinkedAPI(t *testing.T) {
 	}
 	if _, err := redfat.RunLinked(hardMain, nil, redfat.RunOptions{Memcheck: true}); err == nil {
 		t.Error("Memcheck linked run accepted")
+	}
+}
+
+// TestMallocHugeReturnsNull runs a guest malloc of sizes near 2^64 under
+// the baseline, RedFat and Memcheck runtimes: each must return NULL.
+// Sizes above 2^63 used to hang the baseline and Memcheck heaps (no cycle
+// budget stops host code), so each run has a bounded wait; malloc(-1) and
+// the other sizes used to wrap the size arithmetic into a bogus
+// allocation.
+func TestMallocHugeReturnsNull(t *testing.T) {
+	bin, err := redfat.Assemble(`
+.func main
+    call @rf_input
+    mov %rax, %rdi
+    call @malloc
+    ret
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard, _, err := redfat.Harden(bin, redfat.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtimes := []struct {
+		name string
+		bin  *redfat.Binary
+		opt  redfat.RunOptions
+	}{
+		{"baseline", bin, redfat.RunOptions{}},
+		{"redfat", hard, redfat.RunOptions{Hardened: true}},
+		{"memcheck", bin, redfat.RunOptions{Memcheck: true}},
+	}
+	type outcome struct {
+		res *redfat.Result
+		err error
+	}
+	run := func(bin *redfat.Binary, opt redfat.RunOptions) (*redfat.Result, error) {
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := redfat.Run(bin, opt)
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			return o.res, o.err
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("run did not return")
+		}
+	}
+	sizes := []uint64{1<<63 + 1, ^uint64(0), ^uint64(0) - 7, ^uint64(0) - 100}
+	for _, rt := range runtimes {
+		for _, size := range append(sizes, 40) {
+			opt := rt.opt
+			opt.Input = []uint64{size}
+			res, err := run(rt.bin, opt)
+			if err != nil {
+				t.Fatalf("%s malloc(%#x): %v", rt.name, size, err)
+			}
+			if size == 40 {
+				if res.ExitCode == 0 {
+					t.Errorf("%s malloc(40) returned NULL", rt.name)
+				}
+			} else if res.ExitCode != 0 {
+				t.Errorf("%s malloc(%#x) = %#x, want NULL", rt.name, size, res.ExitCode)
+			}
+		}
 	}
 }
