@@ -16,8 +16,11 @@ fmt:
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; \
 	fi
 
+# vet also type-checks the perfsmoke-tagged wall-clock guards, which
+# `go test ./...` never compiles (vet times nothing).
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags perfsmoke ./...
 
 # perfbench-vet type-checks the benchmark harness. perfbench/ is its own
 # Go module, so `go vet ./...` and `go build ./...` never compile it, yet

@@ -361,8 +361,8 @@ func main() {
 // deopt counts appended in reason-enum order.
 func writeTraceTable(f *os.File, rows []redfat.TraceRow) {
 	for _, r := range rows {
-		fmt.Fprintf(f, "  %#x-%#x %-24s steps=%-3d checks=%-3d elided=%-3d entries=%d",
-			r.EntryPC, r.EndPC, r.Symbol, r.Steps, r.Checks, r.Elided, r.Entries)
+		fmt.Fprintf(f, "  %#x-%#x %-24s steps=%-3d checks=%-3d entries=%d",
+			r.EntryPC, r.EndPC, r.Symbol, r.Steps, r.Checks, r.Entries)
 		for _, d := range r.Deopts {
 			fmt.Fprintf(f, " deopt.%s=%d", d.Reason, d.Count)
 		}

@@ -385,14 +385,58 @@ func EncodeLen(in *Inst) (int, error) {
 	return len(buf), nil
 }
 
+// DecodeError reports bytes that are not an instruction Encode can
+// produce: truncated, longer than MaxInstLen, or with an opcode, prefix,
+// form, ModRM mode or immediate width the instruction cannot carry.
+type DecodeError struct{ Reason string }
+
+// Error implements the error interface.
+func (e *DecodeError) Error() string { return "isa: " + e.Reason }
+
+func decodeErr(format string, args ...any) error {
+	return &DecodeError{Reason: fmt.Sprintf(format, args...)}
+}
+
+// shortErr reports a read of n bytes at offset pos past the end of the
+// code (capped at MaxInstLen): an over-long encoding or a truncated one.
+// It lives outside Decode's need closure so that need stays small enough
+// for the compiler to inline at every read.
+func shortErr(pos, n int) error {
+	if pos+n > MaxInstLen {
+		return decodeErr("instruction longer than %d bytes", MaxInstLen)
+	}
+	return decodeErr("truncated instruction at offset %d", pos)
+}
+
+// immWidthOK reports whether an instruction of op in form may carry the
+// immediate width code iw: exactly the widths immWidth can choose.
+func immWidthOK(op Op, form Form, iw uint8) bool {
+	switch form {
+	case FRI, FMI:
+		if op == MOVABS {
+			return iw == imm64
+		}
+		return iw == imm8 || iw == imm32
+	case FI, FRel32:
+		return iw == imm32
+	case FRel8:
+		return iw == imm8
+	}
+	return iw == immNone
+}
+
 // Decode decodes a single instruction from code. It returns the decoded
-// instruction with Len set to the number of bytes consumed.
+// instruction with Len set to the number of bytes consumed, or a
+// *DecodeError.
 func Decode(code []byte) (Inst, error) {
 	var in Inst
 	pos := 0
+	if len(code) > MaxInstLen {
+		code = code[:MaxInstLen] // no valid encoding is longer
+	}
 	need := func(n int) error {
 		if pos+n > len(code) {
-			return fmt.Errorf("isa: truncated instruction at offset %d", pos)
+			return shortErr(pos, n)
 		}
 		return nil
 	}
@@ -425,7 +469,7 @@ func Decode(code []byte) (Inst, error) {
 	op := Op(code[pos])
 	pos++
 	if op == BAD || op >= opMax {
-		return in, fmt.Errorf("isa: bad opcode %#x", byte(op))
+		return in, decodeErr("bad opcode %#x", byte(op))
 	}
 	in.Op = op
 	in.Size = 8
@@ -435,7 +479,7 @@ func Decode(code []byte) (Inst, error) {
 
 	if isNoOperand(op) {
 		if seg != SegNone || rex != 0 {
-			return in, fmt.Errorf("isa: prefix on no-operand op %v", op)
+			return in, decodeErr("prefix on no-operand op %v", op)
 		}
 		in.Form = FNone
 		in.Len = uint8(pos)
@@ -451,7 +495,10 @@ func Decode(code []byte) (Inst, error) {
 	in.Size = sizeFromCode(desc >> 4)
 	iw := desc >> 6
 	if !validForm(op, in.Form) {
-		return in, fmt.Errorf("isa: op %v does not accept form %v", op, in.Form)
+		return in, decodeErr("op %v does not accept form %v", op, in.Form)
+	}
+	if !immWidthOK(op, in.Form, iw) {
+		return in, decodeErr("op %v form %v cannot carry immediate width code %d", op, in.Form, iw)
 	}
 
 	decodeMem := func(modrm byte) error {
@@ -529,7 +576,7 @@ func Decode(code []byte) (Inst, error) {
 		modrm := code[pos]
 		pos++
 		if modrm>>6 != 3 {
-			return in, fmt.Errorf("isa: register form with mod=%d", modrm>>6)
+			return in, decodeErr("register form with mod=%d", modrm>>6)
 		}
 		in.Reg = Reg((modrm >> 3) & 7)
 		if rex&rexR != 0 {
@@ -542,7 +589,7 @@ func Decode(code []byte) (Inst, error) {
 		modrm := code[pos]
 		pos++
 		if modrm>>6 != 3 {
-			return in, fmt.Errorf("isa: rr form with mod=%d", modrm>>6)
+			return in, decodeErr("rr form with mod=%d", modrm>>6)
 		}
 		in.Reg = Reg((modrm >> 3) & 7)
 		if rex&rexR != 0 {
@@ -595,14 +642,6 @@ func Decode(code []byte) (Inst, error) {
 		}
 		in.Imm = int64(binary.LittleEndian.Uint64(code[pos:]))
 		pos += 8
-	}
-
-	// Immediate-bearing forms must actually have an immediate.
-	switch in.Form {
-	case FRI, FMI, FI, FRel8, FRel32:
-		if iw == immNone {
-			return in, fmt.Errorf("isa: form %v lacks immediate", in.Form)
-		}
 	}
 
 	in.Len = uint8(pos)

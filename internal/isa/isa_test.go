@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -187,6 +189,14 @@ func TestEncodeErrors(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
+	// A 7-byte mov behind REX prefixes: 9 of them fit MaxInstLen.
+	mov := []byte{byte(MOV), byte(FRM), 0x83, 0, 0x10, 0, 0} // mov 0x1000(%rbx), %rax
+	rex := func(n int, tail []byte) []byte {
+		return append(bytes.Repeat([]byte{prefixREX}, n), tail...)
+	}
+	if in, err := Decode(rex(9, mov)); err != nil || in.Len != MaxInstLen {
+		t.Fatalf("Decode of a %d-byte mov = %v (len %d), %v", MaxInstLen, in.String(), in.Len, err)
+	}
 	cases := [][]byte{
 		{},                       // empty
 		{0x00},                   // BAD opcode
@@ -197,10 +207,22 @@ func TestDecodeErrors(t *testing.T) {
 		{0x64, byte(RET)},        // prefix on no-operand op
 		{byte(MOV), byte(FRel8)}, // invalid form for op
 		{byte(JMP), byte(FRel32) | imm32<<6, 1, 2}, // truncated imm32
+		rex(10, mov),  // 17 bytes, over MaxInstLen
+		rex(249, mov), // 256 bytes: Len would wrap to 0
+		{byte(JMP), byte(FRel32) | imm64<<6, 1, 0, 0, 0, 0, 0, 0, 0},    // rel32 with an imm64
+		{byte(JE), byte(FRel8) | imm32<<6, 1, 0, 0, 0},                  // rel8 with an imm32
+		{byte(RTCALL), byte(FI) | imm8<<6, 1},                           // FI with an imm8
+		{byte(LEA), byte(FRM) | imm32<<6, 0x03, 1, 0, 0, 0},             // lea with an imm32
+		{byte(MOV), byte(FRR) | imm8<<6, 0xC3, 1},                       // rr form with an imm8
+		{byte(MOV), byte(FRI), 0xC0},                                    // FRI without immediate
+		{byte(ADD), byte(FRI) | imm64<<6, 0xC0, 1, 0, 0, 0, 0, 0, 0, 0}, // imm64 outside MOVABS
+		{byte(MOVABS), byte(FRI) | imm32<<6, 0xC0, 1, 0, 0, 0},          // movabs with an imm32
 	}
 	for _, code := range cases {
-		if _, err := Decode(code); err == nil {
-			t.Errorf("Decode(% x) succeeded, want error", code)
+		_, err := Decode(code)
+		var de *DecodeError
+		if !errors.As(err, &de) {
+			t.Errorf("Decode(% x) = %v, want a *DecodeError", code, err)
 		}
 	}
 }

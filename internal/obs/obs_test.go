@@ -139,9 +139,9 @@ func testState(t *testing.T) *State {
 		Telemetry: snap,
 		Traces: []TraceRow{
 			{EntryPC: 0x401000, EndPC: 0x401038, Symbol: "loop", Steps: 12, Checks: 3,
-				Elided: 1, Entries: 40, Deopts: []DeoptCount{{Reason: "side", Count: 2}, {Reason: "halt", Count: 1}}},
+				Entries: 40, Deopts: []DeoptCount{{Reason: "side", Count: 2}, {Reason: "halt", Count: 1}}},
 			{EntryPC: 0x402000, EndPC: 0x402010, Symbol: "leaf", Steps: 4, Checks: 0,
-				Elided: 0, Entries: 9},
+				Entries: 9},
 		},
 		Profile: "main;loop 900\nmain;leaf 100\n",
 		Flight:  flight.Dump(),

@@ -19,7 +19,7 @@ type DeoptCount struct {
 }
 
 // TraceRow is one compiled superblock in the /traces table: the guest PC
-// range it covers, its shape (steps, fused checks, elided followers),
+// range it covers, its shape (steps, fused checks),
 // and its runtime history (entries, per-reason deopts). Symbol names the
 // entry PC when a symbolizer was available.
 type TraceRow struct {
@@ -28,7 +28,6 @@ type TraceRow struct {
 	Symbol  string       `json:"symbol,omitempty"`
 	Steps   int          `json:"steps"`
 	Checks  int          `json:"checks"`
-	Elided  int          `json:"elided"`
 	Entries uint64       `json:"entries"`
 	Deopts  []DeoptCount `json:"deopts,omitempty"`
 }

@@ -4,15 +4,11 @@ package rtlib
 //
 // The interpreter reaches a check through the RTCALL binding (Bindings →
 // handle). The superblock compiler instead asks VM.InlineCheck for a
-// declarative plan of the site so the check can stay on-trace as a fused
-// closure: the plan's address fields (copied from the precompiled
-// checkFast) form the elision key, MaxCost feeds the trace's worst-case
-// budget guard, and the two closures back the two execution shapes — a
-// leading site runs execSite (the full Fig. 4 check, publishing its
-// outcome), an elided follower runs forwardSite (the leader's verdict
-// replayed with the follower's own stats, cycles and report). Guest
-// cycle accounting and verdicts are bit-identical to the trampoline
-// path; only host-side dispatch differs.
+// plan of the site so the check can stay on-trace as a fused closure:
+// MaxCost feeds the trace's worst-case budget guard and Exec is handle
+// itself, so a fused check runs the full Fig. 4 check exactly as the
+// trampoline path does. Guest cycle accounting and verdicts are
+// bit-identical; only host-side dispatch differs.
 
 import (
 	"redfat/internal/relf"
@@ -21,25 +17,12 @@ import (
 
 // jitPlan builds the fusable plan for one site.
 func (rt *Runtime) jitPlan(arg uint32) *vm.JITCheck {
-	cf := &rt.fast[arg]
-	p := &vm.JITCheck{
-		BaseReg:   cf.baseReg,
-		IndexReg:  cf.indexReg,
-		Scale:     cf.scale,
-		Seg:       cf.seg,
-		StaticOff: cf.staticOff,
-		Length:    cf.length,
-		TryLowFat: cf.tryLowFat,
-		SizeCheck: cf.sizeCheck,
-		Profile:   cf.profile,
-	}
-	for _, cost := range cf.costs {
+	p := &vm.JITCheck{Exec: rt.handle}
+	for _, cost := range rt.fast[arg].costs {
 		if cost > p.MaxCost {
 			p.MaxCost = cost
 		}
 	}
-	p.Exec = func(v *vm.VM, o *vm.CheckOutcome) error { return rt.execSite(v, arg, o) }
-	p.Forward = func(v *vm.VM, o *vm.CheckOutcome) error { return rt.forwardSite(v, arg, o) }
 	return p
 }
 

@@ -1,6 +1,8 @@
 package rtlib
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -79,13 +81,42 @@ func TestQuickSitesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeSitesErrors feeds corrupt site tables to the decoder: each
+// must fail with a *SiteTableError, never a panic, and never decode into
+// a record the check routine would fault on.
 func TestDecodeSitesErrors(t *testing.T) {
-	if _, err := DecodeSites(nil); err == nil {
-		t.Error("nil data accepted")
+	record := func(base, index isa.Reg) []byte {
+		return EncodeSites([]Check{{PC: 1, Merged: 1,
+			Operand: isa.Mem{Base: base, Index: index, Scale: 1}}})
 	}
-	data := EncodeSites([]Check{{PC: 1, Merged: 1}})
-	if _, err := DecodeSites(data[:len(data)-4]); err == nil {
-		t.Error("truncated table accepted")
+	valid := record(isa.RBX, isa.RegNone)
+	wrapped := binary.LittleEndian.AppendUint64(nil, 512409557603043101) // ×36 wraps to 20
+	wrapped = append(wrapped, make([]byte, 20)...)
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"nil", nil},
+		{"truncated", valid[:len(valid)-4]},
+		{"count-wraps", wrapped},
+		{"base-0x10", record(16, isa.RegNone)},
+		{"base-0x20", record(0x20, isa.RegNone)},
+		{"index-0x10", record(isa.RBX, 16)},
+		{"index-rip", record(isa.RBX, isa.RIP)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checks, err := DecodeSites(tc.data)
+			var se *SiteTableError
+			if !errors.As(err, &se) {
+				t.Fatalf("DecodeSites = %d checks, %v; want a *SiteTableError", len(checks), err)
+			}
+		})
+	}
+	for _, regs := range [][2]isa.Reg{{isa.RegNone, isa.RegNone}, {isa.RIP, isa.RegNone}, {isa.R15, isa.R15}} {
+		if _, err := DecodeSites(record(regs[0], regs[1])); err != nil {
+			t.Errorf("base %v index %v rejected: %v", regs[0], regs[1], err)
+		}
 	}
 }
 

@@ -126,16 +126,9 @@ func (rt *Runtime) Bindings() vm.Bindings {
 }
 
 // handle is the instrumented check of paper Fig. 4, executed when a
-// trampoline's RTCALL fires. arg is the site index.
+// trampoline's RTCALL fires or a fused superblock check runs. arg is the
+// site index.
 func (rt *Runtime) handle(v *vm.VM, arg uint32) error {
-	return rt.execSite(v, arg, nil)
-}
-
-// execSite is one full check execution. When o is non-nil (the site runs
-// as a fused superblock leader) the derived object base, fat outcomes,
-// metadata word and verdict class are published for elided followers;
-// behavior is otherwise identical to the trampoline path.
-func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 	if int(arg) >= len(rt.Checks) {
 		return &vm.MemError{Kind: vm.ErrCorruptMeta, PC: v.RIP,
 			Note: "check with invalid site index"}
@@ -167,9 +160,6 @@ func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 	}
 	v.Cycles += cf.costs[fatIdx(fat, fallbackFat)]
 	if base == 0 {
-		if o != nil {
-			*o = vm.CheckOutcome{} // both paths non-fat: followers early-exit too
-		}
 		rt.Stats[arg].NonFat++
 		if rt.tel != nil {
 			rt.tel.nonfat.Inc()
@@ -187,72 +177,26 @@ func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 		size, wild = 0, true
 	}
 
-	// STEP (4): the checks. The class abstracts the verdict for elided
-	// followers (it is a pure function of the access range and heap
-	// state); kind folds in this site's own read/write direction.
+	// STEP (4): the checks.
 	var kind vm.MemErrorKind
-	class := vm.CheckOK
 	bad := false
 	switch {
 	case cf.sizeCheck && lowfat.Size(base) != lowfat.SizeMax &&
 		size > lowfat.Size(base)-redzone.Size:
-		kind, bad, class = vm.ErrCorruptMeta, true, vm.CheckMeta
+		kind, bad = vm.ErrCorruptMeta, true
 	case size == 0:
 		// Free state is encoded as SIZE=0; the merged bounds check
 		// always fails, i.e. a use-after-free (or a wild pointer into
 		// an unallocated slot, which reads as zero).
-		kind, bad, class = vm.ErrUseAfterFree, true, vm.CheckUAF
+		kind, bad = vm.ErrUseAfterFree, true
 		if wild {
-			kind, class = cf.oobKind, vm.CheckOOB
+			kind = cf.oobKind
 		}
 	case lb < base+redzone.Size || ub > base+redzone.Size+size:
-		kind, bad, class = cf.oobKind, true, vm.CheckOOB
-	}
-	if o != nil {
-		*o = vm.CheckOutcome{Base: base, Fat: fat, FallbackFat: fallbackFat,
-			Size: size, Class: class}
+		kind, bad = cf.oobKind, true
 	}
 
 	return rt.verdict(v, arg, kind, bad, fat, base, size, lb)
-}
-
-// forwardSite replays a leading site's published outcome at an elided
-// follower. The superblock tier only elides a site when its access plan
-// is identical to the leader's and nothing between them wrote the plan
-// registers or guest memory, so the base derivation, metadata word and
-// verdict class are provably the leader's; what remains is this site's
-// own accounting — per-site stats, the charged cycle cost, telemetry,
-// and an error report with the site's own read/write kind and note.
-func (rt *Runtime) forwardSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
-	cf := &rt.fast[arg]
-	rt.Stats[arg].Execs++
-	if rt.tel != nil {
-		rt.tel.execs.Inc()
-	}
-	v.Cycles += cf.costs[fatIdx(o.Fat, o.FallbackFat)]
-	if !o.Fat && !o.FallbackFat {
-		rt.Stats[arg].NonFat++
-		if rt.tel != nil {
-			rt.tel.nonfat.Inc()
-		}
-		return nil
-	}
-	// The plan registers are unchanged since the leader ran, so this
-	// recomputes the leader's lb — two register reads, no base lookup.
-	_, lb, _ := cf.accessRange(v)
-
-	var kind vm.MemErrorKind
-	bad := o.Class != vm.CheckOK
-	switch o.Class {
-	case vm.CheckMeta:
-		kind = vm.ErrCorruptMeta
-	case vm.CheckUAF:
-		kind = vm.ErrUseAfterFree
-	case vm.CheckOOB:
-		kind = cf.oobKind
-	}
-
-	return rt.verdict(v, arg, kind, bad, o.Fat, o.Base, o.Size, lb)
 }
 
 // verdict accounts one check outcome of site arg — per-site stats,

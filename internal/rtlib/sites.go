@@ -119,14 +119,31 @@ func EncodeSites(checks []Check) []byte {
 
 const siteRecordLen = 36
 
+// SiteTableError reports a malformed site table. The table comes from
+// the hardened binary, which is untrusted input: a record the check
+// routine could not execute is rejected here instead of faulting the
+// host at the site's first execution.
+type SiteTableError struct {
+	Site   int // offending record index, or -1 for the table header
+	Reason string
+}
+
+// Error implements the error interface.
+func (e *SiteTableError) Error() string {
+	if e.Site < 0 {
+		return "rtlib: site table " + e.Reason
+	}
+	return fmt.Sprintf("rtlib: site %d: %s", e.Site, e.Reason)
+}
+
 // DecodeSites parses a site table.
 func DecodeSites(data []byte) ([]Check, error) {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("rtlib: site table too short")
+		return nil, &SiteTableError{Site: -1, Reason: "too short"}
 	}
 	n := binary.LittleEndian.Uint64(data)
-	if uint64(len(data)-8) < n*siteRecordLen {
-		return nil, fmt.Errorf("rtlib: site table truncated (%d sites)", n)
+	if n > uint64(len(data)-8)/siteRecordLen {
+		return nil, &SiteTableError{Site: -1, Reason: fmt.Sprintf("truncated (%d sites)", n)}
 	}
 	checks := make([]Check, n)
 	for i := uint64(0); i < n; i++ {
@@ -145,6 +162,12 @@ func DecodeSites(data []byte) ([]Check, error) {
 			Index: isa.Reg(rec[12]),
 			Scale: rec[13],
 			Disp:  int32(binary.LittleEndian.Uint32(rec[14:])),
+		}
+		if b := c.Operand.Base; b >= isa.NumRegs && b != isa.RegNone && b != isa.RIP {
+			return nil, &SiteTableError{Site: int(i), Reason: fmt.Sprintf("bad base register %#x", uint8(b))}
+		}
+		if x := c.Operand.Index; x >= isa.NumRegs && x != isa.RegNone {
+			return nil, &SiteTableError{Site: int(i), Reason: fmt.Sprintf("bad index register %#x", uint8(x))}
 		}
 		c.Len = binary.LittleEndian.Uint32(rec[18:])
 		c.SavedRegs = rec[22]

@@ -11,10 +11,9 @@ package verify
 // analyzer — it re-decodes each step's instruction from guest memory,
 // recomputes the per-step cost model and the full exit table (kind,
 // stage, resume RIP, retired count, cycle prefix) from its own per-op
-// tables, re-resolves every fused check plan through VM.InlineCheck,
-// re-proves each flag-elision claim with its own backward liveness, and
-// re-proves each check-elision claim by scanning the leader→follower
-// gap for plan-register writes and guest stores. The tables here
+// tables, re-resolves every fused check through VM.InlineCheck and
+// compares its site identity and cost bound, and re-proves each
+// flag-elision claim with its own backward liveness. The tables here
 // intentionally duplicate the interpreter's documented semantics rather
 // than calling into the analyzer: the point is two independent
 // derivations that must agree.
@@ -91,7 +90,6 @@ func certifyTrace(v *vm.VM, info *vm.TraceInfo, rep *Report) {
 		certifyMaxCost(info, models, rep)
 	}
 	certifyFlags(info, rep)
-	certifyElision(info, rep)
 }
 
 // certifyDecode re-decodes the step's instruction from guest memory: a
@@ -117,10 +115,10 @@ func certifyDecode(v *vm.VM, st *vm.TraceStep, rep *Report) {
 }
 
 // certifyCheck re-resolves a fused check step's plan through the VM's
-// check resolver and requires the recorded plan key to match it field
-// for field. A fused RTCALL with no check record is a dropped check: the
-// emitter would compile the call as a plain step and skip the runtime
-// check entirely.
+// check resolver and requires the recorded cost bound to match it. A
+// fused RTCALL with no check record is a dropped check: the emitter
+// would compile the call as a plain step and skip the runtime check
+// entirely.
 func certifyCheck(v *vm.VM, st *vm.TraceStep, rep *Report) {
 	if st.Inst.Op != isa.RTCALL {
 		if st.Check != nil {
@@ -134,6 +132,7 @@ func certifyCheck(v *vm.VM, st *vm.TraceStep, rep *Report) {
 		rep.violate(KindTrace, st.PC, "fused RTCALL has no check record (dropped check)")
 		return
 	}
+	rep.TraceChecks++
 	if c.ImportIdx != idx || c.Arg != arg {
 		rep.violate(KindTrace, st.PC,
 			"check record names site %d/%d, the RTCALL encodes %d/%d", c.ImportIdx, c.Arg, idx, arg)
@@ -147,13 +146,9 @@ func certifyCheck(v *vm.VM, st *vm.TraceStep, rep *Report) {
 		rep.violate(KindTrace, st.PC, "RTCALL does not resolve to an instrumented check")
 		return
 	}
-	if plan.BaseReg != c.BaseReg || plan.IndexReg != c.IndexReg ||
-		plan.Scale != c.Scale || plan.Seg != c.Seg ||
-		plan.StaticOff != c.StaticOff || plan.Length != c.Length ||
-		plan.TryLowFat != c.TryLowFat || plan.SizeCheck != c.SizeCheck ||
-		plan.Profile != c.Profile || plan.MaxCost != c.MaxCost {
+	if plan.MaxCost != c.MaxCost {
 		rep.violate(KindTrace, st.PC,
-			"check record's plan differs from the runtime's plan for site %d", c.Arg)
+			"check record bounds site %d at %d cycles, the runtime's plan at %d", c.Arg, c.MaxCost, plan.MaxCost)
 	}
 }
 
@@ -188,7 +183,7 @@ func sbModel(v *vm.VM, info *vm.TraceInfo, i int, rep *Report) (sbStep, bool) {
 	in := &st.Inst
 	pc := st.PC
 	next := pc + uint64(in.Len)
-	base := vm.CostInst + info.Overhead
+	base := uint64(vm.CostInst)
 	m := sbStep{next: next}
 	bad := func(format string, args ...any) (sbStep, bool) {
 		rep.violate(KindTrace, pc, format, args...)
@@ -558,136 +553,5 @@ func certifyFlags(info *vm.TraceInfo, rep *Report) {
 			}
 		}
 		live = (live &^ sbFlagsKilled(&st.Inst)) | sbFlagsRead(&st.Inst)
-	}
-}
-
-// sbRegBit maps a register to its bit in a written-registers mask.
-func sbRegBit(r isa.Reg) uint32 {
-	if r >= isa.NumRegs {
-		return 0
-	}
-	return 1 << r
-}
-
-// sbRegsWritten returns the general-purpose registers an instruction
-// writes, for elision invalidation.
-func sbRegsWritten(in *isa.Inst) uint32 {
-	switch in.Op {
-	case isa.MOV, isa.MOVABS, isa.MOVZX, isa.MOVSX,
-		isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL:
-		switch in.Form {
-		case isa.FRR, isa.FRI, isa.FRM:
-			return sbRegBit(in.Reg)
-		}
-		return 0
-	case isa.LEA:
-		return sbRegBit(in.Reg)
-	case isa.XCHG:
-		return sbRegBit(in.Reg) | sbRegBit(in.Reg2)
-	case isa.PUSH, isa.PUSHF, isa.CALL, isa.POPF, isa.RET:
-		return sbRegBit(isa.RSP)
-	case isa.POP:
-		if in.Form == isa.FR {
-			return sbRegBit(isa.RSP) | sbRegBit(in.Reg)
-		}
-		return sbRegBit(isa.RSP)
-	case isa.INC, isa.DEC, isa.NEG, isa.NOT:
-		if in.Form == isa.FR {
-			return sbRegBit(in.Reg)
-		}
-		return 0
-	case isa.SHL, isa.SHR, isa.SAR:
-		return sbRegBit(in.Reg)
-	case isa.UDIV, isa.IDIV:
-		return sbRegBit(isa.RAX) | sbRegBit(isa.RDX)
-	case isa.CQO:
-		return sbRegBit(isa.RDX)
-	}
-	return 0
-}
-
-// sbStoresMem reports whether an instruction can store to guest memory
-// (explicit memory destinations plus the implicit stack stores).
-func sbStoresMem(in *isa.Inst) bool {
-	switch in.Op {
-	case isa.PUSH, isa.PUSHF, isa.CALL:
-		return true
-	case isa.MOV, isa.MOVABS, isa.MOVZX, isa.MOVSX,
-		isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL:
-		return in.Form == isa.FMR || in.Form == isa.FMI
-	case isa.INC, isa.DEC, isa.NEG, isa.NOT, isa.POP:
-		return in.Form == isa.FM
-	case isa.XCHG:
-		return in.Form != isa.FRR
-	}
-	return false
-}
-
-// sbSamePlan reports whether two check records share the elision key.
-func sbSamePlan(a, b *vm.TraceCheck) bool {
-	return a.BaseReg == b.BaseReg && a.IndexReg == b.IndexReg &&
-		a.Scale == b.Scale && a.Seg == b.Seg &&
-		a.StaticOff == b.StaticOff && a.Length == b.Length &&
-		a.TryLowFat == b.TryLowFat && a.SizeCheck == b.SizeCheck &&
-		a.Profile == b.Profile
-}
-
-// certifyElision re-proves every check-elision claim: the leader must be
-// an earlier, non-elided check with the identical plan key publishing
-// the same outcome slot, and nothing between leader and follower may
-// overwrite a plan register or store to guest memory (either would let
-// the two sites compute different outcomes). Leading checks must occupy
-// consecutive slots in appearance order.
-func certifyElision(info *vm.TraceInfo, rep *Report) {
-	slot := 0
-	for i := range info.Steps {
-		st := &info.Steps[i]
-		c := st.Check
-		if c == nil {
-			continue
-		}
-		rep.TraceChecks++
-		if !c.Elided {
-			if c.Leader != -1 {
-				rep.violate(KindTrace, st.PC, "leading check carries leader index %d", c.Leader)
-			}
-			if c.Slot != slot {
-				rep.violate(KindTrace, st.PC, "leading check publishes slot %d, expected %d", c.Slot, slot)
-			}
-			slot++
-			continue
-		}
-		rep.TraceElided++
-		if c.Leader < 0 || c.Leader >= i {
-			rep.violate(KindTrace, st.PC, "elided check names invalid leader step %d", c.Leader)
-			continue
-		}
-		lead := info.Steps[c.Leader].Check
-		if lead == nil || lead.Elided {
-			rep.violate(KindTrace, st.PC, "elided check's leader step %d is not a leading check", c.Leader)
-			continue
-		}
-		if !sbSamePlan(c, lead) {
-			rep.violate(KindTrace, st.PC, "elided check's plan differs from its leader's")
-		}
-		if c.Slot != lead.Slot {
-			rep.violate(KindTrace, st.PC,
-				"elided check reads slot %d, leader publishes slot %d", c.Slot, lead.Slot)
-		}
-		regs := sbRegBit(c.BaseReg) | sbRegBit(c.IndexReg)
-		for j := c.Leader + 1; j < i; j++ {
-			mid := &info.Steps[j]
-			if mid.Check != nil {
-				continue // a check neither writes registers nor stores
-			}
-			if sbStoresMem(&mid.Inst) {
-				rep.violate(KindTrace, st.PC,
-					"guest store at %#x between leader and elided check", mid.PC)
-			}
-			if sbRegsWritten(&mid.Inst)&regs != 0 {
-				rep.violate(KindTrace, st.PC,
-					"plan register overwritten at %#x between leader and elided check", mid.PC)
-			}
-		}
 	}
 }

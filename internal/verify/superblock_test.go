@@ -152,8 +152,8 @@ func TestSuperblockCertifierCorpora(t *testing.T) {
 	t.Logf("certified %d traces, %d fused checks", traces, checks)
 }
 
-// mutantProgram has two same-plan loads back to back in a hot loop, so
-// the compiled trace carries both a leading and an elided fused check.
+// mutantProgram loads through a pointer register in a hot loop, so the
+// compiled trace carries a fused check.
 func mutantProgram(b *asm.Builder) {
 	b.Func("main")
 	b.LoadAddr(isa.RSI, "buf", 0)
@@ -161,7 +161,6 @@ func mutantProgram(b *asm.Builder) {
 	b.MovRI(isa.RAX, 0)
 	b.Label("loop")
 	b.Load(isa.RDX, isa.RSI, 0, 8)
-	b.Load(isa.RDI, isa.RSI, 0, 8)
 	b.AluRR(isa.ADD, isa.RAX, isa.RDX)
 	b.AluRI(isa.ADD, isa.RBX, 1)
 	b.AluRI(isa.CMP, isa.RBX, 4000)
@@ -187,9 +186,9 @@ func copyInfo(info *vm.TraceInfo) *vm.TraceInfo {
 }
 
 // TestSuperblockCertifierRejectsMutants seeds targeted corruptions into
-// a real compiled plan — dropped checks, wrong spill state, stale flag
-// claims, illegal elisions, misstated costs — and requires the certifier
-// to reject every one while accepting the original.
+// a real compiled plan — dropped checks, misstated check bounds, wrong
+// spill state, stale flag claims, misstated costs — and requires the
+// certifier to reject every one while accepting the original.
 func TestSuperblockCertifierRejectsMutants(t *testing.T) {
 	b := asm.NewBuilder(asm.Options{})
 	mutantProgram(b)
@@ -197,14 +196,7 @@ func TestSuperblockCertifierRejectsMutants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep both sites: no batching/merging (one trampoline per site) and
-	// no static dominator elimination, so the redundant second check
-	// survives to run time and the trace tier elides it dynamically.
-	opt := redfat.Defaults()
-	opt.Batch = false
-	opt.Merge = false
-	opt.ElimDom = false
-	hard, _, err := redfat.Harden(bin, opt)
+	hard, _, err := redfat.Harden(bin, redfat.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,40 +205,31 @@ func TestSuperblockCertifierRejectsMutants(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pick the trace that carries both a leading and an elided check.
+	// Pick the first trace that carries a fused check.
 	var target *vm.TraceInfo
+	checkStep := -1
 	for _, info := range v.CompiledTraces() {
-		elided := false
 		for i := range info.Steps {
-			if c := info.Steps[i].Check; c != nil && c.Elided {
-				elided = true
+			if info.Steps[i].Check != nil {
+				target, checkStep = info, i
+				break
 			}
 		}
-		if elided {
-			target = info
+		if target != nil {
 			break
 		}
 	}
 	if target == nil {
-		t.Fatal("no compiled trace with an elided check (mutant corpus needs one)")
+		t.Fatal("no compiled trace with a fused check (mutant corpus needs one)")
 	}
 	requireOK(t, verify.CertifyTrace(v, target))
 
-	checkStep, elidedStep, cmpStep, plainStep, staticExit := -1, -1, -1, -1, -1
+	cmpStep, staticExit := -1, -1
 	for i := range target.Steps {
 		st := &target.Steps[i]
-		switch {
-		case st.Check != nil && !st.Check.Elided && checkStep == -1:
-			checkStep = i
-		case st.Check != nil && st.Check.Elided && elidedStep == -1:
-			elidedStep = i
-		}
 		if cmpStep == -1 && st.Inst.Op == isa.CMP &&
 			i+1 < len(target.Steps) && target.Steps[i+1].Inst.Op.IsCondJump() {
 			cmpStep = i
-		}
-		if plainStep == -1 && st.Check == nil {
-			plainStep = i
 		}
 	}
 	for i := range target.Exits {
@@ -255,14 +238,20 @@ func TestSuperblockCertifierRejectsMutants(t *testing.T) {
 			break
 		}
 	}
-	if checkStep == -1 || elidedStep == -1 || cmpStep == -1 || plainStep == -1 || staticExit == -1 {
-		t.Fatalf("trace shape unsuitable: check=%d elided=%d cmp=%d plain=%d staticExit=%d",
-			checkStep, elidedStep, cmpStep, plainStep, staticExit)
+	if cmpStep == -1 || staticExit == -1 {
+		t.Fatalf("trace shape unsuitable: check=%d cmp=%d staticExit=%d",
+			checkStep, cmpStep, staticExit)
 	}
 
 	mutants := map[string]func(*vm.TraceInfo){
 		"dropped-check": func(m *vm.TraceInfo) {
 			m.Steps[checkStep].Check = nil
+		},
+		"check-cost-drift": func(m *vm.TraceInfo) {
+			// The trace bound follows the check's, so only the
+			// comparison with the runtime's plan can catch it.
+			m.Steps[checkStep].Check.MaxCost++
+			m.MaxCost++
 		},
 		"wrong-spill-cycles": func(m *vm.TraceInfo) {
 			m.Exits[len(m.Exits)-1].Cycles++
@@ -275,12 +264,6 @@ func TestSuperblockCertifierRejectsMutants(t *testing.T) {
 		},
 		"stale-flags": func(m *vm.TraceInfo) {
 			m.Steps[cmpStep].FlagsElided = true
-		},
-		"illegal-elide-leader": func(m *vm.TraceInfo) {
-			m.Steps[elidedStep].Check.Leader = plainStep
-		},
-		"plan-key-drift": func(m *vm.TraceInfo) {
-			m.Steps[checkStep].Check.Length += 8
 		},
 		"wrong-cost": func(m *vm.TraceInfo) {
 			m.Steps[0].Cost++

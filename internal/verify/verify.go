@@ -75,7 +75,6 @@ type Report struct {
 	Traces      int `json:"traces,omitempty"`       // compiled trace plans certified
 	TraceSteps  int `json:"trace_steps,omitempty"`  // instructions across those plans
 	TraceChecks int `json:"trace_checks,omitempty"` // fused check sites
-	TraceElided int `json:"trace_elided,omitempty"` // fused sites forwarding a leader
 
 	// Indirect-flow edge audit (AuditEdges).
 	EdgeSites   int `json:"edge_sites,omitempty"`   // recovered sites audited
@@ -96,8 +95,8 @@ func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "verify: %s — %d trampolines, %d checks, %d/%d operands covered (%d exempt)\n",
 		status, r.Trampolines, r.Checks, r.Covered, r.Operands, r.Exempt)
 	if r.Traces > 0 {
-		fmt.Fprintf(w, "verify: %d superblocks — %d steps, %d fused checks (%d forwarded)\n",
-			r.Traces, r.TraceSteps, r.TraceChecks, r.TraceElided)
+		fmt.Fprintf(w, "verify: %d superblocks — %d steps, %d fused checks\n",
+			r.Traces, r.TraceSteps, r.TraceChecks)
 	}
 	if r.EdgeSites > 0 {
 		fmt.Fprintf(w, "verify: %d indirect sites audited — %d recovered edges\n",

@@ -24,19 +24,14 @@ package vm
 // and error reports walk v.Regs[RSP], so spilling registers would buy
 // nothing and cost a copy. Dynamically-determined cycles (the per-site
 // check cost, which depends on the run-time fat/non-fat outcome) are
-// charged to v.Cycles by the check closure itself, so v.Cycles is the
+// charged to v.Cycles by the check routine itself, so v.Cycles is the
 // interpreter's value at every materialization point.
 //
-// Check fusion and elision. An RTCALL that resolves (via VM.InlineCheck)
-// to an instrumented-check plan stays on-trace as a fused closure. When
-// two sites in one trace have the same access plan (same base/index
-// registers, scale, segment, static offset, length and mode) and no
-// instruction between them writes those registers or stores to guest
-// memory, the later site is elided: instead of recomputing the low-fat
-// base and reloading heap metadata it forwards the leader's outcome —
-// still charging its own cycle cost, updating its own site statistics
-// and reporting its own error — so guest-visible behaviour is
-// bit-identical while the redundant base derivation disappears.
+// Check fusion. An RTCALL that resolves (via VM.InlineCheck) to an
+// instrumented-check plan stays on-trace as a fused closure that calls
+// the site's check routine directly — the same routine the RTCALL
+// binding runs — with no trampoline dispatch. Every fused check runs the
+// full check; removing redundant checks is the static rewriter's job.
 //
 // Exact semantics. The tier preserves, instruction for instruction:
 // cycle accounting (including partial charges on faulting instructions),
@@ -52,8 +47,8 @@ package vm
 // observable.
 //
 // The compiler is two-phase: analyzeTrace derives a declarative plan
-// (TraceInfo — steps, costs, exits, flag-elision and check-elision
-// claims) and emitTrace generates closures from nothing but that plan.
+// (TraceInfo — steps, costs, exits, flag-elision claims and fused check
+// sites) and emitTrace generates closures from nothing but that plan.
 // internal/verify re-derives every claim independently and certifies the
 // plan against the single-step semantics (DESIGN.md §14).
 
@@ -78,64 +73,16 @@ const maxTraceInsts = 256
 // per-entry overhead (budget guard, materialization) eats the win.
 const minTraceInsts = 3
 
-// CheckClass abstracts a check verdict for forwarding: the class is a
-// pure function of the access range and heap metadata, which elision
-// guarantees are identical at leader and follower, while the concrete
-// error kind (read vs write) is the follower's own.
-type CheckClass uint8
-
-// Check outcome classes.
-const (
-	CheckOK   CheckClass = iota
-	CheckMeta            // corrupted metadata (size-check failure)
-	CheckUAF             // use-after-free (SIZE=0, mapped header)
-	CheckOOB             // out-of-bounds (incl. wild pointers, SIZE reads 0)
-)
-
-// CheckOutcome is what a leading check execution publishes for elided
-// followers: the derived object base, which derivation succeeded (the
-// cost-table index), the metadata size word, and the verdict class.
-type CheckOutcome struct {
-	Base        uint64
-	Fat         bool // base(ptr) succeeded (LowFat component)
-	FallbackFat bool // base(LB) fallback succeeded (Redzone component)
-	Size        uint64
-	Class       CheckClass
-}
-
 // JITCheck is the fusable plan of one instrumentation site, exported by
-// the runtime layer through VM.InlineCheck. The address-plan fields
-// mirror the site's precompiled operand plan and form the elision key;
-// Exec runs the full check and fills the outcome, Forward replays a
-// leader's outcome with the site's own accounting.
+// the runtime layer through VM.InlineCheck.
 type JITCheck struct {
-	BaseReg   isa.Reg
-	IndexReg  isa.Reg
-	Scale     uint64
-	Seg       isa.Seg
-	StaticOff uint64
-	Length    uint64
-	TryLowFat bool
-	SizeCheck bool
-	Profile   bool
-
 	// MaxCost bounds the guest cycles one execution can charge (the
 	// maximum over the site's cost table), for the budget guard.
 	MaxCost uint64
 
-	Exec    func(v *VM, o *CheckOutcome) error
-	Forward func(v *VM, o *CheckOutcome) error
-}
-
-// samePlan reports whether two sites share the elision key: identical
-// access plans checked under identical modes compute identical outcomes
-// from identical register and heap state.
-func (c *JITCheck) samePlan(o *JITCheck) bool {
-	return c.BaseReg == o.BaseReg && c.IndexReg == o.IndexReg &&
-		c.Scale == o.Scale && c.Seg == o.Seg &&
-		c.StaticOff == o.StaticOff && c.Length == o.Length &&
-		c.TryLowFat == o.TryLowFat && c.SizeCheck == o.SizeCheck &&
-		c.Profile == o.Profile
+	// Exec is the site's check routine: the host function the RTCALL
+	// binding runs, called with the site index.
+	Exec HostFunc
 }
 
 // ExitKind classifies how control leaves a compiled trace.
@@ -210,27 +157,12 @@ func (k ExitKind) String() string {
 }
 
 // TraceCheck is the declarative record of one fused check site inside a
-// TraceInfo: the site identity, the elision decision, and a copy of the
-// plan key so the certifier can match it against an independently
-// re-resolved plan.
+// TraceInfo: the site identity and the cost bound, which the certifier
+// matches against an independently re-resolved plan.
 type TraceCheck struct {
 	Arg       uint32 // instrumentation-site index (RTCALL static argument)
 	ImportIdx int    // RTCALL import slot
-	Elided    bool   // true: forwards Leader's outcome instead of executing
-	Leader    int    // step index of the leading site (when Elided)
-	Slot      int    // outcome slot shared by leader and followers
-
-	// Plan key (mirrors JITCheck).
-	BaseReg   isa.Reg
-	IndexReg  isa.Reg
-	Scale     uint64
-	Seg       isa.Seg
-	StaticOff uint64
-	Length    uint64
-	TryLowFat bool
-	SizeCheck bool
-	Profile   bool
-	MaxCost   uint64
+	MaxCost   uint64 // JITCheck.MaxCost of the resolved plan
 }
 
 // TraceStep is one instruction of a compiled trace, with the claims the
@@ -241,7 +173,7 @@ type TraceStep struct {
 	PC   uint64
 	Inst isa.Inst
 	Next uint64 // successor pc when the trace continues past this step
-	Cost uint64 // static cycles on the continue path (CostInst+overhead included)
+	Cost uint64 // static cycles on the continue path (CostInst included)
 
 	// FlagsElided marks an instruction whose condition-flag update was
 	// proven dead within the trace (no flag it may write is observed
@@ -269,11 +201,10 @@ type TraceExit struct {
 // (which compiles closures from it and nothing else), and the
 // internal/verify certifier (which re-derives and checks every claim).
 type TraceInfo struct {
-	EntryPC  uint64
-	Overhead uint64 // PerInstOverhead baked into step costs
-	MaxCost  uint64 // upper bound on cycles charged by one full iteration
-	Steps    []TraceStep
-	Exits    []TraceExit
+	EntryPC uint64
+	MaxCost uint64 // upper bound on cycles charged by one full iteration
+	Steps   []TraceStep
+	Exits   []TraceExit
 }
 
 // CompiledTraces returns the plans of every superblock compiled so far,
@@ -351,15 +282,13 @@ type traceExit struct {
 
 // trace is one compiled superblock.
 type trace struct {
-	entryPC  uint64
-	overhead uint64 // PerInstOverhead the costs were compiled against
-	maxCost  uint64
-	steps    []jstep
-	meta     []stepTel // continue-path telemetry per step
-	exits    []traceExit
-	outc     []CheckOutcome // leader→follower forwarding slots
-	ctx      jctx           // reused across entries (one VM, one goroutine)
-	info     *TraceInfo
+	entryPC uint64
+	maxCost uint64
+	steps   []jstep
+	meta    []stepTel // continue-path telemetry per step
+	exits   []traceExit
+	ctx     jctx // reused across entries (one VM, one goroutine)
+	info    *TraceInfo
 
 	// Per-trace runtime history for the /traces table and -stats:
 	// guest-deterministic (counted in dispatch, not sampled), kept even
@@ -375,7 +304,6 @@ type TraceStat struct {
 	EndPC   uint64 // PC of the last step
 	Steps   int
 	Checks  int // fused check sites
-	Elided  int // of which forwarded a leader's outcome
 	Entries uint64
 	Deopts  [NumDeoptReasons]uint64
 }
@@ -399,11 +327,8 @@ func (v *VM) TraceStats() []TraceStat {
 			s.EndPC = t.info.Steps[n-1].PC
 		}
 		for j := range t.info.Steps {
-			if c := t.info.Steps[j].Check; c != nil {
+			if t.info.Steps[j].Check != nil {
 				s.Checks++
-				if c.Elided {
-					s.Elided++
-				}
 			}
 		}
 		out[i] = s
@@ -415,9 +340,13 @@ func (v *VM) TraceStats() []TraceStat {
 // tier needs no per-instruction observers — trace/mem/block hooks, an
 // execution-grain flight recorder and the guest profiler all require
 // interpreter-grain callbacks, so any of them pins execution to tier 0.
+// Trace costs are compiled at CostInst per instruction, so a nonzero
+// PerInstOverhead (set only by Memcheck, which also installs the hooks)
+// pins tier 0 as well.
 func (v *VM) jitEnabled() bool {
 	return !v.NoJIT && v.TraceHook == nil && !v.execEvents &&
-		v.Profiler == nil && v.MemHook == nil && v.BlockHook == nil
+		v.Profiler == nil && v.MemHook == nil && v.BlockHook == nil &&
+		v.PerInstOverhead == 0
 }
 
 // jitThreshold resolves the configured hotness threshold.
@@ -491,14 +420,11 @@ func (v *VM) noteBudgetDeopt(t *trace) {
 
 // runTrace executes t until control leaves it. It returns (nil, nil)
 // when entry is refused — the remaining cycle budget cannot absorb a
-// worst-case iteration, or the overhead configuration changed — in which
-// case no state was touched and the caller interprets the block. On an
-// exit it returns the exit record with the VM state fully materialized;
-// err carries the fault of an ExitFault.
+// worst-case iteration — in which case no state was touched and the
+// caller interprets the block. On an exit it returns the exit record
+// with the VM state fully materialized; err carries the fault of an
+// ExitFault.
 func (v *VM) runTrace(t *trace) (*traceExit, error) {
-	if v.PerInstOverhead != t.overhead {
-		return nil, nil // costs were compiled for a different overhead
-	}
 	if v.MaxCycles != 0 && (v.Cycles > v.MaxCycles || v.MaxCycles-v.Cycles < t.maxCost) {
 		v.noteBudgetDeopt(t)
 		return nil, nil // budget too tight: abort must fire at the exact inst

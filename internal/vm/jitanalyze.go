@@ -4,8 +4,8 @@ package vm
 // from a chained block sequence. analyzeTrace walks the chain rooted at
 // a hot block, mirrors the interpreter's cost model per instruction
 // (including the partial charges of every fault point), predicts
-// conditional branches from the chain slots, and then runs two
-// optimization analyses over the straight line:
+// conditional branches from the chain slots, and then runs one
+// optimization analysis over the straight line:
 //
 //   - markDeadFlags: per-flag backward liveness. A step's condition-flag
 //     update is elided when no flag it may write is observed (by a
@@ -15,10 +15,8 @@ package vm
 //     interpreter — but not at fault exits, where the run terminates and
 //     flags are unobservable (nothing outside the VM reads them).
 //
-//   - elideChecks: available-checks within the trace. A fused check site
-//     whose access plan matches an earlier site's, with no intervening
-//     write to the plan's registers and no intervening guest store, is
-//     downgraded to forwarding the leader's outcome.
+// Fused check sites are recorded as they are met; each runs its full
+// check.
 //
 // Everything the phase decides is recorded in TraceInfo/stepAux; the
 // emitter compiles from the record alone, and internal/verify re-derives
@@ -109,65 +107,6 @@ func jitFlagsMayWrite(in *isa.Inst) uint8 {
 	return jitFlagsKilled(in)
 }
 
-// regBit maps a register to its bit in a written-registers mask.
-func regBit(r isa.Reg) uint32 {
-	if r >= isa.NumRegs {
-		return 0
-	}
-	return 1 << r
-}
-
-// jitRegsWritten returns the mask of general-purpose registers an
-// instruction writes, for check-elision invalidation.
-func jitRegsWritten(in *isa.Inst) uint32 {
-	switch in.Op {
-	case isa.MOV, isa.MOVABS, isa.MOVZX, isa.MOVSX,
-		isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL:
-		switch in.Form {
-		case isa.FRR, isa.FRI, isa.FRM:
-			return regBit(in.Reg)
-		}
-		return 0
-	case isa.CMP, isa.TEST, isa.NOP, isa.JMP, isa.TRAP, isa.HLT, isa.RTCALL:
-		return 0
-	case isa.LEA:
-		return regBit(in.Reg)
-	case isa.XCHG:
-		return regBit(in.Reg) | regBit(in.Reg2)
-	case isa.PUSH, isa.PUSHF, isa.CALL:
-		return regBit(isa.RSP)
-	case isa.POP:
-		if in.Form == isa.FR {
-			return regBit(isa.RSP) | regBit(in.Reg)
-		}
-		return regBit(isa.RSP)
-	case isa.POPF, isa.RET:
-		return regBit(isa.RSP)
-	case isa.INC, isa.DEC, isa.NEG, isa.NOT:
-		if in.Form == isa.FR {
-			return regBit(in.Reg)
-		}
-		return 0
-	case isa.SHL, isa.SHR, isa.SAR:
-		return regBit(in.Reg)
-	case isa.UDIV, isa.IDIV:
-		return regBit(isa.RAX) | regBit(isa.RDX)
-	case isa.CQO:
-		return regBit(isa.RDX)
-	}
-	return 0
-}
-
-// jitStoresMem reports whether an instruction can store to guest memory
-// (isa.Inst.Writes plus the implicit stack stores it does not model).
-func jitStoresMem(in *isa.Inst) bool {
-	switch in.Op {
-	case isa.PUSH, isa.PUSHF, isa.CALL:
-		return true
-	}
-	return in.Writes()
-}
-
 // stepAux is the emitter-facing side channel of one analyzed step: data
 // the closures need that is not part of the certifiable TraceInfo
 // contract (the resolved check plan; exit-id bookkeeping).
@@ -183,7 +122,6 @@ type traceBuilder struct {
 	v     *VM
 	info  *TraceInfo
 	aux   []stepAux
-	base  uint64 // CostInst + PerInstOverhead
 	entry uint64
 }
 
@@ -229,7 +167,7 @@ func (tb *traceBuilder) loopExit() {
 // flow or halt).
 func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) {
 	v := tb.v
-	base := tb.base
+	base := uint64(CostInst)
 	next := pc + uint64(in.Len)
 
 	switch in.Op {
@@ -420,14 +358,7 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 			return false, false // not an instrumented check: stay in tier 0
 		}
 		s := tb.addStep(pc, in, next, base)
-		tb.info.Steps[s].Check = &TraceCheck{
-			Arg: arg, ImportIdx: idx, Leader: -1,
-			BaseReg: plan.BaseReg, IndexReg: plan.IndexReg,
-			Scale: plan.Scale, Seg: plan.Seg,
-			StaticOff: plan.StaticOff, Length: plan.Length,
-			TryLowFat: plan.TryLowFat, SizeCheck: plan.SizeCheck,
-			Profile: plan.Profile, MaxCost: plan.MaxCost,
-		}
+		tb.info.Steps[s].Check = &TraceCheck{Arg: arg, ImportIdx: idx, MaxCost: plan.MaxCost}
 		tb.aux[s].plan = plan
 		// An aborting detection (or corrupt-meta error) terminates the
 		// run; the handler's dynamic cycles are charged by the closure.
@@ -473,8 +404,7 @@ func (v *VM) analyzeTrace(root *block) (*TraceInfo, []stepAux) {
 	entry := root.insts[0].pc
 	tb := &traceBuilder{
 		v:     v,
-		info:  &TraceInfo{EntryPC: entry, Overhead: v.PerInstOverhead},
-		base:  CostInst + v.PerInstOverhead,
+		info:  &TraceInfo{EntryPC: entry},
 		entry: entry,
 	}
 	b := root
@@ -516,8 +446,7 @@ walk:
 	if len(tb.info.Steps) < minTraceInsts {
 		return nil, nil
 	}
-	markDeadFlags(tb.info, tb.aux)
-	elideChecks(tb.info, tb.aux)
+	markDeadFlags(tb.info)
 	finalizeCosts(tb.info)
 	return tb.info, tb.aux
 }
@@ -527,7 +456,7 @@ walk:
 // forced to all-live after the last step and after any step with a side
 // exit (both resume in the interpreter with materialized flags); fault
 // exits terminate the run and do not force liveness.
-func markDeadFlags(info *TraceInfo, aux []stepAux) {
+func markDeadFlags(info *TraceInfo) {
 	sideAt := make([]bool, len(info.Steps))
 	for i := range info.Exits {
 		if info.Exits[i].Kind == ExitSide {
@@ -544,49 +473,6 @@ func markDeadFlags(info *TraceInfo, aux []stepAux) {
 			st.FlagsElided = true
 		}
 		live = (live &^ jitFlagsKilled(&st.Inst)) | jitFlagsRead(&st.Inst)
-	}
-}
-
-// elideChecks runs available-checks over the trace: a later site with a
-// plan identical to a still-valid leader forwards the leader's outcome.
-// A leader dies when any plan register is overwritten or any guest
-// store occurs (the metadata load could change).
-func elideChecks(info *TraceInfo, aux []stepAux) {
-	var leaders []int
-	slots := 0
-	for i := range info.Steps {
-		st := &info.Steps[i]
-		if c := st.Check; c != nil {
-			p := aux[i].plan
-			elided := false
-			for _, l := range leaders {
-				if aux[l].plan.samePlan(p) {
-					c.Elided, c.Leader, c.Slot = true, l, info.Steps[l].Check.Slot
-					elided = true
-					break
-				}
-			}
-			if !elided {
-				c.Slot = slots
-				slots++
-				leaders = append(leaders, i)
-			}
-			continue
-		}
-		if jitStoresMem(&st.Inst) {
-			leaders = leaders[:0]
-			continue
-		}
-		if regs := jitRegsWritten(&st.Inst); regs != 0 {
-			kept := leaders[:0]
-			for _, l := range leaders {
-				p := aux[l].plan
-				if regBit(p.BaseReg)&regs == 0 && regBit(p.IndexReg)&regs == 0 {
-					kept = append(kept, l)
-				}
-			}
-			leaders = kept
-		}
 	}
 }
 

@@ -312,7 +312,7 @@ func emitALURI(v *VM, op isa.Op, dst isa.Reg, imm uint64, elide bool, cont int) 
 // emitStep compiles one analyzed step into its closure. Returns nil on
 // an inconsistency between the analyzer and the emitter, which aborts
 // the whole compilation (the block is then pinned to the interpreter).
-func (v *VM) emitStep(t *trace, info *TraceInfo, aux []stepAux, i int) jstep {
+func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 	st := &info.Steps[i]
 	in := &st.Inst
 	ax := &aux[i]
@@ -784,16 +784,12 @@ func (v *VM) emitStep(t *trace, info *TraceInfo, aux []stepAux, i int) jstep {
 		if plan == nil || c == nil {
 			return nil
 		}
-		exec := plan.Exec
-		if c.Elided {
-			exec = plan.Forward
-		}
-		o := &t.outc[c.Slot]
+		exec, arg := plan.Exec, c.Arg
 		f1 := ax.exits[0]
 		return func(j *jctx) int {
 			v.RIP = next // handlers attribute errors to the resume RIP
 			before := v.Cycles
-			err := exec(v, o)
+			err := exec(v, arg)
 			if v.tel != nil {
 				cost := v.Cycles - before
 				v.tel.rtcalls.Inc()
@@ -976,18 +972,10 @@ func buildBatch(t *trace, e *traceExit) *telBatch {
 // interpreter).
 func (v *VM) emitTrace(info *TraceInfo, aux []stepAux) *trace {
 	t := &trace{
-		entryPC:  info.EntryPC,
-		overhead: info.Overhead,
-		maxCost:  info.MaxCost,
-		info:     info,
+		entryPC: info.EntryPC,
+		maxCost: info.MaxCost,
+		info:    info,
 	}
-	slots := 0
-	for i := range info.Steps {
-		if c := info.Steps[i].Check; c != nil && c.Slot+1 > slots {
-			slots = c.Slot + 1
-		}
-	}
-	t.outc = make([]CheckOutcome, slots)
 	t.meta = make([]stepTel, len(info.Steps))
 	for i := range info.Steps {
 		t.meta[i] = contStepTel(&info.Steps[i], &aux[i])
@@ -1031,7 +1019,7 @@ func (v *VM) emitTrace(info *TraceInfo, aux []stepAux) *trace {
 	}
 	t.steps = make([]jstep, len(info.Steps))
 	for i := range info.Steps {
-		s := v.emitStep(t, info, aux, i)
+		s := v.emitStep(info, aux, i)
 		if s == nil {
 			return nil
 		}

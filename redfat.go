@@ -152,7 +152,6 @@ func TraceRows(stats []TraceStat, sym *Symbolizer) []TraceRow {
 			EndPC:   st.EndPC,
 			Steps:   st.Steps,
 			Checks:  st.Checks,
-			Elided:  st.Elided,
 			Entries: st.Entries,
 		}
 		if sym != nil {
