@@ -65,7 +65,8 @@ fuzz:
 # software-TLB access path must not be slower than the raw page-table walk,
 # the superblock tier must beat the block interpreter by ≥20%, and the
 # always-on flight recorder must stay within 3% of a bare hot loop
-# (relative wall-clock comparisons with retries), and the span-checked
+# (relative wall-clock comparisons: the TLB and JIT guards retry, the
+# flight guard takes the median of alternating pairs), and the span-checked
 # memcpy intrinsic must beat the per-access-checked guest loop by ≥5x in
 # deterministic guest cycles. The three wall-clock guards are compiled
 # only under the perfsmoke build tag this target sets, so a loaded host

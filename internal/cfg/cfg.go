@@ -172,28 +172,6 @@ func RegsWritten(in *isa.Inst) RegSet {
 	return s
 }
 
-// WritesFlags reports whether in modifies the flags register.
-func WritesFlags(in *isa.Inst) bool {
-	switch in.Op {
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.CMP, isa.TEST,
-		isa.IMUL, isa.INC, isa.DEC, isa.NEG, isa.SHL, isa.SHR, isa.SAR,
-		isa.POPF, isa.CALL, isa.RTCALL:
-		return true
-	}
-	return false
-}
-
-// ReadsFlags reports whether in may observe the flags register. CALL,
-// RTCALL and TRAP are conservatively treated as readers (unknown callee
-// or patch target), matching the per-flag FlagsRead saturation.
-func ReadsFlags(in *isa.Inst) bool {
-	switch in.Op {
-	case isa.PUSHF, isa.CALL, isa.RTCALL, isa.TRAP:
-		return true
-	}
-	return in.Op.IsCondJump()
-}
-
 // DecodedInst pairs an instruction with its address.
 type DecodedInst struct {
 	Addr uint64
@@ -369,19 +347,19 @@ func (p *Program) DeadRegsAt(i int) RegSet {
 // FlagsDeadAt reports whether the flags register is provably dead before
 // instruction i (every flag overwritten before being observed within the
 // block). The scan tracks the four flags independently through the
-// must-kill set FlagsKilled: treating every flag-writing instruction as
+// must-kill set isa.FlagsKilled: treating every flag-writing instruction as
 // a whole-register kill would be unsound — INC/DEC preserve CF and a
 // shift whose count may be zero preserves everything.
 func (p *Program) FlagsDeadAt(i int) bool {
-	var killed FlagSet
+	var killed isa.FlagSet
 	end := p.BlockEnd(i)
 	for j := i; j < end; j++ {
 		in := &p.Insts[j].Inst
 		if FlagsRead(in)&^killed != 0 {
 			return false // some not-yet-killed flag is observed
 		}
-		killed |= FlagsKilled(in)
-		if killed == AllFlags {
+		killed |= isa.FlagsKilled(in)
+		if killed == isa.AllFlags {
 			return true
 		}
 	}

@@ -2,87 +2,30 @@ package cfg
 
 import "redfat/internal/isa"
 
-// FlagSet is a bitmask over the four RF64 condition flags. The liveness
-// lattice tracks each flag independently because several instructions
-// write only a subset: INC/DEC preserve CF (x86 semantics, mirrored by
-// the VM), and a shift whose count may be zero preserves all flags.
-// Treating those as whole-register kills — as the original block-local
-// scan did — is unsound: a trampoline could clobber a CF that a later
-// JB still observes through an INC.
-type FlagSet uint8
+// The per-flag effects of each instruction are isa's table (isa.FlagSet,
+// isa.FlagsRead, isa.FlagsKilled, isa.FlagsMayWrite). This file adds the
+// one thing a whole-program analysis needs on top: a CALL, RTCALL or
+// TRAP hands control to code the analysis does not follow (a callee, a
+// runtime binding, a trampoline), so it is treated as reading and
+// possibly writing every flag.
 
-// Individual flag bits.
-const (
-	FlagZ FlagSet = 1 << iota
-	FlagS
-	FlagC
-	FlagO
-
-	// AllFlags is the set of every condition flag.
-	AllFlags FlagSet = FlagZ | FlagS | FlagC | FlagO
-)
-
-// Has reports whether f contains all flags in o.
-func (f FlagSet) Has(o FlagSet) bool { return f&o == o }
-
-// condFlags maps each conditional jump to the flags its predicate
-// observes (mirrors vm.condition).
-func condFlags(op isa.Op) FlagSet {
-	switch op {
-	case isa.JE, isa.JNE:
-		return FlagZ
-	case isa.JL, isa.JGE:
-		return FlagS | FlagO
-	case isa.JLE, isa.JG:
-		return FlagZ | FlagS | FlagO
-	case isa.JB, isa.JAE:
-		return FlagC
-	case isa.JBE, isa.JA:
-		return FlagC | FlagZ
-	case isa.JS, isa.JNS:
-		return FlagS
-	case isa.JO, isa.JNO:
-		return FlagO
-	}
-	return 0
+// opaque reports whether in transfers control to code whose flag
+// effects the analysis cannot see.
+func opaque(in *isa.Inst) bool {
+	return in.Op == isa.CALL || in.Op == isa.RTCALL || in.Op == isa.TRAP
 }
 
-// FlagsRead returns the set of flags whose input value in observes.
-// CALL/RTCALL/TRAP conservatively read everything (unknown callee or
-// patch target). A flag that merely passes through unchanged (INC's CF)
-// is NOT read — it is simply absent from FlagsKilled, so liveness flows
-// through the instruction.
-func FlagsRead(in *isa.Inst) FlagSet {
-	if in.Op.IsCondJump() {
-		return condFlags(in.Op)
+// FlagsRead returns the set of flags whose input value in may observe:
+// isa.FlagsRead, saturated to every flag at a CALL, RTCALL or TRAP.
+func FlagsRead(in *isa.Inst) isa.FlagSet {
+	if opaque(in) {
+		return isa.AllFlags
 	}
-	switch in.Op {
-	case isa.PUSHF, isa.CALL, isa.RTCALL, isa.TRAP:
-		return AllFlags
-	}
-	return 0
+	return isa.FlagsRead(in)
 }
 
-// FlagsKilled returns the set of flags in unconditionally overwrites
-// regardless of its inputs (a must-kill set, per the VM semantics):
-//
-//   - ADD/SUB/AND/OR/XOR/CMP/TEST/IMUL/NEG/POPF overwrite all four;
-//   - INC/DEC overwrite ZF/SF/OF but preserve CF;
-//   - SHL/SHR/SAR overwrite all four only when the count is a non-zero
-//     immediate; a %cl-count or zero-immediate shift may leave the
-//     flags untouched and so kills nothing.
-func FlagsKilled(in *isa.Inst) FlagSet {
-	switch in.Op {
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.CMP, isa.TEST,
-		isa.IMUL, isa.NEG, isa.POPF:
-		return AllFlags
-	case isa.INC, isa.DEC:
-		return FlagZ | FlagS | FlagO
-	case isa.SHL, isa.SHR, isa.SAR:
-		if in.Form == isa.FRI && in.Imm&63 != 0 {
-			return AllFlags
-		}
-		return 0
-	}
-	return 0
+// WritesFlags reports whether in may modify any flag: a nonzero
+// isa.FlagsMayWrite, or a CALL, RTCALL or TRAP.
+func WritesFlags(in *isa.Inst) bool {
+	return opaque(in) || isa.FlagsMayWrite(in) != 0
 }

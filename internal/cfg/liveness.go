@@ -1,11 +1,13 @@
 package cfg
 
+import "redfat/internal/isa"
+
 // Liveness is the whole-CFG backward register+flags liveness analysis.
 // The lattice is (RegSet, FlagSet) ordered by inclusion; the transfer
 // function for one instruction is
 //
 //	live_in  = (live_out  \ RegsWritten) ∪ RegsRead
-//	flags_in = (flags_out \ FlagsKilled) ∪ FlagsRead
+//	flags_in = (flags_out \ isa.FlagsKilled) ∪ FlagsRead
 //
 // and the block-level equations are solved with a worklist to a fixed
 // point. Unknown block boundaries (indirect jumps, returns, traps,
@@ -17,7 +19,7 @@ package cfg
 type Liveness struct {
 	g        *Graph
 	liveOut  []RegSet
-	flagsOut []FlagSet
+	flagsOut []isa.FlagSet
 }
 
 // NewLiveness solves the liveness equations over g.
@@ -26,16 +28,16 @@ func NewLiveness(g *Graph) *Liveness {
 	lv := &Liveness{
 		g:        g,
 		liveOut:  make([]RegSet, n),
-		flagsOut: make([]FlagSet, n),
+		flagsOut: make([]isa.FlagSet, n),
 	}
 	liveIn := make([]RegSet, n)
-	flagsIn := make([]FlagSet, n)
+	flagsIn := make([]isa.FlagSet, n)
 
 	// Seed: worst-case boundary for unknown successors.
 	for b := range g.Blocks {
 		if g.Blocks[b].Unknown || len(g.Blocks[b].Succs) == 0 {
 			lv.liveOut[b] = AllRegs
-			lv.flagsOut[b] = AllFlags
+			lv.flagsOut[b] = isa.AllFlags
 		}
 	}
 
@@ -76,20 +78,20 @@ func NewLiveness(g *Graph) *Liveness {
 
 // transferBlock applies the backward transfer across all instructions
 // of block b, given the block's live-out state.
-func (lv *Liveness) transferBlock(b int, live RegSet, flags FlagSet) (RegSet, FlagSet) {
+func (lv *Liveness) transferBlock(b int, live RegSet, flags isa.FlagSet) (RegSet, isa.FlagSet) {
 	blk := &lv.g.Blocks[b]
 	p := lv.g.Prog
 	for j := blk.End - 1; j >= blk.Start; j-- {
 		in := &p.Insts[j].Inst
 		live = (live &^ RegsWritten(in)) | RegsRead(in)
-		flags = (flags &^ FlagsKilled(in)) | FlagsRead(in)
+		flags = (flags &^ isa.FlagsKilled(in)) | FlagsRead(in)
 	}
 	return live, flags
 }
 
 // liveAt computes the live state immediately before instruction i by
 // replaying the block suffix from the block's live-out state.
-func (lv *Liveness) liveAt(i int) (RegSet, FlagSet) {
+func (lv *Liveness) liveAt(i int) (RegSet, isa.FlagSet) {
 	b := lv.g.BlockOf[i]
 	blk := &lv.g.Blocks[b]
 	p := lv.g.Prog
@@ -97,7 +99,7 @@ func (lv *Liveness) liveAt(i int) (RegSet, FlagSet) {
 	for j := blk.End - 1; j >= i; j-- {
 		in := &p.Insts[j].Inst
 		live = (live &^ RegsWritten(in)) | RegsRead(in)
-		flags = (flags &^ FlagsKilled(in)) | FlagsRead(in)
+		flags = (flags &^ isa.FlagsKilled(in)) | FlagsRead(in)
 	}
 	return live, flags
 }
@@ -117,11 +119,4 @@ func (lv *Liveness) DeadRegsAt(i int) RegSet {
 func (lv *Liveness) FlagsDeadAt(i int) bool {
 	_, flags := lv.liveAt(i)
 	return flags == 0
-}
-
-// LiveFlagsAt returns the set of flags live immediately before
-// instruction i (used by the translation validator's audit).
-func (lv *Liveness) LiveFlagsAt(i int) FlagSet {
-	_, flags := lv.liveAt(i)
-	return flags
 }

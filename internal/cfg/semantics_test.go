@@ -10,9 +10,10 @@ import (
 	"redfat/internal/vm"
 )
 
-// TestSemanticsCrossCheck validates the static dataflow tables
-// (RegsRead, RegsWritten, WritesFlags, ReadsFlags, FlagsRead,
-// FlagsKilled) against the VM's executable semantics for every encodable
+// TestSemanticsCrossCheck validates the static dataflow tables (cfg's
+// RegsRead, RegsWritten and WritesFlags, and isa's per-flag FlagsRead,
+// FlagsKilled and FlagsMayWrite, which the trace compiler's flag elision
+// also reads) against the VM's executable semantics for every encodable
 // opcode × form × width combination, by single-stepping each instruction
 // and perturbing one input at a time:
 //
@@ -22,13 +23,14 @@ import (
 //     inside RegsWritten ∖ RegsRead must come out input-independent
 //     (the liveness kill set is a must-kill set);
 //   - !WritesFlags means the flags survive verbatim;
+//   - a flag outside FlagsMayWrite comes out unchanged for every input;
 //   - a flag in FlagsKilled must leave input-independent;
 //   - a flag outside FlagsRead must not influence any non-flag output
 //     or any other flag.
 //
 // RTCALL and TRAP are excluded: their behaviour depends on host bindings
-// and the patch table, and the tables already saturate them to
-// everything-read / everything-written.
+// and the patch table, and cfg already saturates them to everything-read
+// / everything-written.
 func TestSemanticsCrossCheck(t *testing.T) {
 	cases := 0
 	for op := isa.Op(1); int(op) < isa.NumOps; op++ {
@@ -168,34 +170,34 @@ func runOne(t *testing.T, in *isa.Inst, s machineState) outcome {
 	return out
 }
 
-func flagVal(f vm.Flags, bit cfg.FlagSet) bool {
+func flagVal(f vm.Flags, bit isa.FlagSet) bool {
 	switch bit {
-	case cfg.FlagZ:
+	case isa.FlagZ:
 		return f.ZF
-	case cfg.FlagS:
+	case isa.FlagS:
 		return f.SF
-	case cfg.FlagC:
+	case isa.FlagC:
 		return f.CF
-	case cfg.FlagO:
+	case isa.FlagO:
 		return f.OF
 	}
 	return false
 }
 
-func setFlag(f *vm.Flags, bit cfg.FlagSet, v bool) {
+func setFlag(f *vm.Flags, bit isa.FlagSet, v bool) {
 	switch bit {
-	case cfg.FlagZ:
+	case isa.FlagZ:
 		f.ZF = v
-	case cfg.FlagS:
+	case isa.FlagS:
 		f.SF = v
-	case cfg.FlagC:
+	case isa.FlagC:
 		f.CF = v
-	case cfg.FlagO:
+	case isa.FlagO:
 		f.OF = v
 	}
 }
 
-var flagBits = []cfg.FlagSet{cfg.FlagZ, cfg.FlagS, cfg.FlagC, cfg.FlagO}
+var flagBits = []isa.FlagSet{isa.FlagZ, isa.FlagS, isa.FlagC, isa.FlagO}
 
 func checkSemantics(t *testing.T, in *isa.Inst) {
 	t.Helper()
@@ -203,17 +205,28 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 
 	read := cfg.RegsRead(in)
 	written := cfg.RegsWritten(in)
-	fRead := cfg.FlagsRead(in)
-	fKilled := cfg.FlagsKilled(in)
+	fRead := isa.FlagsRead(in)
+	fKilled := isa.FlagsKilled(in)
+	fMay := isa.FlagsMayWrite(in)
 
-	// Static consistency between the legacy predicates and the lattice
-	// sets: a nonzero must-kill set implies the may-write bit, and a
-	// nonzero read set implies the may-read bit.
-	if fKilled != 0 && !cfg.WritesFlags(in) {
-		t.Errorf("%s: FlagsKilled=%04b but WritesFlags=false", label, fKilled)
+	// Static consistency of the flag sets: the must-kill set lies inside
+	// the may-write set, and a nonzero may-write set implies the
+	// whole-register WritesFlags.
+	if fKilled&^fMay != 0 {
+		t.Errorf("%s: FlagsKilled=%04b exceeds FlagsMayWrite=%04b", label, fKilled, fMay)
 	}
-	if fRead != 0 && !cfg.ReadsFlags(in) {
-		t.Errorf("%s: FlagsRead=%04b but ReadsFlags=false", label, fRead)
+	if fMay != 0 && !cfg.WritesFlags(in) {
+		t.Errorf("%s: FlagsMayWrite=%04b but WritesFlags=false", label, fMay)
+	}
+
+	// FlagsMayWrite soundness, applied to every run below: a flag outside
+	// the set comes out exactly as it went in.
+	keepsFlags := func(what string, s machineState, out outcome) {
+		for _, bit := range flagBits {
+			if !fMay.Has(bit) && flagVal(out.flags, bit) != flagVal(s.flags, bit) {
+				t.Errorf("%s: %s changes flag %04b outside FlagsMayWrite", label, what, bit)
+			}
+		}
 	}
 
 	s0 := baseState(false)
@@ -222,12 +235,14 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 		t.Errorf("%s: baseline execution faulted", label)
 		return
 	}
+	keepsFlags("baseline", s0, base)
 	s1 := baseState(true)
 	baseAll := runOne(t, in, s1)
 	if baseAll.err {
 		t.Errorf("%s: all-flags baseline faulted", label)
 		return
 	}
+	keepsFlags("all-flags baseline", s1, baseAll)
 
 	// RegsWritten soundness: registers outside the set are unchanged.
 	for r := 0; r < isa.NumRegs; r++ {
@@ -275,6 +290,7 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 			t.Errorf("%s: perturbing unread %s faulted", label, isa.Reg(r))
 			continue
 		}
+		keepsFlags("perturbing "+isa.Reg(r).String(), sp, out)
 		for q := 0; q < isa.NumRegs; q++ {
 			want := base.regs[q]
 			if q == r && !written.Has(isa.Reg(q)) {
@@ -296,6 +312,19 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 		}
 	}
 
+	// Perturbing a read register may change any output except a flag
+	// outside FlagsMayWrite.
+	for r := 0; r < isa.NumRegs; r++ {
+		if !read.Has(isa.Reg(r)) {
+			continue
+		}
+		sp := s0
+		sp.regs[r] += 8
+		if out := runOne(t, in, sp); !out.err {
+			keepsFlags("perturbing read "+isa.Reg(r).String(), sp, out)
+		}
+	}
+
 	// FlagsRead soundness: perturbing an unread flag must not change any
 	// non-flag output or any other flag; its own output either follows
 	// the input through (not killed) or is input-independent.
@@ -310,6 +339,7 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 			t.Errorf("%s: perturbing unread flag %04b faulted", label, bit)
 			continue
 		}
+		keepsFlags(fmt.Sprintf("perturbing flag %04b", bit), sp, out)
 		if out.regs != base.regs || out.rip != base.rip ||
 			out.data != base.data || out.stack != base.stack {
 			t.Errorf("%s: flag %04b influences non-flag state but FlagsRead omits it",

@@ -386,8 +386,10 @@ func EncodeLen(in *Inst) (int, error) {
 }
 
 // DecodeError reports bytes that are not an instruction Encode can
-// produce: truncated, longer than MaxInstLen, or with an opcode, prefix,
-// form, ModRM mode or immediate width the instruction cannot carry.
+// produce: truncated, or with an opcode, prefix, form, operand encoding
+// or immediate width Encode would not emit for the instruction. Every
+// instruction Decode accepts re-encodes to exactly the bytes it
+// consumed.
 type DecodeError struct{ Reason string }
 
 // Error implements the error interface.
@@ -397,14 +399,10 @@ func decodeErr(format string, args ...any) error {
 	return &DecodeError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// shortErr reports a read of n bytes at offset pos past the end of the
-// code (capped at MaxInstLen): an over-long encoding or a truncated one.
-// It lives outside Decode's need closure so that need stays small enough
+// shortErr reports a read past the end of the code at offset pos. It
+// lives outside Decode's need closure so that need stays small enough
 // for the compiler to inline at every read.
-func shortErr(pos, n int) error {
-	if pos+n > MaxInstLen {
-		return decodeErr("instruction longer than %d bytes", MaxInstLen)
-	}
+func shortErr(pos int) error {
 	return decodeErr("truncated instruction at offset %d", pos)
 }
 
@@ -431,39 +429,40 @@ func immWidthOK(op Op, form Form, iw uint8) bool {
 func Decode(code []byte) (Inst, error) {
 	var in Inst
 	pos := 0
-	if len(code) > MaxInstLen {
-		code = code[:MaxInstLen] // no valid encoding is longer
-	}
 	need := func(n int) error {
 		if pos+n > len(code) {
-			return shortErr(pos, n)
+			return shortErr(pos)
 		}
 		return nil
 	}
 
-	// Prefixes.
+	// Prefixes: at most one segment override, then at most one REX
+	// prefix with a bit set, the only sequences Encode emits.
 	seg := SegNone
 	var rex byte
-	for {
+	if err := need(1); err != nil {
+		return in, err
+	}
+	switch code[pos] {
+	case prefixFS:
+		seg = SegFS
+		pos++
+	case prefixGS:
+		seg = SegGS
+		pos++
+	}
+	if err := need(1); err != nil {
+		return in, err
+	}
+	if b := code[pos]; b > prefixREX && b <= prefixREX|7 {
+		rex = b & 7
+		pos++
 		if err := need(1); err != nil {
 			return in, err
 		}
-		b := code[pos]
-		switch {
-		case b == prefixFS:
-			seg = SegFS
-			pos++
-			continue
-		case b == prefixGS:
-			seg = SegGS
-			pos++
-			continue
-		case b >= prefixREX && b <= prefixREX|7:
-			rex = b & 7
-			pos++
-			continue
-		}
-		break
+	}
+	if b := code[pos]; b == prefixFS || b == prefixGS || b >= prefixREX && b <= prefixREX|7 {
+		return in, decodeErr("redundant or misplaced prefix %#x", b)
 	}
 
 	op := Op(code[pos])
@@ -501,12 +500,17 @@ func Decode(code []byte) (Inst, error) {
 		return in, decodeErr("op %v form %v cannot carry immediate width code %d", op, in.Form, iw)
 	}
 
+	// rexUsed collects the REX bits the operands consume; Encode sets no
+	// other bit.
+	var rexUsed byte
 	decodeMem := func(modrm byte) error {
 		mod := modrm >> 6
 		rm := modrm & 7
 		m := &in.Mem
 		m.Seg = seg
 		switch {
+		case mod == 3:
+			return decodeErr("memory form with mod=3")
 		case mod == 0 && rm == 0b101:
 			m.Base = RIP
 			if err := need(4); err != nil {
@@ -524,6 +528,7 @@ func Decode(code []byte) (Inst, error) {
 			m.Scale = 1 << (sib >> 6)
 			// index=0b100 means "no index" only without REX.X; with
 			// REX.X set it denotes %r12 (x86-64 rule).
+			rexUsed |= rexX
 			idx := (sib >> 3) & 7
 			if idx != 0b100 || rex&rexX != 0 {
 				m.Index = Reg(idx)
@@ -533,6 +538,9 @@ func Decode(code []byte) (Inst, error) {
 			}
 			base := sib & 7
 			if base == 0b101 && mod == 0 {
+				if m.Index == RegNone && sib != 0b00_100_101 {
+					return decodeErr("absolute operand with SIB %#x", sib)
+				}
 				m.Base = RegNone
 				if err := need(4); err != nil {
 					return err
@@ -541,15 +549,16 @@ func Decode(code []byte) (Inst, error) {
 				pos += 4
 				return nil
 			}
-			m.Base = Reg(base)
-			if rex&rexB != 0 {
-				m.Base += 8
+			if m.Index == RegNone && base != 0b100 {
+				return decodeErr("SIB byte without an index")
 			}
+			m.Base = Reg(base)
 		default:
 			m.Base = Reg(rm)
-			if rex&rexB != 0 {
-				m.Base += 8
-			}
+		}
+		rexUsed |= rexB
+		if rex&rexB != 0 {
+			m.Base += 8
 		}
 		switch mod {
 		case 1:
@@ -558,12 +567,18 @@ func Decode(code []byte) (Inst, error) {
 			}
 			m.Disp = int32(int8(code[pos]))
 			pos++
+			if m.Disp == 0 && m.Base&7 != 0b101 {
+				return decodeErr("zero disp8 the base does not need")
+			}
 		case 2:
 			if err := need(4); err != nil {
 				return err
 			}
 			m.Disp = int32(binary.LittleEndian.Uint32(code[pos:]))
 			pos += 4
+			if m.Disp >= -128 && m.Disp <= 127 {
+				return decodeErr("disp32 %d that fits in disp8", m.Disp)
+			}
 		}
 		return nil
 	}
@@ -575,10 +590,11 @@ func Decode(code []byte) (Inst, error) {
 		}
 		modrm := code[pos]
 		pos++
-		if modrm>>6 != 3 {
-			return in, decodeErr("register form with mod=%d", modrm>>6)
+		if modrm>>6 != 3 || modrm&7 != 0 {
+			return in, decodeErr("register form with ModRM %#x", modrm)
 		}
 		in.Reg = Reg((modrm >> 3) & 7)
+		rexUsed |= rexR
 		if rex&rexR != 0 {
 			in.Reg += 8
 		}
@@ -592,10 +608,11 @@ func Decode(code []byte) (Inst, error) {
 			return in, decodeErr("rr form with mod=%d", modrm>>6)
 		}
 		in.Reg = Reg((modrm >> 3) & 7)
+		in.Reg2 = Reg(modrm & 7)
+		rexUsed |= rexR | rexB
 		if rex&rexR != 0 {
 			in.Reg += 8
 		}
-		in.Reg2 = Reg(modrm & 7)
 		if rex&rexB != 0 {
 			in.Reg2 += 8
 		}
@@ -606,6 +623,7 @@ func Decode(code []byte) (Inst, error) {
 		modrm := code[pos]
 		pos++
 		in.Reg = Reg((modrm >> 3) & 7)
+		rexUsed |= rexR
 		if rex&rexR != 0 {
 			in.Reg += 8
 		}
@@ -618,9 +636,18 @@ func Decode(code []byte) (Inst, error) {
 		}
 		modrm := code[pos]
 		pos++
+		if modrm&0b00_111_000 != 0 {
+			return in, decodeErr("memory form with ModRM.reg=%d", (modrm>>3)&7)
+		}
 		if err := decodeMem(modrm); err != nil {
 			return in, err
 		}
+	}
+	if seg != SegNone && !in.HasMem() {
+		return in, decodeErr("segment prefix on %v form %v", op, in.Form)
+	}
+	if rex&^rexUsed != 0 {
+		return in, decodeErr("REX bits %#x unused by %v form %v", rex&^rexUsed, op, in.Form)
 	}
 
 	switch iw {
@@ -636,6 +663,9 @@ func Decode(code []byte) (Inst, error) {
 		}
 		in.Imm = int64(int32(binary.LittleEndian.Uint32(code[pos:])))
 		pos += 4
+		if (in.Form == FRI || in.Form == FMI) && in.Imm >= -128 && in.Imm <= 127 {
+			return in, decodeErr("imm32 %d that fits in imm8", in.Imm)
+		}
 	case imm64:
 		if err := need(8); err != nil {
 			return in, err

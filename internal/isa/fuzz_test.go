@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -11,8 +12,8 @@ import (
 //   - is 1..min(len(code), MaxInstLen) bytes long,
 //   - decodes the same from the first MaxInstLen bytes alone (what the VM
 //     fetches) as from the whole buffer (what a linear sweep decodes), and
-//   - re-encodes, and decodes back to the same text and immediate (the
-//     text omits the immediate of a form that has none).
+//   - re-encodes to exactly the bytes it consumed, so every accepted
+//     encoding is the one Encode emits.
 func FuzzDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 32; i++ {
@@ -46,10 +47,9 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Encode(%s) of % x: %v", in.String(), code[:in.Len], err)
 		}
-		out, err := Decode(buf)
-		if err != nil || out.String() != in.String() || out.Imm != in.Imm {
-			t.Fatalf("% x decodes to %s, re-encoded % x to %s, %v",
-				code[:in.Len], in.String(), buf, out.String(), err)
+		if !bytes.Equal(buf, code[:in.Len]) {
+			t.Fatalf("% x decodes to %s, which re-encodes as % x",
+				code[:in.Len], in.String(), buf)
 		}
 	})
 }

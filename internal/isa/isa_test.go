@@ -189,13 +189,22 @@ func TestEncodeErrors(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	// A 7-byte mov behind REX prefixes: 9 of them fit MaxInstLen.
+	// The longest encoding: segment and REX prefixes, SIB, disp32 and
+	// imm32 around a store of an immediate.
+	longest := Inst{Op: MOV, Form: FMI, Size: 4, Imm: 1 << 20,
+		Mem: Mem{Seg: SegFS, Base: R12, Index: R13, Scale: 8, Disp: 0x1000}}
+	code, err := Encode(nil, &longest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in, err := Decode(code); err != nil || in.Len != 14 || in.String() != longest.String() {
+		t.Fatalf("Decode(% x) = %s (len %d), %v; want %s in 14 bytes",
+			code, in.String(), in.Len, err, longest.String())
+	}
+
 	mov := []byte{byte(MOV), byte(FRM), 0x83, 0, 0x10, 0, 0} // mov 0x1000(%rbx), %rax
 	rex := func(n int, tail []byte) []byte {
-		return append(bytes.Repeat([]byte{prefixREX}, n), tail...)
-	}
-	if in, err := Decode(rex(9, mov)); err != nil || in.Len != MaxInstLen {
-		t.Fatalf("Decode of a %d-byte mov = %v (len %d), %v", MaxInstLen, in.String(), in.Len, err)
+		return append(bytes.Repeat([]byte{prefixREX | rexB}, n), tail...)
 	}
 	cases := [][]byte{
 		{},                       // empty
@@ -209,6 +218,7 @@ func TestDecodeErrors(t *testing.T) {
 		{byte(JMP), byte(FRel32) | imm32<<6, 1, 2}, // truncated imm32
 		rex(10, mov),  // 17 bytes, over MaxInstLen
 		rex(249, mov), // 256 bytes: Len would wrap to 0
+		rex(9, mov),   // 16 bytes of one mov behind nine REX prefixes
 		{byte(JMP), byte(FRel32) | imm64<<6, 1, 0, 0, 0, 0, 0, 0, 0},    // rel32 with an imm64
 		{byte(JE), byte(FRel8) | imm32<<6, 1, 0, 0, 0},                  // rel8 with an imm32
 		{byte(RTCALL), byte(FI) | imm8<<6, 1},                           // FI with an imm8
@@ -217,6 +227,24 @@ func TestDecodeErrors(t *testing.T) {
 		{byte(MOV), byte(FRI), 0xC0},                                    // FRI without immediate
 		{byte(ADD), byte(FRI) | imm64<<6, 0xC0, 1, 0, 0, 0, 0, 0, 0, 0}, // imm64 outside MOVABS
 		{byte(MOVABS), byte(FRI) | imm32<<6, 0xC0, 1, 0, 0, 0},          // movabs with an imm32
+
+		// Encodings Encode never emits (each decoded at one time, and
+		// re-encoded differently):
+		rex(2, mov),                                         // repeated REX prefix
+		{0x64, 0x65, 0x64, 0x08, 0x04, 0x03},                // repeated segment prefixes
+		{0x41, 0x64, byte(MOV), byte(FRM), 0x03},            // REX before the segment prefix
+		{prefixREX, byte(MOV), byte(FRM), 0x03},             // REX prefix with no bit set
+		{0x08, 0x04, 0xC3},                                  // mod=3 in a memory form
+		{0x64, byte(MOV), byte(FRI) | imm8<<6, 0xC0, 1},     // segment prefix, no memory operand
+		{0x42, byte(MOV), byte(FRM), 0x03},                  // REX.X without a SIB index
+		{0x44, byte(PUSH), byte(FM), 0x03},                  // REX.R on a form without ModRM.reg
+		{byte(PUSH), byte(FM), 0x1B},                        // ModRM.reg set on a memory-only form
+		{byte(MOV), byte(FRI) | imm8<<6, 0xC3, 1},           // ModRM.rm set on a register form
+		{byte(MOV), byte(FRM), 0x04, 0x23},                  // SIB without an index
+		{byte(MOV), byte(FRM), 0x04, 0x65, 0, 0, 0, 0},      // absolute operand with a scale
+		{byte(MOV), byte(FRM), 0x43, 0},                     // zero disp8 on %rbx
+		{byte(MOV), byte(FRM), 0x83, 0x10, 0, 0, 0},         // disp32 that fits in disp8
+		{byte(MOV), byte(FRI) | imm32<<6, 0xC0, 5, 0, 0, 0}, // imm32 that fits in imm8
 	}
 	for _, code := range cases {
 		_, err := Decode(code)

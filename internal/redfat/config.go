@@ -72,15 +72,22 @@ func EncodeConfig(opt Options) []byte {
 	return out
 }
 
+// ConfigError reports a ConfigSection DecodeConfig cannot read. The
+// section comes from the hardened binary, which is untrusted input.
+type ConfigError struct{ Reason string }
+
+// Error implements the error interface.
+func (e *ConfigError) Error() string { return "redfat: " + e.Reason }
+
 // DecodeConfig recovers the Options subset stored by EncodeConfig. The
 // AllowList itself is not stored; HasAllowList reports whether one was
 // in effect (site modes already reflect it in the site table).
 func DecodeConfig(data []byte) (opt Options, hasAllowList bool, err error) {
 	if len(data) < 5 {
-		return opt, false, fmt.Errorf("redfat: config section too short (%d bytes)", len(data))
+		return opt, false, &ConfigError{fmt.Sprintf("config section too short (%d bytes)", len(data))}
 	}
 	if data[0] != configVersion {
-		return opt, false, fmt.Errorf("redfat: unknown config version %d", data[0])
+		return opt, false, &ConfigError{fmt.Sprintf("unknown config version %d", data[0])}
 	}
 	f1, f2 := data[1], data[2]
 	opt.LowFat = f1&cfgLowFat != 0

@@ -3,6 +3,7 @@ package redfat_test
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -39,4 +40,32 @@ func TestConfigRetiredLibcBit(t *testing.T) {
 			t.Errorf("re-encoding kept the retired bit: %x, want %x", re, clean)
 		}
 	}
+}
+
+// FuzzDecodeConfig feeds arbitrary bytes to the .rf.config decoder: a
+// section must either fail with a *redfat.ConfigError or decode to
+// options that survive an encode/decode round trip unchanged.
+func FuzzDecodeConfig(f *testing.F) {
+	f.Add(redfat.EncodeConfig(redfat.Defaults()))
+	f.Add(redfat.EncodeConfig(redfat.Options{LowFat: true, NoIndirect: true, MaxBatch: 4,
+		AllowList: map[uint64]bool{}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		opt, hasAllow, err := redfat.DecodeConfig(data)
+		if err != nil {
+			var ce *redfat.ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		enc := opt
+		if hasAllow {
+			enc.AllowList = map[uint64]bool{}
+		}
+		again, againAllow, err := redfat.DecodeConfig(redfat.EncodeConfig(enc))
+		if err != nil || !reflect.DeepEqual(again, opt) || againAllow != hasAllow {
+			t.Fatalf("round trip: %+v (allow list %v), %v; want %+v (allow list %v)",
+				again, againAllow, err, opt, hasAllow)
+		}
+	})
 }

@@ -1,9 +1,6 @@
 package relf
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // JumpTableSection is the metadata section declaring the jump tables a
 // marker-built binary contains. The assembler's .jumptable directive
@@ -39,14 +36,14 @@ func EncodeJumpTables(tables []JumpTable) []byte {
 // DecodeJumpTables parses section data produced by EncodeJumpTables.
 func DecodeJumpTables(data []byte) ([]JumpTable, error) {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("relf: jump-table section too short")
+		return nil, formatErr("jump-table section too short")
 	}
 	if data[0] != jtVersion {
-		return nil, fmt.Errorf("relf: jump-table section version %d (want %d)", data[0], jtVersion)
+		return nil, formatErr("jump-table section version %d (want %d)", data[0], jtVersion)
 	}
 	n := binary.LittleEndian.Uint32(data[4:])
 	if uint64(len(data)) < 8+12*uint64(n) {
-		return nil, fmt.Errorf("relf: jump-table section truncated (%d records)", n)
+		return nil, formatErr("jump-table section truncated (%d records)", n)
 	}
 	out := make([]JumpTable, n)
 	for i := uint32(0); i < n; i++ {

@@ -2,7 +2,6 @@ package relf
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 )
 
@@ -44,11 +43,12 @@ func EncodePatchTable(entries map[uint64]uint64) []byte {
 // DecodePatchTable parses section data produced by EncodePatchTable.
 func DecodePatchTable(data []byte) (map[uint64]uint64, error) {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("relf: patch table too short")
+		return nil, formatErr("patch table too short")
 	}
+	// Bound the count by division: 8+16*n wraps for n ≥ 2^60.
 	n := binary.LittleEndian.Uint64(data)
-	if uint64(len(data)) < 8+16*n {
-		return nil, fmt.Errorf("relf: patch table truncated (%d entries)", n)
+	if n > uint64(len(data)-8)/16 {
+		return nil, formatErr("patch table truncated (%d entries)", n)
 	}
 	m := make(map[uint64]uint64, n)
 	for i := uint64(0); i < n; i++ {

@@ -308,22 +308,35 @@ func (b *Binary) Marshal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// FormatError reports bytes no encoder in this package produces: a
+// corrupt or truncated image, or a malformed metadata section. Images
+// and their sections are untrusted input, so every decoder here fails
+// with one instead of faulting the host.
+type FormatError struct{ Reason string }
+
+// Error implements the error interface.
+func (e *FormatError) Error() string { return "relf: " + e.Reason }
+
+func formatErr(format string, args ...any) error {
+	return &FormatError{Reason: fmt.Sprintf(format, args...)}
+}
+
 // Unmarshal parses a serialized RELF image.
 func Unmarshal(data []byte) (*Binary, error) {
 	if len(data) < 4+4+4+8+4 {
-		return nil, fmt.Errorf("relf: image too small (%d bytes)", len(data))
+		return nil, formatErr("image too small (%d bytes)", len(data))
 	}
 	if !bytes.Equal(data[:4], Magic[:]) {
-		return nil, fmt.Errorf("relf: bad magic % x", data[:4])
+		return nil, formatErr("bad magic % x", data[:4])
 	}
 	body, sumBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(sumBytes) {
-		return nil, fmt.Errorf("relf: checksum mismatch")
+		return nil, formatErr("checksum mismatch")
 	}
 	pos := 4
 	r32 := func() (uint32, error) {
 		if pos+4 > len(body) {
-			return 0, fmt.Errorf("relf: truncated at %d", pos)
+			return 0, formatErr("truncated at %d", pos)
 		}
 		v := binary.LittleEndian.Uint32(body[pos:])
 		pos += 4
@@ -331,7 +344,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	r64 := func() (uint64, error) {
 		if pos+8 > len(body) {
-			return 0, fmt.Errorf("relf: truncated at %d", pos)
+			return 0, formatErr("truncated at %d", pos)
 		}
 		v := binary.LittleEndian.Uint64(body[pos:])
 		pos += 8
@@ -339,7 +352,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	r8 := func() (byte, error) {
 		if pos+1 > len(body) {
-			return 0, fmt.Errorf("relf: truncated at %d", pos)
+			return 0, formatErr("truncated at %d", pos)
 		}
 		v := body[pos]
 		pos++
@@ -347,12 +360,12 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	rstr := func() (string, error) {
 		if pos+2 > len(body) {
-			return "", fmt.Errorf("relf: truncated at %d", pos)
+			return "", formatErr("truncated at %d", pos)
 		}
 		n := int(binary.LittleEndian.Uint16(body[pos:]))
 		pos += 2
 		if pos+n > len(body) {
-			return "", fmt.Errorf("relf: truncated string at %d", pos)
+			return "", formatErr("truncated string at %d", pos)
 		}
 		s := string(body[pos : pos+n])
 		pos += n
@@ -364,7 +377,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 		return nil, err
 	}
 	if ver != Version {
-		return nil, fmt.Errorf("relf: unsupported version %d", ver)
+		return nil, formatErr("unsupported version %d", ver)
 	}
 	flags, err := r32()
 	if err != nil {
@@ -384,7 +397,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	const maxCount = 1 << 20
 	if nsec > maxCount {
-		return nil, fmt.Errorf("relf: unreasonable section count %d", nsec)
+		return nil, formatErr("unreasonable section count %d", nsec)
 	}
 	for i := uint32(0); i < nsec; i++ {
 		s := &Section{}
@@ -413,7 +426,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 			return nil, err
 		}
 		if dlen > uint64(len(body)-pos) {
-			return nil, fmt.Errorf("relf: section %q data truncated", s.Name)
+			return nil, formatErr("section %q data truncated", s.Name)
 		}
 		s.Data = append([]byte(nil), body[pos:pos+int(dlen)]...)
 		pos += int(dlen)
@@ -425,7 +438,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 		return nil, err
 	}
 	if nsym > maxCount {
-		return nil, fmt.Errorf("relf: unreasonable symbol count %d", nsym)
+		return nil, formatErr("unreasonable symbol count %d", nsym)
 	}
 	for i := uint32(0); i < nsym; i++ {
 		var s Symbol
@@ -451,7 +464,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 		return nil, err
 	}
 	if nimp > maxCount {
-		return nil, fmt.Errorf("relf: unreasonable import count %d", nimp)
+		return nil, formatErr("unreasonable import count %d", nimp)
 	}
 	for i := uint32(0); i < nimp; i++ {
 		n, err := rstr()

@@ -1,6 +1,8 @@
 package relf
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -86,6 +88,19 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Unmarshal(nil); err == nil {
 		t.Error("empty image accepted")
+	}
+}
+
+// TestDecodePatchTableRejectsWrappingCount: a count of 2^60 or more
+// wraps 8+16*n past zero, so a length check on that sum admits a 24-byte
+// table whose loop then reads past the section.
+func TestDecodePatchTableRejectsWrappingCount(t *testing.T) {
+	data := make([]byte, 24)
+	binary.LittleEndian.PutUint64(data, 1<<60)
+	m, err := DecodePatchTable(data)
+	var fe *FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("DecodePatchTable(count 2^60) = %v, %v; want a *FormatError", m, err)
 	}
 }
 

@@ -176,46 +176,108 @@ func (v *VM) branchTo(target uint64) {
 	}
 }
 
-// aluOp applies a binary ALU operation at width w, returning the result
-// and whether flags follow add/sub/logic semantics.
-func (v *VM) aluCompute(op isa.Op, a, b uint64, w uint16) (uint64, Flags, error) {
+// The compute helpers below are the one definition of what each ALU op
+// computes: the interpreter and the trace compiler's general closures
+// both call them. They are pure: no cycle charges, no memory access.
+
+// aluApply computes a two-operand ALU/MOV op at width w, returning the
+// result and the flags after it (cur when the op leaves them alone).
+// CMP and TEST return a, which their callers discard.
+func aluApply(op isa.Op, a, b uint64, w uint16, cur Flags) (uint64, Flags) {
 	mask := widthMask(w)
 	switch op {
-	case isa.MOV, isa.MOVZX:
-		return b & mask, v.Flags, nil // moves don't touch flags
+	case isa.MOV, isa.MOVABS, isa.MOVZX:
+		return b & mask, cur // moves don't touch flags
 	case isa.MOVSX:
 		r := b & mask
 		if signBit(r, w) {
 			r |= ^mask
 		}
-		return r, v.Flags, nil
+		return r, cur
 	case isa.ADD:
 		r := (a + b) & mask
-		return r, addFlags(a, b, r, w), nil
+		return r, addFlags(a, b, r, w)
 	case isa.SUB:
 		r := (a - b) & mask
-		return r, subFlags(a, b, r, w), nil
+		return r, subFlags(a, b, r, w)
 	case isa.CMP:
 		r := (a - b) & mask
-		return a & mask, subFlags(a, b, r, w), nil
+		return a & mask, subFlags(a, b, r, w)
 	case isa.AND, isa.TEST:
 		r := (a & b) & mask
 		if op == isa.TEST {
-			return a & mask, logicFlags(r, w), nil
+			return a & mask, logicFlags(r, w)
 		}
-		return r, logicFlags(r, w), nil
+		return r, logicFlags(r, w)
 	case isa.OR:
 		r := (a | b) & mask
-		return r, logicFlags(r, w), nil
+		return r, logicFlags(r, w)
 	case isa.XOR:
 		r := (a ^ b) & mask
-		return r, logicFlags(r, w), nil
+		return r, logicFlags(r, w)
 	case isa.IMUL:
-		v.Cycles += CostMul
 		r := uint64(int64(a)*int64(b)) & mask
-		return r, logicFlags(r, w), nil
+		return r, logicFlags(r, w)
 	}
-	return 0, v.Flags, fmt.Errorf("vm: alu cannot execute %v", op)
+	return 0, cur
+}
+
+// unaryApply computes INC/DEC/NEG/NOT of val at width w.
+func unaryApply(op isa.Op, val uint64, w uint16, cur Flags) (uint64, Flags) {
+	mask := widthMask(w)
+	switch op {
+	case isa.INC:
+		r := (val + 1) & mask
+		fl := addFlags(val, 1, r, w)
+		fl.CF = cur.CF // INC preserves CF (x86 semantics)
+		return r, fl
+	case isa.DEC:
+		r := (val - 1) & mask
+		fl := subFlags(val, 1, r, w)
+		fl.CF = cur.CF
+		return r, fl
+	case isa.NEG:
+		r := (-val) & mask
+		fl := subFlags(0, val, r, w)
+		fl.CF = val&mask != 0
+		return r, fl
+	}
+	return (^val) & mask, cur // NOT: flags untouched
+}
+
+// shiftApply computes a 64-bit SHL/SHR/SAR of val by count, already
+// masked to 0..63. A zero count leaves the value and the flags alone.
+// (Kept small enough for the compiler to inline into exec.)
+func shiftApply(op isa.Op, val, count uint64, cur Flags) (uint64, Flags) {
+	if count == 0 {
+		return val, cur
+	}
+	r, cf := val<<count, val>>(64-count)&1 != 0
+	if op != isa.SHL {
+		cf = val>>(count-1)&1 != 0
+		r = val >> count
+		if op == isa.SAR {
+			r = uint64(int64(val) >> count)
+		}
+	}
+	return r, Flags{ZF: r == 0, SF: int64(r) < 0, CF: cf}
+}
+
+// divApply computes UDIV/IDIV of the dividend a by the divisor d,
+// returning quotient and remainder, or the fault of the instruction at
+// pc (a zero divisor, or the one signed quotient that overflows).
+func divApply(op isa.Op, a, d, pc uint64) (q, r uint64, err error) {
+	if d == 0 {
+		return 0, 0, fmt.Errorf("vm: division by zero at %#x", pc)
+	}
+	if op == isa.UDIV {
+		return a / d, a % d, nil
+	}
+	sa, sd := int64(a), int64(d)
+	if sa == -1<<63 && sd == -1 {
+		return 0, 0, fmt.Errorf("vm: division overflow at %#x", pc)
+	}
+	return uint64(sa / sd), uint64(sa % sd), nil
 }
 
 // Step retires the single instruction at RIP, decoded afresh from guest
@@ -409,59 +471,28 @@ func (v *VM) exec(pc uint64, in *isa.Inst) error {
 		v.RIP = next
 
 	case isa.INC, isa.DEC, isa.NEG, isa.NOT:
-		if err := v.stepUnary(in, next); err != nil {
+		if in.Form == isa.FR {
+			v.Regs[in.Reg], v.Flags = unaryApply(in.Op, v.Regs[in.Reg], 8, v.Flags)
+		} else if err := v.stepUnary(in, next); err != nil {
 			return err
 		}
 		v.RIP = next
 
 	case isa.SHL, isa.SHR, isa.SAR:
-		var count uint64
-		if in.Form == isa.FRI {
-			count = uint64(in.Imm)
-		} else {
+		count := uint64(in.Imm)
+		if in.Form != isa.FRI {
 			count = v.Regs[isa.RCX]
 		}
-		count &= 63
-		val := v.Regs[in.Reg]
-		var r uint64
-		var cf bool
-		if count > 0 {
-			switch in.Op {
-			case isa.SHL:
-				cf = val&(1<<(64-count)) != 0
-				r = val << count
-			case isa.SHR:
-				cf = val&(1<<(count-1)) != 0
-				r = val >> count
-			case isa.SAR:
-				cf = val&(1<<(count-1)) != 0
-				r = uint64(int64(val) >> count)
-			}
-			v.Flags = Flags{ZF: r == 0, SF: signBit(r, 8), CF: cf}
-		} else {
-			r = val
-		}
-		v.Regs[in.Reg] = r
+		v.Regs[in.Reg], v.Flags = shiftApply(in.Op, v.Regs[in.Reg], count&63, v.Flags)
 		v.RIP = next
 
 	case isa.UDIV, isa.IDIV:
 		v.Cycles += CostDiv
-		d := v.Regs[in.Reg]
-		if d == 0 {
-			return fmt.Errorf("vm: division by zero at %#x", pc)
+		q, r, err := divApply(in.Op, v.Regs[isa.RAX], v.Regs[in.Reg], pc)
+		if err != nil {
+			return err
 		}
-		a := v.Regs[isa.RAX]
-		if in.Op == isa.UDIV {
-			v.Regs[isa.RAX] = a / d
-			v.Regs[isa.RDX] = a % d
-		} else {
-			sa, sd := int64(a), int64(d)
-			if sa == -1<<63 && sd == -1 {
-				return fmt.Errorf("vm: division overflow at %#x", pc)
-			}
-			v.Regs[isa.RAX] = uint64(sa / sd)
-			v.Regs[isa.RDX] = uint64(sa % sd)
-		}
+		v.Regs[isa.RAX], v.Regs[isa.RDX] = q, r
 		v.RIP = next
 
 	case isa.JMP:
@@ -548,10 +579,10 @@ func (v *VM) exec(pc uint64, in *isa.Inst) error {
 }
 
 // aluRegFast executes the hot register-form ALU operations (which are
-// always 64-bit, so every width mask is all-ones) without the
-// aluCompute call, reporting whether it handled the op. Results and
-// flags are exactly those of aluCompute at w == 8: the flag helpers
-// below are the shared implementation.
+// always 64-bit, so every width mask is all-ones) without the aluApply
+// call, reporting whether it handled the op. Results and flags are
+// exactly those of aluApply at w == 8: the flag helpers are the shared
+// implementation.
 func (v *VM) aluRegFast(in *isa.Inst, b uint64) bool {
 	a := v.Regs[in.Reg]
 	switch in.Op {
@@ -587,139 +618,76 @@ func (v *VM) aluRegFast(in *isa.Inst, b uint64) bool {
 	return true
 }
 
-// stepALU executes two-operand ALU/MOV forms.
+// stepALU executes the two-operand ALU/MOV forms exec's fast paths
+// leave to it: register forms aluRegFast declines (IMUL), every memory
+// source but a plain load, and every memory destination but a plain
+// register store.
 func (v *VM) stepALU(in *isa.Inst, next uint64) error {
 	w := uint16(in.Size)
 	if w == 0 {
 		w = 8
 	}
-	regW := w
-	if in.Form == isa.FRR || in.Form == isa.FRI {
-		// Register-to-register arithmetic is always 64-bit in RF64.
-		regW = 8
-	}
+	var a, b, addr uint64
+	var err error
 	switch in.Form {
-	case isa.FRR:
-		if v.aluRegFast(in, v.Regs[in.Reg2]) {
-			return nil
-		}
-		a, b := v.Regs[in.Reg], v.Regs[in.Reg2]
-		r, fl, err := v.aluCompute(in.Op, a, b, regW)
-		if err != nil {
-			return err
-		}
-		v.Flags = fl
-		if in.Op != isa.CMP && in.Op != isa.TEST {
-			v.Regs[in.Reg] = r
-		}
-	case isa.FRI:
-		if v.aluRegFast(in, uint64(in.Imm)) {
-			return nil
-		}
-		a, b := v.Regs[in.Reg], uint64(in.Imm)
-		r, fl, err := v.aluCompute(in.Op, a, b, regW)
-		if err != nil {
-			return err
-		}
-		v.Flags = fl
-		if in.Op != isa.CMP && in.Op != isa.TEST {
-			v.Regs[in.Reg] = r
+	case isa.FRR, isa.FRI:
+		// Register-to-register arithmetic is always 64-bit in RF64.
+		w = 8
+		a, b = v.Regs[in.Reg], uint64(in.Imm)
+		if in.Form == isa.FRR {
+			b = v.Regs[in.Reg2]
 		}
 	case isa.FRM:
-		addr := v.EA(in.Mem, next)
-		b, err := v.load(addr, w)
-		if err != nil {
+		// Moves (zero/sign-extending) and ALU-from-memory both operate
+		// at the access width; sub-width results zero-extend into the
+		// register (MOVSX sign-extends inside aluApply).
+		if b, err = v.load(v.EA(in.Mem, next), w); err != nil {
 			return err
 		}
-		if in.Op == isa.MOV || in.Op == isa.MOVZX {
-			// Loads already zero-extend to the access width, so the
-			// result is b with flags untouched — skip the call.
-			v.Regs[in.Reg] = b
-			return nil
-		}
-		a := v.Regs[in.Reg]
-		// Moves (zero/sign-extending) and ALU-from-memory both operate at
-		// the access width; sub-width results zero-extend into the
-		// register (MOVSX sign-extends inside aluCompute).
-		r, fl, err := v.aluCompute(in.Op, a, b, w)
-		if err != nil {
-			return err
-		}
-		v.Flags = fl
-		if in.Op != isa.CMP && in.Op != isa.TEST {
-			v.Regs[in.Reg] = r
-		}
+		a = v.Regs[in.Reg]
 	case isa.FMR, isa.FMI:
-		addr := v.EA(in.Mem, next)
-		var b uint64
+		addr = v.EA(in.Mem, next)
+		b = uint64(in.Imm)
 		if in.Form == isa.FMR {
 			b = v.Regs[in.Reg]
-		} else {
-			b = uint64(in.Imm)
 		}
 		if in.Op == isa.MOV {
 			return v.store(addr, w, b)
 		}
-		a, err := v.load(addr, w)
-		if err != nil {
+		if a, err = v.load(addr, w); err != nil {
 			return err
-		}
-		r, fl, err := v.aluCompute(in.Op, a, b, w)
-		if err != nil {
-			return err
-		}
-		v.Flags = fl
-		if in.Op != isa.CMP && in.Op != isa.TEST {
-			return v.store(addr, w, r)
 		}
 	default:
 		return fmt.Errorf("vm: bad ALU form %v", in.Form)
 	}
+	if in.Op == isa.IMUL {
+		v.Cycles += CostMul
+	}
+	var r uint64
+	r, v.Flags = aluApply(in.Op, a, b, w, v.Flags)
+	switch {
+	case in.Op == isa.CMP || in.Op == isa.TEST:
+		return nil
+	case in.Form == isa.FMR || in.Form == isa.FMI:
+		return v.store(addr, w, r)
+	}
+	v.Regs[in.Reg] = r
 	return nil
 }
 
-// stepUnary executes INC/DEC/NEG/NOT on a register or memory operand.
+// stepUnary executes INC/DEC/NEG/NOT on a memory operand (exec retires
+// the register form itself).
 func (v *VM) stepUnary(in *isa.Inst, next uint64) error {
 	w := uint16(in.Size)
-	if w == 0 || in.Form == isa.FR {
+	if w == 0 {
 		w = 8
 	}
-	var val uint64
-	var addr uint64
-	if in.Form == isa.FR {
-		val = v.Regs[in.Reg]
-	} else {
-		addr = v.EA(in.Mem, next)
-		var err error
-		val, err = v.load(addr, w)
-		if err != nil {
-			return err
-		}
+	addr := v.EA(in.Mem, next)
+	val, err := v.load(addr, w)
+	if err != nil {
+		return err
 	}
-	mask := widthMask(w)
 	var r uint64
-	switch in.Op {
-	case isa.INC:
-		r = (val + 1) & mask
-		fl := addFlags(val, 1, r, w)
-		fl.CF = v.Flags.CF // INC preserves CF (x86 semantics)
-		v.Flags = fl
-	case isa.DEC:
-		r = (val - 1) & mask
-		fl := subFlags(val, 1, r, w)
-		fl.CF = v.Flags.CF
-		v.Flags = fl
-	case isa.NEG:
-		r = (-val) & mask
-		fl := subFlags(0, val, r, w)
-		fl.CF = val&mask != 0
-		v.Flags = fl
-	case isa.NOT:
-		r = (^val) & mask // NOT does not touch flags
-	}
-	if in.Form == isa.FR {
-		v.Regs[in.Reg] = r
-		return nil
-	}
+	r, v.Flags = unaryApply(in.Op, val, w, v.Flags)
 	return v.store(addr, w, r)
 }

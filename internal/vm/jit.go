@@ -388,11 +388,11 @@ func (v *VM) compileTrace(b *block) {
 	if v.tel != nil {
 		start = time.Now()
 	}
-	info, aux := v.analyzeTrace(b)
-	if info == nil {
+	tb := v.analyzeTrace(b)
+	if tb == nil {
 		return
 	}
-	t := v.emitTrace(info, aux)
+	t := v.emitTrace(tb)
 	if t == nil {
 		return
 	}

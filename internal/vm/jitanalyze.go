@@ -2,186 +2,139 @@ package vm
 
 // Phase one of the superblock compiler: derive a declarative TraceInfo
 // from a chained block sequence. analyzeTrace walks the chain rooted at
-// a hot block, mirrors the interpreter's cost model per instruction
-// (including the partial charges of every fault point), predicts
-// conditional branches from the chain slots, and then runs one
-// optimization analysis over the straight line:
+// a hot block, mirrors the interpreter per instruction path (its cycle
+// charges, including the partial charges of every fault point, and the
+// load/store/branch/patch counters it bumps), predicts conditional
+// branches from the chain slots, and then runs one optimization
+// analysis over the straight line:
 //
-//   - markDeadFlags: per-flag backward liveness. A step's condition-flag
-//     update is elided when no flag it may write is observed (by a
-//     conditional jump or PUSHF) before being unconditionally
-//     overwritten, on any path that materializes flags. Flags are forced
-//     live at the trace end and at every side exit — those resume in the
-//     interpreter — but not at fault exits, where the run terminates and
-//     flags are unobservable (nothing outside the VM reads them).
+//   - markDeadFlags: per-flag backward liveness over isa's flag table
+//     (the instruction's own effects: inside a trace every successor of
+//     a CALL, RTCALL or TRAP is an explicit step). A step's
+//     condition-flag update is elided when no flag it may write is
+//     observed (by a conditional jump or PUSHF) before being
+//     unconditionally overwritten, on any path that materializes flags.
+//     Flags are forced live at the trace end and at every side exit —
+//     those resume in the interpreter — but not at fault exits, where
+//     the run terminates and flags are unobservable (nothing outside the
+//     VM reads them).
 //
 // Fused check sites are recorded as they are met; each runs its full
 // check.
 //
-// Everything the phase decides is recorded in TraceInfo/stepAux; the
-// emitter compiles from the record alone, and internal/verify re-derives
-// the record independently (DESIGN.md §14).
+// Everything the phase decides is recorded in TraceInfo, stepAux and the
+// per-exit counter deltas; the emitter compiles from the record alone,
+// and internal/verify re-derives the TraceInfo independently
+// (DESIGN.md §14).
 
 import "redfat/internal/isa"
 
-// Per-flag liveness masks. These are local to the JIT (the cfg package
-// has a coarser whole-program notion that treats calls as reading all
-// flags; inside a trace every successor is explicit, so the JIT can be
-// exact). fAll is the conservative "everything live" element.
-const (
-	fZ uint8 = 1 << iota
-	fS
-	fC
-	fO
-
-	fAll = fZ | fS | fC | fO
-)
-
-// jitCondFlags returns the flags a conditional jump reads.
-func jitCondFlags(op isa.Op) uint8 {
-	switch op {
-	case isa.JE, isa.JNE:
-		return fZ
-	case isa.JL, isa.JGE:
-		return fS | fO
-	case isa.JLE, isa.JG:
-		return fZ | fS | fO
-	case isa.JB, isa.JAE:
-		return fC
-	case isa.JBE, isa.JA:
-		return fC | fZ
-	case isa.JS, isa.JNS:
-		return fS
-	case isa.JO, isa.JNO:
-		return fO
-	}
-	return 0
-}
-
-// jitFlagsRead returns the flags an on-trace instruction observes.
-// CALL/TRAP/RTCALL read nothing here: their on-trace successors are
-// explicit steps, and off-trace exits force full liveness separately.
-func jitFlagsRead(in *isa.Inst) uint8 {
-	if in.Op.IsCondJump() {
-		return jitCondFlags(in.Op)
-	}
-	if in.Op == isa.PUSHF {
-		return fAll
-	}
-	return 0
-}
-
-// jitFlagsKilled returns the flags an instruction unconditionally
-// overwrites on its continue path.
-func jitFlagsKilled(in *isa.Inst) uint8 {
-	switch in.Op {
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
-		isa.CMP, isa.TEST, isa.IMUL, isa.NEG, isa.POPF:
-		return fAll
-	case isa.INC, isa.DEC:
-		return fZ | fS | fO // CF preserved (x86 semantics)
-	case isa.SHL, isa.SHR, isa.SAR:
-		// A shift writes flags only when the masked count is nonzero;
-		// that is static for immediate counts, unknowable for CL.
-		if in.Form == isa.FRI && uint64(in.Imm)&63 != 0 {
-			return fAll
-		}
-		return 0
-	}
-	return 0
-}
-
-// jitFlagsMayWrite returns the flags an instruction might write — the
-// kill set, except that a CL-count shift may write without being
-// guaranteed to.
-func jitFlagsMayWrite(in *isa.Inst) uint8 {
-	if in.Op == isa.SHL || in.Op == isa.SHR || in.Op == isa.SAR {
-		if in.Form == isa.FRI {
-			if uint64(in.Imm)&63 != 0 {
-				return fAll
-			}
-			return 0
-		}
-		return fAll
-	}
-	return jitFlagsKilled(in)
-}
-
 // stepAux is the emitter-facing side channel of one analyzed step: data
-// the closures need that is not part of the certifiable TraceInfo
-// contract (the resolved check plan; exit-id bookkeeping).
+// the closures and the telemetry replay need that is not part of the
+// certifiable TraceInfo contract (the resolved check plan, exit-id
+// bookkeeping, the continue path's counter delta).
 type stepAux struct {
 	plan    *JITCheck // resolved plan of a fused check step
-	onTaken bool      // conditional branch predicted taken
 	exits   []int     // 1-based exit ids of this step, in chronological order
 	contID  int       // terminal exit id returned on the last step's continue path
+	tel     stepTel   // counters the interpreter bumps on the continue path
+	onTaken bool      // conditional branch predicted taken
 }
 
-// traceBuilder accumulates the TraceInfo during the chain walk.
+// traceBuilder accumulates the plan of one trace during the chain walk:
+// the certifiable TraceInfo plus the side channel the emitter needs.
 type traceBuilder struct {
-	v     *VM
-	info  *TraceInfo
-	aux   []stepAux
-	entry uint64
+	v       *VM
+	info    *TraceInfo
+	aux     []stepAux
+	exitTel []stepTel // per exit: the counters its exiting step bumped
+	entry   uint64
 }
 
-// addStep appends one step and its aux record, returning the step index.
-func (tb *traceBuilder) addStep(pc uint64, in *isa.Inst, next, cost uint64) int {
+// Counter deltas of one path through a step, exactly as the interpreter
+// counts: a load or store through v.load/v.store (raw stack pushes and
+// pops are not counted), a taken branch through v.branchTo, and a TRAP
+// dispatch. A fault stage counts the access that faulted.
+var (
+	noTel       stepTel
+	loadTel     = stepTel{loads: 1}
+	storeTel    = stepTel{stores: 1}
+	rmwTel      = stepTel{loads: 1, stores: 1}
+	branchTel   = stepTel{branches: 1}
+	loadBrTel   = stepTel{loads: 1, branches: 1}
+	patchHitTel = stepTel{patch: 1}
+)
+
+// addStep appends one step, its continue-path cost and counter delta,
+// returning the step index.
+func (tb *traceBuilder) addStep(pc uint64, in *isa.Inst, next, cost uint64, tel stepTel) int {
 	tb.info.Steps = append(tb.info.Steps, TraceStep{
 		PC: pc, Inst: *in, Next: next, Cost: cost,
 	})
-	tb.aux = append(tb.aux, stepAux{contID: 0})
+	tel.op = in.Op
+	tb.aux = append(tb.aux, stepAux{tel: tel})
 	return len(tb.info.Steps) - 1
 }
 
-// addExit appends one exit for step. Cycles temporarily holds only the
-// exiting step's own charge on that path; finalize adds the prefix sum
-// of the preceding steps.
-func (tb *traceBuilder) addExit(step int, kind ExitKind, stage uint8, rip uint64, dyn bool, extra uint64) int {
+// addExit appends one exit for step with the exiting step's own charge
+// and counter delta on that path. Cycles temporarily holds only that
+// charge; finalizeCosts adds the prefix sum of the preceding steps.
+func (tb *traceBuilder) addExit(step int, kind ExitKind, stage uint8, rip uint64, dyn bool, extra uint64, tel stepTel) int {
 	tb.info.Exits = append(tb.info.Exits, TraceExit{
 		Step: step, Kind: kind, Stage: stage, RIP: rip, Dynamic: dyn,
 		Retired: uint64(step + 1), Cycles: extra,
 	})
+	tel.op = tb.info.Steps[step].Inst.Op
+	tb.exitTel = append(tb.exitTel, tel)
 	id := len(tb.info.Exits)
 	tb.aux[step].exits = append(tb.aux[step].exits, id)
 	return id
 }
 
+// contExit adds step's terminal exit of kind, which leaves along the
+// continue path (its full cost and counters) and resumes at rip.
+func (tb *traceBuilder) contExit(step int, kind ExitKind, rip uint64, dyn bool) {
+	tb.aux[step].contID = tb.addExit(step, kind, 0, rip, dyn, tb.info.Steps[step].Cost, tb.aux[step].tel)
+}
+
 // terminate ends the trace with a fall exit resuming at rip (always the
 // last step's static successor).
 func (tb *traceBuilder) terminate(rip uint64) {
-	last := len(tb.info.Steps) - 1
-	tb.aux[last].contID = tb.addExit(last, ExitFall, 0, rip, false, tb.info.Steps[last].Cost)
+	tb.contExit(len(tb.info.Steps)-1, ExitFall, rip, false)
 }
 
 // loopExit ends the trace with a back edge to its own entry.
 func (tb *traceBuilder) loopExit() {
-	last := len(tb.info.Steps) - 1
-	tb.aux[last].contID = tb.addExit(last, ExitLoop, 0, tb.entry, false, tb.info.Steps[last].Cost)
+	tb.contExit(len(tb.info.Steps)-1, ExitLoop, tb.entry, false)
 }
 
-// step analyzes one instruction, mirroring the interpreter's cost and
-// fault structure exactly. It reports ok=false when the instruction
-// cannot be compiled (the trace then ends just before it) and done=true
-// when the instruction itself terminates the trace (dynamic control
-// flow or halt).
+// step analyzes one instruction, mirroring the interpreter's cost, fault
+// structure and counters exactly: it is the one place that lists every
+// path through an instruction with its cycles, fault stage and counter
+// delta. It reports ok=false when the instruction cannot be compiled
+// (the trace then ends just before it) and done=true when the
+// instruction itself terminates the trace (dynamic control flow or
+// halt).
 func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) {
 	v := tb.v
 	base := uint64(CostInst)
 	next := pc + uint64(in.Len)
+	// Indirect transfers end the trace before them while landing-pad
+	// enforcement, the escape monitor or the indirect-transfer
+	// observation hook is on: all live in the interpreter's
+	// checkIndirect. Host-side only: the trace boundary never changes
+	// guest cycles.
+	indirectChecked := v.LPADCheck || v.IndirectTargets != nil || v.IndirectHook != nil
 
 	switch in.Op {
-	case isa.NOP, isa.CQO, isa.LPAD:
-		tb.addStep(pc, in, next, base)
+	case isa.NOP, isa.CQO, isa.LPAD, isa.LEA:
+		tb.addStep(pc, in, next, base, noTel)
 
 	case isa.XCHG:
 		if in.Form != isa.FRR {
 			return false, false
 		}
-		tb.addStep(pc, in, next, base)
-
-	case isa.LEA:
-		tb.addStep(pc, in, next, base)
+		tb.addStep(pc, in, next, base, noTel)
 
 	case isa.MOV, isa.MOVABS, isa.MOVZX, isa.MOVSX,
 		isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
@@ -192,29 +145,29 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 		}
 		switch in.Form {
 		case isa.FRR, isa.FRI:
-			tb.addStep(pc, in, next, base+mul)
+			tb.addStep(pc, in, next, base+mul, noTel)
 		case isa.FRM:
-			s := tb.addStep(pc, in, next, base+CostMem+mul)
+			s := tb.addStep(pc, in, next, base+CostMem+mul, loadTel)
 			// The load charges CostMem before faulting; IMUL's CostMul
 			// is charged by the compute after the load, so a load fault
 			// excludes it.
-			tb.addExit(s, ExitFault, 1, pc, false, base+CostMem)
+			tb.addExit(s, ExitFault, 1, pc, false, base+CostMem, loadTel)
 		case isa.FMR, isa.FMI:
 			switch in.Op {
 			case isa.MOV: // plain store
-				s := tb.addStep(pc, in, next, base+CostMem)
-				tb.addExit(s, ExitFault, 1, pc, false, base+CostMem)
+				s := tb.addStep(pc, in, next, base+CostMem, storeTel)
+				tb.addExit(s, ExitFault, 1, pc, false, base+CostMem, storeTel)
 			case isa.CMP, isa.TEST: // load only
-				s := tb.addStep(pc, in, next, base+CostMem)
-				tb.addExit(s, ExitFault, 1, pc, false, base+CostMem)
+				s := tb.addStep(pc, in, next, base+CostMem, loadTel)
+				tb.addExit(s, ExitFault, 1, pc, false, base+CostMem, loadTel)
 			case isa.MOVABS, isa.MOVZX, isa.MOVSX:
 				return false, false
 			default: // read-modify-write
-				s := tb.addStep(pc, in, next, base+2*CostMem+mul)
-				tb.addExit(s, ExitFault, 1, pc, false, base+CostMem)
+				s := tb.addStep(pc, in, next, base+2*CostMem+mul, rmwTel)
+				tb.addExit(s, ExitFault, 1, pc, false, base+CostMem, loadTel)
 				// Store fault: load and compute (incl. CostMul) already
 				// charged, plus the store's own CostMem.
-				tb.addExit(s, ExitFault, 2, pc, false, base+2*CostMem+mul)
+				tb.addExit(s, ExitFault, 2, pc, false, base+2*CostMem+mul, rmwTel)
 			}
 		default:
 			return false, false
@@ -223,59 +176,55 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 	case isa.PUSH:
 		switch in.Form {
 		case isa.FR:
-			s := tb.addStep(pc, in, next, base+CostMem)
+			s := tb.addStep(pc, in, next, base+CostMem, noTel)
 			// push itself is a raw store; the explicit CostMem is only
 			// charged after it succeeds.
-			tb.addExit(s, ExitFault, 1, pc, false, base)
+			tb.addExit(s, ExitFault, 1, pc, false, base, noTel)
 		case isa.FM:
-			s := tb.addStep(pc, in, next, base+2*CostMem)
-			tb.addExit(s, ExitFault, 1, pc, false, base+CostMem) // load fault
-			tb.addExit(s, ExitFault, 2, pc, false, base+CostMem) // push fault
+			s := tb.addStep(pc, in, next, base+2*CostMem, loadTel)
+			tb.addExit(s, ExitFault, 1, pc, false, base+CostMem, loadTel) // load fault
+			tb.addExit(s, ExitFault, 2, pc, false, base+CostMem, loadTel) // push fault
 		default:
 			return false, false
 		}
 
-	case isa.PUSHF:
-		s := tb.addStep(pc, in, next, base+CostMem)
-		tb.addExit(s, ExitFault, 1, pc, false, base)
+	case isa.PUSHF, isa.POPF:
+		s := tb.addStep(pc, in, next, base+CostMem, noTel)
+		tb.addExit(s, ExitFault, 1, pc, false, base, noTel) // raw push/pop fault
 
 	case isa.POP:
 		switch in.Form {
 		case isa.FR:
-			s := tb.addStep(pc, in, next, base+CostMem)
-			tb.addExit(s, ExitFault, 1, pc, false, base) // raw pop fault
+			s := tb.addStep(pc, in, next, base+CostMem, noTel)
+			tb.addExit(s, ExitFault, 1, pc, false, base, noTel) // raw pop fault
 		case isa.FM:
-			s := tb.addStep(pc, in, next, base+2*CostMem)
-			tb.addExit(s, ExitFault, 1, pc, false, base) // raw pop fault
+			s := tb.addStep(pc, in, next, base+2*CostMem, storeTel)
+			tb.addExit(s, ExitFault, 1, pc, false, base, noTel) // raw pop fault
 			// Store fault: pop's explicit CostMem plus the store's.
-			tb.addExit(s, ExitFault, 2, pc, false, base+2*CostMem)
+			tb.addExit(s, ExitFault, 2, pc, false, base+2*CostMem, storeTel)
 		default:
 			return false, false
 		}
 
-	case isa.POPF:
-		s := tb.addStep(pc, in, next, base+CostMem)
-		tb.addExit(s, ExitFault, 1, pc, false, base)
-
 	case isa.INC, isa.DEC, isa.NEG, isa.NOT:
 		if in.Form == isa.FR {
-			tb.addStep(pc, in, next, base)
+			tb.addStep(pc, in, next, base, noTel)
 			break
 		}
-		s := tb.addStep(pc, in, next, base+2*CostMem)
-		tb.addExit(s, ExitFault, 1, pc, false, base+CostMem)
-		tb.addExit(s, ExitFault, 2, pc, false, base+2*CostMem)
+		s := tb.addStep(pc, in, next, base+2*CostMem, rmwTel)
+		tb.addExit(s, ExitFault, 1, pc, false, base+CostMem, loadTel)
+		tb.addExit(s, ExitFault, 2, pc, false, base+2*CostMem, rmwTel)
 
 	case isa.SHL, isa.SHR, isa.SAR:
-		tb.addStep(pc, in, next, base)
+		tb.addStep(pc, in, next, base, noTel)
 
 	case isa.UDIV, isa.IDIV:
-		s := tb.addStep(pc, in, next, base+CostDiv)
-		tb.addExit(s, ExitFault, 1, pc, false, base+CostDiv)
+		s := tb.addStep(pc, in, next, base+CostDiv, noTel)
+		tb.addExit(s, ExitFault, 1, pc, false, base+CostDiv, noTel)
 
 	case isa.HLT:
-		s := tb.addStep(pc, in, next, base)
-		tb.aux[s].contID = tb.addExit(s, ExitHalt, 0, next, false, base)
+		s := tb.addStep(pc, in, next, base, noTel)
+		tb.contExit(s, ExitHalt, next, false)
 		return true, true
 
 	case isa.TRAP:
@@ -283,31 +232,26 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 		if !found {
 			return false, false // executing it would be a VM error
 		}
-		tb.addStep(pc, in, target, base+CostTrap)
+		tb.addStep(pc, in, target, base+CostTrap, patchHitTel)
 
 	case isa.JMP:
 		switch in.Form {
 		case isa.FRel8, isa.FRel32:
-			tb.addStep(pc, in, next+uint64(in.Imm), base+CostBranch)
+			tb.addStep(pc, in, next+uint64(in.Imm), base+CostBranch, branchTel)
 		case isa.FR:
-			if v.LPADCheck || v.IndirectTargets != nil || v.IndirectHook != nil {
-				// Landing-pad enforcement, the escape monitor and the
-				// indirect-transfer observation hook all live in the
-				// interpreter's checkIndirect; end the trace before
-				// the indirect branch so it retires there. Host-side
-				// only: the trace boundary never changes guest cycles.
+			if indirectChecked {
 				return false, false
 			}
-			s := tb.addStep(pc, in, 0, base+CostBranch)
-			tb.aux[s].contID = tb.addExit(s, ExitDyn, 0, 0, true, base+CostBranch)
+			s := tb.addStep(pc, in, 0, base+CostBranch, branchTel)
+			tb.contExit(s, ExitDyn, 0, true)
 			return true, true
 		case isa.FM:
-			if v.LPADCheck || v.IndirectTargets != nil || v.IndirectHook != nil {
+			if indirectChecked {
 				return false, false
 			}
-			s := tb.addStep(pc, in, 0, base+CostMem+CostBranch)
-			tb.addExit(s, ExitFault, 1, pc, false, base+CostMem)
-			tb.aux[s].contID = tb.addExit(s, ExitDyn, 0, 0, true, base+CostMem+CostBranch)
+			s := tb.addStep(pc, in, 0, base+CostMem+CostBranch, loadBrTel)
+			tb.addExit(s, ExitFault, 1, pc, false, base+CostMem, loadTel)
+			tb.contExit(s, ExitDyn, 0, true)
 			return true, true
 		default:
 			return false, false
@@ -316,36 +260,37 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 	case isa.CALL:
 		switch in.Form {
 		case isa.FRel32:
-			s := tb.addStep(pc, in, next+uint64(in.Imm), base+CostCall+CostBranch)
-			tb.addExit(s, ExitFault, 1, pc, false, base+CostCall) // push fault
+			s := tb.addStep(pc, in, next+uint64(in.Imm), base+CostCall+CostBranch, branchTel)
+			tb.addExit(s, ExitFault, 1, pc, false, base+CostCall, noTel) // push fault
 		case isa.FR:
-			if v.LPADCheck || v.IndirectTargets != nil || v.IndirectHook != nil {
+			if indirectChecked {
 				return false, false
 			}
-			s := tb.addStep(pc, in, 0, base+CostCall+CostBranch)
-			tb.addExit(s, ExitFault, 1, pc, false, base+CostCall)
-			tb.aux[s].contID = tb.addExit(s, ExitDyn, 0, 0, true, base+CostCall+CostBranch)
+			s := tb.addStep(pc, in, 0, base+CostCall+CostBranch, branchTel)
+			tb.addExit(s, ExitFault, 1, pc, false, base+CostCall, noTel)
+			tb.contExit(s, ExitDyn, 0, true)
 			return true, true
 		case isa.FM:
-			if v.LPADCheck || v.IndirectTargets != nil || v.IndirectHook != nil {
+			if indirectChecked {
 				return false, false
 			}
-			s := tb.addStep(pc, in, 0, base+CostCall+CostMem+CostBranch)
-			tb.addExit(s, ExitFault, 1, pc, false, base+CostCall+CostMem) // load fault
-			tb.addExit(s, ExitFault, 2, pc, false, base+CostCall+CostMem) // push fault
-			tb.aux[s].contID = tb.addExit(s, ExitDyn, 0, 0, true, base+CostCall+CostMem+CostBranch)
+			s := tb.addStep(pc, in, 0, base+CostCall+CostMem+CostBranch, loadBrTel)
+			tb.addExit(s, ExitFault, 1, pc, false, base+CostCall+CostMem, loadTel) // load fault
+			tb.addExit(s, ExitFault, 2, pc, false, base+CostCall+CostMem, loadTel) // push fault
+			tb.contExit(s, ExitDyn, 0, true)
 			return true, true
 		default:
 			return false, false
 		}
 
 	case isa.RET:
-		s := tb.addStep(pc, in, 0, base+CostCall+CostBranch)
-		tb.addExit(s, ExitFault, 1, pc, false, base+CostCall) // raw pop fault
+		s := tb.addStep(pc, in, 0, base+CostCall+CostBranch, branchTel)
+		tb.addExit(s, ExitFault, 1, pc, false, base+CostCall, noTel) // raw pop fault
 		// Exit sentinel: the interpreter halts with RIP still at the
-		// RET itself (it returns before updating RIP).
-		tb.addExit(s, ExitHalt, 0, pc, false, base+CostCall)
-		tb.aux[s].contID = tb.addExit(s, ExitDyn, 0, 0, true, base+CostCall+CostBranch)
+		// RET itself (it returns before updating RIP), and takes no
+		// branch.
+		tb.addExit(s, ExitHalt, 0, pc, false, base+CostCall, noTel)
+		tb.contExit(s, ExitDyn, 0, true)
 		return true, true
 
 	case isa.RTCALL:
@@ -357,12 +302,12 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 		if plan == nil {
 			return false, false // not an instrumented check: stay in tier 0
 		}
-		s := tb.addStep(pc, in, next, base)
+		s := tb.addStep(pc, in, next, base, noTel)
 		tb.info.Steps[s].Check = &TraceCheck{Arg: arg, ImportIdx: idx, MaxCost: plan.MaxCost}
 		tb.aux[s].plan = plan
 		// An aborting detection (or corrupt-meta error) terminates the
 		// run; the handler's dynamic cycles are charged by the closure.
-		tb.addExit(s, ExitFault, 1, next, false, base)
+		tb.addExit(s, ExitFault, 1, next, false, base, noTel)
 
 	default:
 		if !in.Op.IsCondJump() {
@@ -383,12 +328,12 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 			return false, false // no prediction signal: end the trace here
 		}
 		if onTaken {
-			s := tb.addStep(pc, in, tt, base+CostBranch)
+			s := tb.addStep(pc, in, tt, base+CostBranch, branchTel)
 			tb.aux[s].onTaken = true
-			tb.addExit(s, ExitSide, 0, next, false, base)
+			tb.addExit(s, ExitSide, 0, next, false, base, noTel)
 		} else {
-			s := tb.addStep(pc, in, next, base)
-			tb.addExit(s, ExitSide, 0, tt, false, base+CostBranch)
+			s := tb.addStep(pc, in, next, base, noTel)
+			tb.addExit(s, ExitSide, 0, tt, false, base+CostBranch, branchTel)
 		}
 	}
 	return true, false
@@ -397,9 +342,9 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 // analyzeTrace derives the compilation plan for the trace rooted at
 // root, or nil when the trace is not worth compiling (too short, or its
 // first instruction is unsupported).
-func (v *VM) analyzeTrace(root *block) (*TraceInfo, []stepAux) {
+func (v *VM) analyzeTrace(root *block) *traceBuilder {
 	if len(root.insts) == 0 {
-		return nil, nil
+		return nil
 	}
 	entry := root.insts[0].pc
 	tb := &traceBuilder{
@@ -419,7 +364,7 @@ walk:
 			ok, done := tb.step(b, bi.pc, &bi.in)
 			if !ok {
 				if len(tb.info.Steps) == 0 {
-					return nil, nil
+					return nil
 				}
 				tb.terminate(bi.pc)
 				break walk
@@ -444,11 +389,11 @@ walk:
 		}
 	}
 	if len(tb.info.Steps) < minTraceInsts {
-		return nil, nil
+		return nil
 	}
 	markDeadFlags(tb.info)
 	finalizeCosts(tb.info)
-	return tb.info, tb.aux
+	return tb
 }
 
 // markDeadFlags runs per-flag backward liveness over the trace and sets
@@ -463,16 +408,16 @@ func markDeadFlags(info *TraceInfo) {
 			sideAt[info.Exits[i].Step] = true
 		}
 	}
-	live := fAll
+	live := isa.AllFlags
 	for i := len(info.Steps) - 1; i >= 0; i-- {
 		st := &info.Steps[i]
 		if i == len(info.Steps)-1 || sideAt[i] {
-			live = fAll
+			live = isa.AllFlags
 		}
-		if mw := jitFlagsMayWrite(&st.Inst); mw != 0 && live&mw == 0 {
+		if mw := isa.FlagsMayWrite(&st.Inst); mw != 0 && live&mw == 0 {
 			st.FlagsElided = true
 		}
-		live = (live &^ jitFlagsKilled(&st.Inst)) | jitFlagsRead(&st.Inst)
+		live = (live &^ isa.FlagsKilled(&st.Inst)) | isa.FlagsRead(&st.Inst)
 	}
 }
 

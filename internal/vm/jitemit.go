@@ -5,23 +5,20 @@ package vm
 // registers, immediates, effective-address shape, branch prediction,
 // check plans, flag elision — is resolved here, once, so the closures
 // are residual computations over v.Regs, guest memory and the deferred
-// jctx state.
+// jctx state. Their results come from the interpreter's own compute
+// helpers (aluApply, unaryApply, shiftApply, divApply) wherever a
+// closure is not a specialized register-form fast path.
 //
 // The closures deliberately bypass v.load/v.store/v.branchTo: those
 // helpers charge cycles and bump telemetry per event, which the trace
-// accounts statically per exit instead (tel replay data is prepared
-// here too, mirroring exactly which counters the interpreter would have
-// bumped on each partial path). Guest memory is accessed through the
-// same Mem.Load/Mem.Store primitives, so fault detection is identical.
-// jitEnabled guarantees no MemHook/BlockHook/Profiler or
+// accounts statically per exit instead, from the costs and counter
+// deltas the analyzer recorded for each path. Guest memory is accessed
+// through the same Mem.Load/Mem.Store primitives, so fault detection is
+// identical. jitEnabled guarantees no MemHook/BlockHook/Profiler or
 // execution-grain recorder is attached, which is what makes the bypass
 // behaviour-preserving.
 
-import (
-	"fmt"
-
-	"redfat/internal/isa"
-)
+import "redfat/internal/isa"
 
 // emitEA compiles an effective-address computation, folding the
 // displacement (and the static next-RIP of RIP-relative operands) into
@@ -60,70 +57,6 @@ func emitEA(m isa.Mem, next uint64) func(v *VM) uint64 {
 	default:
 		return func(v *VM) uint64 { return off }
 	}
-}
-
-// aluApply is the pure mirror of aluCompute: same results, same flags,
-// no cycle charges (the trace charges IMUL's CostMul statically).
-func aluApply(op isa.Op, a, b uint64, w uint16, cur Flags) (uint64, Flags) {
-	mask := widthMask(w)
-	switch op {
-	case isa.MOV, isa.MOVABS, isa.MOVZX:
-		return b & mask, cur
-	case isa.MOVSX:
-		r := b & mask
-		if signBit(r, w) {
-			r |= ^mask
-		}
-		return r, cur
-	case isa.ADD:
-		r := (a + b) & mask
-		return r, addFlags(a, b, r, w)
-	case isa.SUB:
-		r := (a - b) & mask
-		return r, subFlags(a, b, r, w)
-	case isa.CMP:
-		r := (a - b) & mask
-		return a & mask, subFlags(a, b, r, w)
-	case isa.AND, isa.TEST:
-		r := (a & b) & mask
-		if op == isa.TEST {
-			return a & mask, logicFlags(r, w)
-		}
-		return r, logicFlags(r, w)
-	case isa.OR:
-		r := (a | b) & mask
-		return r, logicFlags(r, w)
-	case isa.XOR:
-		r := (a ^ b) & mask
-		return r, logicFlags(r, w)
-	case isa.IMUL:
-		r := uint64(int64(a)*int64(b)) & mask
-		return r, logicFlags(r, w)
-	}
-	return 0, cur
-}
-
-// unaryApply is the pure mirror of stepUnary's compute.
-func unaryApply(op isa.Op, val uint64, w uint16, cur Flags) (uint64, Flags) {
-	mask := widthMask(w)
-	switch op {
-	case isa.INC:
-		r := (val + 1) & mask
-		fl := addFlags(val, 1, r, w)
-		fl.CF = cur.CF
-		return r, fl
-	case isa.DEC:
-		r := (val - 1) & mask
-		fl := subFlags(val, 1, r, w)
-		fl.CF = cur.CF
-		return r, fl
-	case isa.NEG:
-		r := (-val) & mask
-		fl := subFlags(0, val, r, w)
-		fl.CF = val&mask != 0
-		return r, fl
-	}
-	return (^val) & mask, cur // NOT: flags untouched
 }
 
 // emitALURR compiles a register-register ALU op (always 64-bit, like
@@ -623,61 +556,26 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 				}
 			}
 		}
-		// CL-count shift: everything is dynamic, mirror exec's body.
+		// CL-count shift: everything is dynamic.
 		return func(j *jctx) int {
-			count := v.Regs[isa.RCX] & 63
-			val := v.Regs[reg]
-			if count > 0 {
-				var r uint64
-				var cf bool
-				switch op {
-				case isa.SHL:
-					cf = val&(1<<(64-count)) != 0
-					r = val << count
-				case isa.SHR:
-					cf = val&(1<<(count-1)) != 0
-					r = val >> count
-				default:
-					cf = val&(1<<(count-1)) != 0
-					r = uint64(int64(val) >> count)
-				}
-				if !elide {
-					j.flags = Flags{ZF: r == 0, SF: signBit(r, 8), CF: cf}
-				}
-				v.Regs[reg] = r
+			r, fl := shiftApply(op, v.Regs[reg], v.Regs[isa.RCX]&63, j.flags)
+			if !elide {
+				j.flags = fl
 			}
+			v.Regs[reg] = r
 			return cont
 		}
 
 	case isa.UDIV, isa.IDIV:
-		reg := in.Reg
+		op, reg := in.Op, in.Reg
 		f1 := ax.exits[0]
-		if in.Op == isa.UDIV {
-			return func(j *jctx) int {
-				d := v.Regs[reg]
-				if d == 0 {
-					j.err = fmt.Errorf("vm: division by zero at %#x", pc)
-					return f1
-				}
-				a := v.Regs[isa.RAX]
-				v.Regs[isa.RAX] = a / d
-				v.Regs[isa.RDX] = a % d
-				return cont
-			}
-		}
 		return func(j *jctx) int {
-			d := v.Regs[reg]
-			if d == 0 {
-				j.err = fmt.Errorf("vm: division by zero at %#x", pc)
+			q, r, err := divApply(op, v.Regs[isa.RAX], v.Regs[reg], pc)
+			if err != nil {
+				j.err = err
 				return f1
 			}
-			sa, sd := int64(v.Regs[isa.RAX]), int64(d)
-			if sa == -1<<63 && sd == -1 {
-				j.err = fmt.Errorf("vm: division overflow at %#x", pc)
-				return f1
-			}
-			v.Regs[isa.RAX] = uint64(sa / sd)
-			v.Regs[isa.RDX] = uint64(sa % sd)
+			v.Regs[isa.RAX], v.Regs[isa.RDX] = q, r
 			return cont
 		}
 
@@ -826,122 +724,6 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 	}
 }
 
-// contStepTel computes the telemetry the interpreter records for one
-// instruction on its continue path (the per-opcode retirement plus
-// load/store/branch/patch increments).
-func contStepTel(st *TraceStep, ax *stepAux) stepTel {
-	in := &st.Inst
-	m := stepTel{op: in.Op}
-	switch in.Op {
-	case isa.MOV, isa.MOVABS, isa.MOVZX, isa.MOVSX,
-		isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
-		isa.CMP, isa.TEST, isa.IMUL:
-		switch in.Form {
-		case isa.FRM:
-			m.loads = 1
-		case isa.FMR, isa.FMI:
-			switch in.Op {
-			case isa.MOV:
-				m.stores = 1
-			case isa.CMP, isa.TEST:
-				m.loads = 1
-			default:
-				m.loads, m.stores = 1, 1
-			}
-		}
-	case isa.PUSH:
-		if in.Form == isa.FM {
-			m.loads = 1 // the push itself is a raw store: no counter
-		}
-	case isa.POP:
-		if in.Form == isa.FM {
-			m.stores = 1 // the pop itself is a raw load: no counter
-		}
-	case isa.INC, isa.DEC, isa.NEG, isa.NOT:
-		if in.Form != isa.FR {
-			m.loads, m.stores = 1, 1
-		}
-	case isa.TRAP:
-		m.patch = 1
-	case isa.JMP, isa.CALL:
-		m.branches = 1
-		if in.Form == isa.FM {
-			m.loads = 1
-		}
-	case isa.RET:
-		m.branches = 1 // the non-sentinel path; halt/fault exits override
-	default:
-		if in.Op.IsCondJump() && ax.onTaken {
-			m.branches = 1
-		}
-	}
-	return m
-}
-
-// exitSelfTel computes the exiting step's own telemetry on one exit
-// path: the full continue delta for resumable terminal exits, a partial
-// delta for fault stages, and the unpredicted-direction delta for side
-// exits.
-func exitSelfTel(info *TraceInfo, aux []stepAux, e *TraceExit) stepTel {
-	st := &info.Steps[e.Step]
-	in := &st.Inst
-	ax := &aux[e.Step]
-	m := stepTel{op: in.Op}
-	switch e.Kind {
-	case ExitFall, ExitLoop, ExitDyn:
-		return contStepTel(st, ax)
-	case ExitHalt:
-		return m // HLT, or RET to the sentinel: no branch, no memory
-	case ExitSide:
-		if !ax.onTaken {
-			m.branches = 1 // side exit takes the branch
-		}
-		return m
-	}
-	// Fault stages: exactly the counters bumped before the fault.
-	switch in.Op {
-	case isa.MOV, isa.MOVABS, isa.MOVZX, isa.MOVSX,
-		isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
-		isa.CMP, isa.TEST, isa.IMUL:
-		switch in.Form {
-		case isa.FRM:
-			m.loads = 1
-		case isa.FMR, isa.FMI:
-			switch in.Op {
-			case isa.MOV:
-				m.stores = 1
-			case isa.CMP, isa.TEST:
-				m.loads = 1
-			default:
-				m.loads = 1
-				if e.Stage == 2 {
-					m.stores = 1
-				}
-			}
-		}
-	case isa.PUSH:
-		if in.Form == isa.FM {
-			m.loads = 1 // both stages: the counted load happened or faulted
-		}
-	case isa.POP:
-		if in.Form == isa.FM && e.Stage == 2 {
-			m.stores = 1
-		}
-	case isa.INC, isa.DEC, isa.NEG, isa.NOT:
-		if in.Form != isa.FR {
-			m.loads = 1
-			if e.Stage == 2 {
-				m.stores = 1
-			}
-		}
-	case isa.JMP, isa.CALL:
-		if in.Form == isa.FM {
-			m.loads = 1 // target load counted; branch never taken
-		}
-	}
-	return m
-}
-
 // buildBatch aggregates the per-step telemetry along one exit path into
 // a handful of counter adds, preserving first-retirement opcode order.
 func buildBatch(t *trace, e *traceExit) *telBatch {
@@ -967,18 +749,19 @@ func buildBatch(t *trace, e *traceExit) *telBatch {
 	return b
 }
 
-// emitTrace compiles a TraceInfo into an executable trace. Returns nil
-// if any step cannot be emitted (which pins the root block to the
+// emitTrace compiles an analyzed plan into an executable trace. Returns
+// nil if any step cannot be emitted (which pins the root block to the
 // interpreter).
-func (v *VM) emitTrace(info *TraceInfo, aux []stepAux) *trace {
+func (v *VM) emitTrace(tb *traceBuilder) *trace {
+	info, aux := tb.info, tb.aux
 	t := &trace{
 		entryPC: info.EntryPC,
 		maxCost: info.MaxCost,
 		info:    info,
 	}
 	t.meta = make([]stepTel, len(info.Steps))
-	for i := range info.Steps {
-		t.meta[i] = contStepTel(&info.Steps[i], &aux[i])
+	for i := range aux {
+		t.meta[i] = aux[i].tel
 	}
 	t.exits = make([]traceExit, len(info.Exits))
 	for i := range info.Exits {
@@ -990,7 +773,7 @@ func (v *VM) emitTrace(info *TraceInfo, aux []stepAux) *trace {
 			retired: e.Retired,
 			cycles:  e.Cycles,
 			step:    e.Step,
-			self:    exitSelfTel(info, aux, e),
+			self:    tb.exitTel[i],
 		}
 		// Attribute the deopt reason once, at compile time. Fall and
 		// loop exits keep control in compiled code and are not deopts;
