@@ -237,12 +237,38 @@ func BenchmarkHardenThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	textBytes := len(bin.Text().Data)
-	b.SetBytes(int64(textBytes))
+	b.SetBytes(int64(len(bin.Text().Data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := redfat.Harden(bin, redfat.Defaults()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyThroughput measures translation validation speed on the
+// same Chrome-scale binary and its hardened image (bytes of original
+// text validated per second).
+func BenchmarkVerifyThroughput(b *testing.B) {
+	bin, err := buildChrome(4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hard, _, err := redfat.Harden(bin, redfat.Defaults())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(bin.Text().Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := redfat.VerifyHardened(bin, hard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.OK() {
+			b.Fatalf("validation found %d violations", len(rep.Violations))
 		}
 	}
 }

@@ -10,6 +10,7 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"redfat/internal/isa"
@@ -467,14 +468,18 @@ func (b *Builder) Build() (*relf.Binary, error) {
 	bssStart := (roAddr + 0xFFF) &^ 0xFFF
 	bssAddr := bssStart
 	for _, g := range b.bss {
+		start := bssAddr
 		if g.align > 1 {
-			bssAddr = (bssAddr + g.align - 1) &^ (g.align - 1)
+			start = (bssAddr + g.align - 1) &^ (g.align - 1)
+		}
+		if start < bssAddr || g.size > math.MaxUint64-start {
+			return nil, fmt.Errorf("asm: .bss object %q of %#x bytes overflows the address space", g.name, g.size)
 		}
 		if _, dup := symAddr[g.name]; dup {
 			return nil, fmt.Errorf("asm: duplicate global %q", g.name)
 		}
-		symAddr[g.name] = bssAddr
-		bssAddr += g.size
+		symAddr[g.name] = start
+		bssAddr = start + g.size
 	}
 
 	// Pass 1: compute instruction offsets. Label-fixup instructions are

@@ -92,6 +92,19 @@ func TestDuplicateGlobal(t *testing.T) {
 	}
 }
 
+// TestBSSOverflow: BSS objects whose layout runs past the top of the
+// address space are an error, not a wrapped .bss and a dangling symbol.
+func TestBSSOverflow(t *testing.T) {
+	b := NewBuilder(Options{})
+	b.Func("main")
+	b.Ret()
+	b.Zero("a", 1<<63)
+	b.Zero("b", 1<<63)
+	if _, err := b.Build(); err == nil {
+		t.Error("wrapping .bss accepted")
+	}
+}
+
 func TestNoEntry(t *testing.T) {
 	b := NewBuilder(Options{})
 	b.Emit(isa.Inst{Op: isa.RET, Form: isa.FNone})

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -183,6 +184,9 @@ func (p *parser) directive(line string) error {
 		if err != nil {
 			return err
 		}
+		if n < 0 || uint64(n) > math.MaxUint64-p.dataBSS {
+			return fmt.Errorf(".zero size %s out of range", arg)
+		}
 		p.dataBSS += uint64(n)
 		return nil
 	}
@@ -319,6 +323,9 @@ func (p *parser) parseMem(s string) (operand, error) {
 	var symDisp string
 	if dispStr != "" {
 		if n, err := parseInt(dispStr); err == nil {
+			if n != int64(int32(n)) {
+				return operand{}, fmt.Errorf("displacement %s out of disp32 range", dispStr)
+			}
 			m.Disp = int32(n)
 		} else {
 			symDisp = dispStr // symbolic displacement
@@ -348,8 +355,16 @@ func (p *parser) parseMem(s string) (operand, error) {
 			if err != nil {
 				return operand{}, err
 			}
+			if n != 1 && n != 2 && n != 4 && n != 8 {
+				return operand{}, fmt.Errorf("bad scale %s (want 1, 2, 4 or 8)", parts[2])
+			}
 			m.Scale = uint8(n)
 		}
+	}
+	if symDisp != "" && (m.HasBase() || m.HasIndex()) {
+		// The symbol forms (LoadGlobal, StoreGlobal) address the symbol
+		// alone; keeping the registers needs an encoding they lack.
+		return operand{}, fmt.Errorf("symbolic displacement with a base or index register not supported: %q", s)
 	}
 	op := operand{kind: 'm', mem: m, sym: symDisp}
 	return op, nil
@@ -439,6 +454,9 @@ func (p *parser) instruction(line string) error {
 			case 'r':
 				p.b.Emit(isa.Inst{Op: op, Form: isa.FR, Reg: t.reg, Size: 8})
 			case 'm':
+				if t.sym != "" {
+					return fmt.Errorf("symbolic indirect target not supported")
+				}
 				p.b.Emit(isa.Inst{Op: op, Form: isa.FM, Mem: t.mem, Size: 8})
 			default:
 				return fmt.Errorf("bad indirect target")

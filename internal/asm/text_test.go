@@ -183,3 +183,31 @@ func TestAssembleErrors(t *testing.T) {
 		t.Errorf("error lacks line info: %v", err)
 	}
 }
+
+// TestAssembleRejectsTruncatedOperands: an operand the encoding cannot
+// hold is an error, never silently truncated into a different one.
+func TestAssembleRejectsTruncatedOperands(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+	}{
+		{"rip as a register", ".func main\n push %rip\n ret", "bad register %rip"},
+		{"disp beyond int32", ".func main\n mov 99999999999(%rax), %rbx\n ret", "out of disp32 range"},
+		{"scale beyond uint8", ".func main\n mov 8(%rax,%rbx,257), %rcx\n ret", "bad scale 257"},
+		{"bss wraps the address space", ".data\nbuf:\n.zero 18446744073709551615\n.text\n.func main\n ret", ".zero size"},
+		{"symbol load drops its base", ".data\nt: .quad 1\n.text\n.func main\n mov t(%rbx), %rax\n ret", "symbolic displacement"},
+		{"symbol store drops its index", ".data\nt: .quad 1\n.text\n.func main\n mov %rax, t(,%rcx,8)\n ret", "symbolic displacement"},
+		{"table jump drops its symbol", ".func main\n jmp *jt(,%rcx,8)\n ret", "symbolic displacement"},
+		{"indirect jump drops its symbol", ".func main\n jmp *main()\n ret", "symbolic indirect target"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bin, err := asm.Assemble(c.src)
+			if err == nil {
+				t.Fatalf("assembled to %d bytes of text, want an error", len(bin.Text().Data))
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
+}

@@ -1,6 +1,10 @@
 package cfg
 
-import "redfat/internal/isa"
+import (
+	"slices"
+
+	"redfat/internal/isa"
+)
 
 // CheckKey identifies the address shape of a checked memory operand.
 // Two operands with the same key and unredefined registers compute
@@ -21,12 +25,73 @@ type CheckSite struct {
 	Lo, Hi int64 // covered displacement span, Hi exclusive
 }
 
-// availFact records that a check with key K, performed at site Witness,
-// reaches the current program point on every path with the operand's
-// registers unredefined and no allocator-visible call in between.
+// availFact records that a check with address shape Key, performed at
+// site Witness, reaches the current program point on every path with the
+// operand's registers unredefined and no allocator-visible call in
+// between.
 type availFact struct {
+	Key     CheckKey
 	Witness int // providing site's instruction index
 	Lo, Hi  int64
+}
+
+// order is the sort key of a CheckKey within a fact set.
+func (k CheckKey) order() uint64 {
+	return uint64(k.Seg)<<32 | uint64(k.Base)<<24 | uint64(k.Index)<<16 |
+		uint64(k.Scale)<<8 | uint64(k.Mode)
+}
+
+// facts is one Avail state: at most one availFact per CheckKey, sorted
+// by key. Sorting makes set equality plain slice equality and the meet
+// a linear merge. A state holds a handful of facts (every call clears
+// it), so a slice costs far less than a map to copy, compare and probe.
+type facts []availFact
+
+// find returns the position of k in fs, or where it would be inserted.
+func (fs facts) find(k CheckKey) (int, bool) {
+	o := k.order()
+	i := 0
+	for i < len(fs) && fs[i].Key.order() < o {
+		i++
+	}
+	return i, i < len(fs) && fs[i].Key == k
+}
+
+// gen makes f the fact of its key, replacing any earlier one.
+func (fs facts) gen(f availFact) facts {
+	i, ok := fs.find(f.Key)
+	if !ok {
+		fs = append(fs, availFact{})
+		copy(fs[i+1:], fs[i:])
+	}
+	fs[i] = f
+	return fs
+}
+
+// kill drops every fact whose address registers w may write.
+func (fs facts) kill(w RegSet) facts {
+	out := fs[:0]
+	for _, f := range fs {
+		if !w.Has(f.Key.Base) && !w.Has(f.Key.Index) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// meet keeps the facts of fs that o holds with the same witness and span.
+func (fs facts) meet(o facts) facts {
+	out := fs[:0]
+	j := 0
+	for _, f := range fs {
+		for j < len(o) && o[j].Key.order() < f.Key.order() {
+			j++
+		}
+		if j < len(o) && o[j] == f {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // Avail is the forward "available checks" analysis. The domain maps
@@ -41,9 +106,9 @@ type availFact struct {
 // the join point, since facts are born only at their witness.
 type Avail struct {
 	g     *Graph
-	gens  map[int]CheckSite // inst index → generating site
-	in    []map[CheckKey]availFact
-	dirty []bool
+	sites []CheckSite
+	gen   []int32 // Insts index → 1 + index into sites; 0 where no check is generated
+	in    []facts // block in-states; a block never reached holds none
 }
 
 // siteKey derives the CheckKey of a site from its instruction operand.
@@ -68,32 +133,34 @@ func (p *Program) siteKey(s CheckSite) (CheckKey, bool) {
 func NewAvail(g *Graph, gens []CheckSite) *Avail {
 	av := &Avail{
 		g:     g,
-		gens:  make(map[int]CheckSite, len(gens)),
-		in:    make([]map[CheckKey]availFact, len(g.Blocks)),
-		dirty: make([]bool, len(g.Blocks)),
+		sites: gens,
+		gen:   make([]int32, len(g.Prog.Insts)),
+		in:    make([]facts, len(g.Blocks)),
 	}
-	for _, s := range gens {
-		av.gens[s.Inst] = s
+	for k, s := range gens {
+		av.gen[s.Inst] = int32(k + 1)
 	}
 	av.solve()
 	return av
 }
 
-// top is the ⊤ lattice value marker: a nil map in av.in means "not yet
-// visited" (all facts), while an empty non-nil map means "no facts".
+// solve runs the worklist to the greatest fixed point. A block with no
+// computed state yet is ⊤ (all facts), neutral for the meet.
 func (av *Avail) solve() {
 	g := av.g
-	isEntry := make([]bool, len(g.Blocks))
-	work := make([]int, 0, len(g.Blocks))
-	inWork := make([]bool, len(g.Blocks))
+	n := len(g.Blocks)
+	isEntry := make([]bool, n)
+	work := make([]int, 0, n)
+	inWork := make([]bool, n)
 	for _, e := range g.Entries {
 		isEntry[e] = true
-		av.in[e] = map[CheckKey]availFact{}
 		work = append(work, e)
 		inWork[e] = true
 	}
-	out := make([]map[CheckKey]availFact, len(g.Blocks))
+	haveOut := make([]bool, n) // out[b] computed; a block's in-state is set first
+	out := make([]facts, n)
 
+	var in, cur facts
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
@@ -101,42 +168,36 @@ func (av *Avail) solve() {
 
 		// Meet over predecessors (entries additionally meet with ∅
 		// from the virtual root, i.e. their in-state stays empty).
-		var in map[CheckKey]availFact
-		if isEntry[b] {
-			in = map[CheckKey]availFact{}
-		} else {
+		in = in[:0]
+		if !isEntry[b] {
+			met := false
 			for _, p := range g.Blocks[b].Preds {
-				po := out[p]
-				if po == nil {
+				if !haveOut[p] {
 					continue // unvisited predecessor: ⊤, neutral for meet
 				}
-				if in == nil {
-					in = make(map[CheckKey]availFact, len(po))
-					for k, f := range po {
-						in[k] = f
-					}
+				if !met {
+					in = append(in, out[p]...)
+					met = true
 					continue
 				}
-				for k, f := range in {
-					if of, ok := po[k]; !ok || of != f {
-						delete(in, k)
-					}
-				}
+				in = in.meet(out[p])
 			}
-			if in == nil {
+			if !met {
 				continue // no predecessor visited yet
 			}
 		}
 
-		if av.in[b] != nil && factsEqual(av.in[b], in) && out[b] != nil {
+		if haveOut[b] && slices.Equal(av.in[b], in) {
 			continue
 		}
-		av.in[b] = in
-		newOut := av.transferBlock(b, in)
-		if out[b] != nil && factsEqual(out[b], newOut) {
+		av.in[b] = slices.Clone(in)
+		cur = append(cur[:0], in...)
+		cur = av.transferBlock(b, cur)
+		if haveOut[b] && slices.Equal(out[b], cur) {
 			continue
 		}
-		out[b] = newOut
+		out[b] = slices.Clone(cur)
+		haveOut[b] = true
 		for _, s := range g.Blocks[b].Succs {
 			if !inWork[s] {
 				inWork[s] = true
@@ -144,51 +205,39 @@ func (av *Avail) solve() {
 			}
 		}
 	}
-	// Blocks never visited keep in == nil; treat as ∅ at query time.
 }
 
-func factsEqual(a, b map[CheckKey]availFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, f := range a {
-		if of, ok := b[k]; !ok || of != f {
-			return false
-		}
-	}
-	return true
-}
-
-// transferBlock pushes the fact map through one block.
-func (av *Avail) transferBlock(b int, in map[CheckKey]availFact) map[CheckKey]availFact {
-	facts := make(map[CheckKey]availFact, len(in))
-	for k, f := range in {
-		facts[k] = f
-	}
+// transferBlock pushes the fact set through one block, in place.
+func (av *Avail) transferBlock(b int, fs facts) facts {
 	blk := &av.g.Blocks[b]
 	for j := blk.Start; j < blk.End; j++ {
-		av.transferInst(j, facts, nil)
+		fs = av.transferInst(j, fs, nil)
 	}
-	return facts
+	return fs
 }
 
-// transferInst applies instruction j to the fact map. If onSite is
-// non-nil it is called for the site generated at j (before the gen),
+// transferInst applies instruction j to the fact set, in place. If onSite
+// is non-nil it is called for the site generated at j (before the gen),
 // with the fact currently available for the site's key, so callers can
 // observe coverage exactly as the dataflow sees it.
-func (av *Avail) transferInst(j int, facts map[CheckKey]availFact, onSite func(s CheckSite, f availFact, ok bool)) {
+func (av *Avail) transferInst(j int, fs facts, onSite func(s CheckSite, f availFact, ok bool)) facts {
 	p := av.g.Prog
 	in := &p.Insts[j].Inst
 
 	// The check conceptually executes before the instruction's own
 	// effects, so gen precedes the kill.
-	if s, ok := av.gens[j]; ok {
-		if k, keyOK := p.siteKey(s); keyOK {
+	if k := av.gen[j]; k != 0 {
+		s := av.sites[k-1]
+		if key, keyOK := p.siteKey(s); keyOK {
 			if onSite != nil {
-				f, have := facts[k]
+				var f availFact
+				i, have := fs.find(key)
+				if have {
+					f = fs[i]
+				}
 				onSite(s, f, have)
 			}
-			facts[k] = availFact{Witness: s.Inst, Lo: s.Lo, Hi: s.Hi}
+			fs = fs.gen(availFact{Key: key, Witness: s.Inst, Lo: s.Lo, Hi: s.Hi})
 		} else if onSite != nil {
 			onSite(s, availFact{}, false)
 		}
@@ -197,32 +246,23 @@ func (av *Avail) transferInst(j int, facts map[CheckKey]availFact, onSite func(s
 	switch in.Op {
 	case isa.CALL, isa.RTCALL, isa.TRAP:
 		// The callee may free or reallocate: no check survives.
-		for k := range facts {
-			delete(facts, k)
-		}
-		return
+		return fs[:0]
 	}
-	if w := RegsWritten(in); w != 0 {
-		for k := range facts {
-			if w.Has(k.Base) || w.Has(k.Index) {
-				delete(facts, k)
-			}
-		}
+	if w := RegsWritten(in); w != 0 && len(fs) > 0 {
+		fs = fs.kill(w)
 	}
+	return fs
 }
 
-// replayTo returns the fact map holding immediately before instruction
+// replayTo returns the fact set holding immediately before instruction
 // i (before i's own gen).
-func (av *Avail) replayTo(i int) map[CheckKey]availFact {
+func (av *Avail) replayTo(i int) facts {
 	b := av.g.BlockOf[i]
-	facts := make(map[CheckKey]availFact)
-	for k, f := range av.in[b] {
-		facts[k] = f
-	}
+	fs := slices.Clone(av.in[b])
 	for j := av.g.Blocks[b].Start; j < i; j++ {
-		av.transferInst(j, facts, nil)
+		fs = av.transferInst(j, fs, nil)
 	}
-	return facts
+	return fs
 }
 
 // CoverageAt reports whether the operand span of s is covered by an
@@ -232,12 +272,12 @@ func (av *Avail) CoverageAt(s CheckSite) (witness int, ok bool) {
 	if !keyOK {
 		return 0, false
 	}
-	facts := av.replayTo(s.Inst)
-	f, have := facts[k]
-	if !have || f.Lo > s.Lo || f.Hi < s.Hi {
+	fs := av.replayTo(s.Inst)
+	i, have := fs.find(k)
+	if !have || fs[i].Lo > s.Lo || fs[i].Hi < s.Hi {
 		return 0, false
 	}
-	return f.Witness, true
+	return fs[i].Witness, true
 }
 
 // RedundantChecks runs the availability analysis over the candidate
@@ -263,13 +303,11 @@ func RedundantChecks(g *Graph, dom *DomTree, sites []CheckSite) map[int]int {
 		}
 		redundant[s.Inst] = f.Witness
 	}
+	var fs facts
 	for b := range g.Blocks {
-		facts := make(map[CheckKey]availFact, len(av.in[b]))
-		for k, f := range av.in[b] {
-			facts[k] = f
-		}
+		fs = append(fs[:0], av.in[b]...)
 		for j := g.Blocks[b].Start; j < g.Blocks[b].End; j++ {
-			av.transferInst(j, facts, record)
+			fs = av.transferInst(j, fs, record)
 		}
 	}
 

@@ -15,6 +15,7 @@ package cfg
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"redfat/internal/isa"
@@ -179,13 +180,18 @@ type DecodedInst struct {
 }
 
 // Program is a disassembled text section with recovered control flow.
+//
+// Every per-instruction fact is held densely, because the rewriter and the
+// validator query them once or more per instruction of a Chrome-scale
+// image: Insts in address order, the instruction starting at each text
+// offset, and one leader flag per instruction. None of them is a hash map.
 type Program struct {
 	Binary *relf.Binary
 	Insts  []DecodedInst
-	index  map[uint64]int // address → Insts index
 
-	// Leaders marks basic-block leader addresses (over-approximated).
-	Leaders map[uint64]bool
+	base   uint64  // text section address
+	at     []int32 // text offset → 1 + index into Insts; 0 inside an instruction
+	leader []bool  // Insts index → starts a recovered basic block (over-approximated)
 }
 
 // Disassemble linearly decodes the binary's text section and recovers
@@ -197,38 +203,45 @@ func Disassemble(bin *relf.Binary) (*Program, error) {
 	if text == nil {
 		return nil, fmt.Errorf("cfg: binary has no text section")
 	}
-	p := &Program{
-		Binary:  bin,
-		index:   make(map[uint64]int),
-		Leaders: make(map[uint64]bool),
-	}
 	data := text.Data
-	addr := text.Addr
+	switch {
+	case len(data) == 0:
+		return nil, fmt.Errorf("cfg: text section is empty")
+	case len(data) > math.MaxInt32:
+		return nil, fmt.Errorf("cfg: text section of %d bytes is too large", len(data))
+	case text.Addr+uint64(len(data)) < text.Addr:
+		return nil, fmt.Errorf("cfg: text section at %#x wraps the address space", text.Addr)
+	}
+
+	// Count the instructions first, so Insts is one allocation of its
+	// final length: decoding is a small share of the whole.
+	p := &Program{Binary: bin, base: text.Addr, at: make([]int32, len(data))}
+	n := 0
 	for off := 0; off < len(data); {
 		in, err := isa.Decode(data[off:])
 		if err != nil {
-			return nil, fmt.Errorf("cfg: disassembly failed at %#x: %w", addr, err)
+			return nil, fmt.Errorf("cfg: disassembly failed at %#x: %w", text.Addr+uint64(off), err)
 		}
-		p.index[addr] = len(p.Insts)
-		p.Insts = append(p.Insts, DecodedInst{Addr: addr, Inst: in})
+		n++
+		p.at[off] = int32(n)
 		off += int(in.Len)
-		addr += uint64(in.Len)
 	}
+	p.Insts = make([]DecodedInst, n)
+	for i, off := 0, 0; i < n; i++ {
+		in, _ := isa.Decode(data[off:])
+		p.Insts[i] = DecodedInst{Addr: text.Addr + uint64(off), Inst: in}
+		off += int(in.Len)
+	}
+	p.leader = make([]bool, n)
 	p.recoverLeaders()
 	return p, nil
 }
 
 // recoverLeaders computes the conservative leader set.
 func (p *Program) recoverLeaders() {
-	textLow := p.Insts[0].Addr
-	textHigh := textLow
-	if n := len(p.Insts); n > 0 {
-		last := p.Insts[n-1]
-		textHigh = last.Addr + uint64(last.Inst.Len)
-	}
 	mark := func(a uint64) {
-		if _, ok := p.index[a]; ok {
-			p.Leaders[a] = true
+		if i, ok := p.InstAt(a); ok {
+			p.leader[i] = true
 		}
 	}
 
@@ -258,18 +271,14 @@ func (p *Program) recoverLeaders() {
 		// any immediate that looks like a text address may be an
 		// address-taken jump/call target.
 		if in.Form == isa.FRI || in.Form == isa.FMI {
-			if v := uint64(in.Imm); v >= textLow && v < textHigh {
-				mark(v)
-			}
+			mark(uint64(in.Imm))
 		}
 		if in.HasMem() && in.Mem.IsAbsolute() {
-			if v := uint64(uint32(in.Mem.Disp)); v >= textLow && v < textHigh {
-				mark(v)
-			}
+			mark(uint64(uint32(in.Mem.Disp)))
 		}
 		// Landing pads are indirect-branch targets by construction.
 		if in.Op == isa.LPAD {
-			mark(di.Addr)
+			p.leader[i] = true
 		}
 	}
 
@@ -299,12 +308,26 @@ func (p *Program) recoverLeaders() {
 
 // InstAt returns the index of the instruction at addr.
 func (p *Program) InstAt(addr uint64) (int, bool) {
-	i, ok := p.index[addr]
-	return i, ok
+	if off := addr - p.base; off < uint64(len(p.at)) {
+		if i := p.at[off]; i != 0 {
+			return int(i) - 1, true
+		}
+	}
+	return 0, false
 }
 
+// inText reports whether addr lies inside the text section (at an
+// instruction boundary or not).
+func (p *Program) inText(addr uint64) bool { return addr-p.base < uint64(len(p.at)) }
+
+// LeaderAt reports whether instruction i starts a (recovered) basic block.
+func (p *Program) LeaderAt(i int) bool { return p.leader[i] }
+
 // IsLeader reports whether addr starts a (recovered) basic block.
-func (p *Program) IsLeader(addr uint64) bool { return p.Leaders[addr] }
+func (p *Program) IsLeader(addr uint64) bool {
+	i, ok := p.InstAt(addr)
+	return ok && p.leader[i]
+}
 
 // BlockEnd returns the index one past the last instruction of the block
 // beginning at instruction index i (exclusive bound).
@@ -316,7 +339,7 @@ func (p *Program) BlockEnd(i int) int {
 			return j + 1
 		}
 		j++
-		if j < len(p.Insts) && p.Leaders[p.Insts[j].Addr] {
+		if j < len(p.Insts) && p.leader[j] {
 			return j
 		}
 	}
@@ -393,7 +416,7 @@ func (p *Program) Batches(want func(i int) bool, maxBatch int) []Batch {
 	for i := range p.Insts {
 		di := &p.Insts[i]
 		in := &di.Inst
-		if p.Leaders[di.Addr] {
+		if p.leader[i] {
 			flush()
 		}
 		if want(i) && in.IsMemAccess() {

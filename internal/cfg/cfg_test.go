@@ -277,6 +277,17 @@ func TestDisassembleErrors(t *testing.T) {
 	if _, err := cfg.Disassemble(bad); err == nil {
 		t.Error("undecodable text accepted")
 	}
+	for _, text := range []*relf.Section{
+		{Name: ".text", Kind: relf.SecText, Addr: 0x1000, Exec: true},
+		{Name: ".text", Kind: relf.SecText, Addr: ^uint64(0), Size: 1,
+			Data: []byte{byte(isa.RET)}, Exec: true},
+	} {
+		bin := &relf.Binary{}
+		bin.AddSection(text)
+		if _, err := cfg.Disassemble(bin); err == nil {
+			t.Errorf("text of %d bytes at %#x accepted", len(text.Data), text.Addr)
+		}
+	}
 }
 
 func TestRegSet(t *testing.T) {

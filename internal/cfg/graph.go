@@ -55,10 +55,18 @@ func NewGraph(p *Program) *Graph {
 func NewGraphOpts(p *Program, opts GraphOptions) *Graph {
 	g := &Graph{Prog: p, BlockOf: make([]int, len(p.Insts))}
 
+	// Count the blocks first, so Blocks is one allocation; every block's
+	// at most two static successors share one backing array.
+	nb := 0
+	for start := 0; start < len(p.Insts); start = p.BlockEnd(start) {
+		nb++
+	}
+	g.Blocks = make([]Block, 0, nb)
+	succs := make([]int, 2*nb)
 	for start := 0; start < len(p.Insts); {
 		end := p.BlockEnd(start)
 		id := len(g.Blocks)
-		g.Blocks = append(g.Blocks, Block{Start: start, End: end})
+		g.Blocks = append(g.Blocks, Block{Start: start, End: end, Succs: succs[2*id : 2*id : 2*id+2]})
 		for i := start; i < end; i++ {
 			g.BlockOf[i] = id
 		}
@@ -67,7 +75,9 @@ func NewGraphOpts(p *Program, opts GraphOptions) *Graph {
 
 	addEdge := func(from int, toInst int) {
 		to := g.BlockOf[toInst]
-		g.Blocks[from].Succs = append(g.Blocks[from].Succs, to)
+		if s := g.Blocks[from].Succs; len(s) == 0 || s[0] != to {
+			g.Blocks[from].Succs = append(s, to)
+		}
 	}
 	for b := range g.Blocks {
 		blk := &g.Blocks[b]
@@ -75,25 +85,7 @@ func NewGraphOpts(p *Program, opts GraphOptions) *Graph {
 		next := last.Addr + uint64(last.Inst.Len)
 		g.linkBlock(b, blk, last, next, addEdge)
 	}
-
-	// Deduplicate and build predecessor lists.
-	for b := range g.Blocks {
-		succs := g.Blocks[b].Succs
-		uniq := succs[:0]
-		seen := map[int]bool{}
-		for _, s := range succs {
-			if !seen[s] {
-				seen[s] = true
-				uniq = append(uniq, s)
-			}
-		}
-		g.Blocks[b].Succs = uniq
-	}
-	for b := range g.Blocks {
-		for _, s := range g.Blocks[b].Succs {
-			g.Blocks[s].Preds = append(g.Blocks[s].Preds, b)
-		}
-	}
+	g.rebuildPreds()
 
 	// Indirect-flow recovery: resolve Unknown blocks whose targets can be
 	// proven (marker-built binaries only; inert otherwise).
@@ -169,11 +161,6 @@ func (g *Graph) markEntries() {
 		}
 	}
 
-	textLow := p.Insts[0].Addr
-	lastI := p.Insts[len(p.Insts)-1]
-	textHigh := lastI.Addr + uint64(lastI.Inst.Len)
-	inText := func(v uint64) bool { return v >= textLow && v < textHigh }
-
 	for i := range p.Insts {
 		in := &p.Insts[i].Inst
 		next := p.Insts[i].Addr + uint64(in.Len)
@@ -185,14 +172,10 @@ func (g *Graph) markEntries() {
 		// recoverLeaders): any text-range immediate or absolute
 		// displacement may be an indirect jump/call target.
 		if in.Form == isa.FRI || in.Form == isa.FMI {
-			if v := uint64(in.Imm); inText(v) {
-				markAddr(v)
-			}
+			markAddr(uint64(in.Imm))
 		}
 		if in.HasMem() && in.Mem.IsAbsolute() {
-			if v := uint64(uint32(in.Mem.Disp)); inText(v) {
-				markAddr(v)
-			}
+			markAddr(uint64(uint32(in.Mem.Disp)))
 		}
 	}
 
@@ -223,9 +206,7 @@ func (g *Graph) markEntries() {
 			if inProven(s.Addr + uint64(off)) {
 				continue
 			}
-			if v := binary.LittleEndian.Uint64(s.Data[off:]); inText(v) {
-				markAddr(v)
-			}
+			markAddr(binary.LittleEndian.Uint64(s.Data[off:]))
 		}
 	}
 
@@ -240,11 +221,12 @@ func (g *Graph) markEntries() {
 	// Finally, iterate: every block must be reachable from the virtual
 	// root so must-analyses cannot leave stale ⊤ facts on it.
 	reached := make([]bool, len(g.Blocks))
+	var stack []int
 	dfs := func(from int) {
 		if reached[from] {
 			return
 		}
-		stack := []int{from}
+		stack = append(stack[:0], from)
 		reached[from] = true
 		for len(stack) > 0 {
 			b := stack[len(stack)-1]

@@ -161,11 +161,22 @@ func (g *Graph) leaderAt(addr uint64) (int, bool) {
 }
 
 // rebuildPreds recomputes every predecessor list from the (possibly
-// rewritten) successor lists. Unknown blocks contribute no edges, which
-// is exactly why every analysis must treat Unknown as ⊤.
+// rewritten) successor lists, in one backing array. Unknown blocks
+// contribute no edges, which is exactly why every analysis must treat
+// Unknown as ⊤.
 func (g *Graph) rebuildPreds() {
+	count := make([]int, len(g.Blocks)+1)
 	for b := range g.Blocks {
-		g.Blocks[b].Preds = g.Blocks[b].Preds[:0]
+		for _, s := range g.Blocks[b].Succs {
+			count[s+1]++
+		}
+	}
+	for b := range g.Blocks {
+		count[b+1] += count[b]
+	}
+	preds := make([]int, count[len(g.Blocks)])
+	for b := range g.Blocks {
+		g.Blocks[b].Preds = preds[count[b]:count[b]:count[b+1]]
 	}
 	for b := range g.Blocks {
 		for _, s := range g.Blocks[b].Succs {
@@ -183,12 +194,8 @@ func (g *Graph) rebuildPreds() {
 func (g *Graph) addressTaken(exclude []relf.JumpTable) map[uint64]bool {
 	p := g.Prog
 	cand := make(map[uint64]bool)
-	textLow := p.Insts[0].Addr
-	lastI := p.Insts[len(p.Insts)-1]
-	textHigh := lastI.Addr + uint64(lastI.Inst.Len)
-	inText := func(v uint64) bool { return v >= textLow && v < textHigh }
 	mark := func(v uint64) {
-		if inText(v) {
+		if p.inText(v) {
 			cand[v] = true
 		}
 	}

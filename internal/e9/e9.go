@@ -97,9 +97,9 @@ type Rewriter struct {
 	tramp     []byte
 	patches   map[uint64]uint64 // T3 trap address → trampoline
 	origins   map[uint64]uint64 // trampoline → patched origin (all tactics)
-	patched   map[int]Tactic    // instruction index → tactic
-	stolen    map[int]bool      // instruction indices displaced by stealing
-	reserved  map[uint64]bool   // future patch points stealing must avoid
+	patched   []Tactic          // Prog.Insts index → tactic
+	stolen    []bool            // Prog.Insts index → displaced by stealing
+	reserved  []bool            // Prog.Insts index → future patch point stealing must avoid
 	stats     Stats
 }
 
@@ -127,9 +127,9 @@ func New(bin *relf.Binary) (*Rewriter, error) {
 		trampBase: base,
 		patches:   make(map[uint64]uint64),
 		origins:   make(map[uint64]uint64),
-		patched:   make(map[int]Tactic),
-		stolen:    make(map[int]bool),
-		reserved:  make(map[uint64]bool),
+		patched:   make([]Tactic, len(prog.Insts)),
+		stolen:    make([]bool, len(prog.Insts)),
+		reserved:  make([]bool, len(prog.Insts)),
 	}, nil
 }
 
@@ -138,10 +138,13 @@ func New(bin *relf.Binary) (*Rewriter, error) {
 func (rw *Rewriter) Binary() *relf.Binary { return rw.bin }
 
 // Reserve marks addresses as future patch points so that byte stealing
-// never swallows them.
+// never swallows them. Stealing displaces whole instructions, so an
+// address inside one needs no mark.
 func (rw *Rewriter) Reserve(addrs ...uint64) {
 	for _, a := range addrs {
-		rw.reserved[a] = true
+		if i, ok := rw.Prog.InstAt(a); ok {
+			rw.reserved[i] = true
+		}
 	}
 }
 
@@ -190,7 +193,7 @@ func relocate(di cfg.DecodedInst, newNext int64) (isa.Inst, error) {
 // patch point), then the displaced instruction(s), then control returns
 // to the original successor.
 func (rw *Rewriter) Instrument(i int, payload []isa.Inst) error {
-	if _, dup := rw.patched[i]; dup {
+	if rw.patched[i] != TacticNone {
 		return fmt.Errorf("e9: instruction %d already patched", i)
 	}
 	if rw.stolen[i] {
@@ -216,7 +219,7 @@ func (rw *Rewriter) Instrument(i int, payload []isa.Inst) error {
 				break
 			}
 			nd := rw.Prog.Insts[j]
-			if rw.Prog.Leaders[nd.Addr] || rw.reserved[nd.Addr] ||
+			if rw.Prog.LeaderAt(j) || rw.reserved[j] ||
 				rw.stolen[j] || rw.patched[j] != TacticNone {
 				ok = false
 				break

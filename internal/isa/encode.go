@@ -229,14 +229,14 @@ func Encode(dst []byte, in *Inst) ([]byte, error) {
 	var dispWidth int // 0, 1 or 4 bytes
 
 	setReg := func(r Reg) { // ModRM.reg field
-		if r >= 8 && r < NumRegs {
+		if r >= 8 {
 			rex |= rexR
 		}
 		modrm |= (byte(r) & 7) << 3
 	}
 	setRM := func(r Reg) { // ModRM.rm field, mod=3
 		modrm |= 3 << 6
-		if r >= 8 && r < NumRegs {
+		if r >= 8 {
 			rex |= rexB
 		}
 		modrm |= byte(r) & 7
@@ -245,6 +245,10 @@ func Encode(dst []byte, in *Inst) ([]byte, error) {
 		haveModRM = true
 		disp = m.Disp
 		switch {
+		case m.Base >= NumRegs && m.Base != RIP && m.Base != RegNone:
+			return fmt.Errorf("isa: bad base register %v", m.Base)
+		case m.Index >= NumRegs && m.Index != RegNone:
+			return fmt.Errorf("isa: bad index register %v", m.Index)
 		case m.Base == RIP:
 			if m.HasIndex() {
 				return fmt.Errorf("isa: rip-relative operand cannot have an index")
@@ -300,7 +304,7 @@ func Encode(dst []byte, in *Inst) ([]byte, error) {
 				if m.Index == RSP {
 					return fmt.Errorf("isa: %%rsp cannot be an index register")
 				}
-				if m.Index >= 8 && m.Index < NumRegs {
+				if m.Index >= 8 {
 					rex |= rexX
 				}
 				sib |= (byte(m.Index) & 7) << 3
@@ -308,7 +312,7 @@ func Encode(dst []byte, in *Inst) ([]byte, error) {
 				sib |= 0b100 << 3
 			}
 			if m.HasBase() {
-				if m.Base >= 8 && m.Base < NumRegs {
+				if m.Base >= 8 {
 					rex |= rexB
 				}
 				sib |= byte(m.Base) & 7
@@ -316,12 +320,25 @@ func Encode(dst []byte, in *Inst) ([]byte, error) {
 				sib |= 0b101
 			}
 		} else {
-			if m.Base >= 8 && m.Base < NumRegs {
+			if m.Base >= 8 {
 				rex |= rexB
 			}
 			modrm |= byte(m.Base) & 7
 		}
 		return nil
+	}
+
+	// A register field holds one of the sixteen GPRs: masking a pseudo
+	// register (RIP, RegNone) or a stray value to three bits would
+	// silently encode a different register.
+	switch in.Form {
+	case FR, FRI, FRR, FRM, FMR:
+		if in.Reg >= NumRegs {
+			return dst[:start], fmt.Errorf("isa: bad register %v", in.Reg)
+		}
+	}
+	if in.Form == FRR && in.Reg2 >= NumRegs {
+		return dst[:start], fmt.Errorf("isa: bad register %v", in.Reg2)
 	}
 
 	switch in.Form {
@@ -336,11 +353,11 @@ func Encode(dst []byte, in *Inst) ([]byte, error) {
 	case FRM, FMR:
 		setReg(in.Reg)
 		if err := setMem(in.Mem); err != nil {
-			return dst, err
+			return dst[:start], err
 		}
 	case FM, FMI:
 		if err := setMem(in.Mem); err != nil {
-			return dst, err
+			return dst[:start], err
 		}
 	case FI, FRel8, FRel32:
 		// no modrm

@@ -180,6 +180,19 @@ func TestEncodeErrors(t *testing.T) {
 		{Op: MOV, Form: FRM, Reg: RAX,
 			Mem: Mem{Base: RBX, Index: RCX, Scale: 3}}, // bad scale
 		{Op: RTCALL, Form: FRel32, Imm: 0},
+		// A register field outside the sixteen GPRs, which masking to
+		// three bits would turn into another register.
+		{Op: PUSH, Form: FR, Reg: RIP, Size: 8},       // push %rip → %rsi
+		{Op: MOV, Form: FRR, Reg: RAX, Reg2: RegNone}, // rm field
+		{Op: MOV, Form: FRI, Reg: Reg(16), Imm: 1},    // reg field
+		{Op: MOV, Form: FMR, Reg: RIP,
+			Mem: Mem{Base: RBX, Index: RegNone, Scale: 1}}, // reg beside memory
+		{Op: MOV, Form: FRM, Reg: RAX,
+			Mem: Mem{Base: Reg(20), Index: RegNone, Scale: 1, Disp: 8}}, // base
+		{Op: MOV, Form: FRM, Reg: RAX,
+			Mem: Mem{Base: RBX, Index: RIP, Scale: 1}}, // index
+		{Op: MOV, Form: FRM, Reg: RAX,
+			Mem: Mem{Base: RegNone, Index: Reg(17), Scale: 2}}, // index without base
 	}
 	for _, in := range cases {
 		if _, err := Encode(nil, &in); err == nil {

@@ -2,11 +2,15 @@ package redfat_test
 
 import (
 	"errors"
+	"io"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"redfat"
+	"redfat/internal/dis"
+	"redfat/internal/relf"
+	"redfat/internal/verify"
 )
 
 const vulnerableSrc = `
@@ -242,5 +246,39 @@ func TestMallocHugeReturnsNull(t *testing.T) {
 				t.Errorf("%s malloc(%#x) = %#x, want NULL", rt.name, size, res.ExitCode)
 			}
 		}
+	}
+}
+
+// TestEmptyTextIsAnError: rfasm turns a source of just ".func main" into
+// an image with a 0-byte .text that marshals and unmarshals; every tool
+// that disassembles it must refuse it with an error, not index the first
+// instruction of an empty program.
+func TestEmptyTextIsAnError(t *testing.T) {
+	bin, err := redfat.Assemble(".func main\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := bin.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err = relf.Unmarshal(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := bin.Text(); text == nil || len(text.Data) != 0 {
+		t.Fatalf("want an empty .text, got %+v", text)
+	}
+	if _, _, err := redfat.Harden(bin, redfat.Defaults()); err == nil {
+		t.Error("Harden accepted an empty text section")
+	}
+	if _, err := redfat.Analyze(bin, redfat.Defaults()); err == nil {
+		t.Error("Analyze accepted an empty text section")
+	}
+	if _, err := verify.Verify(bin, bin); err == nil {
+		t.Error("Verify accepted an empty text section")
+	}
+	if err := dis.Binary(io.Discard, bin, dis.Options{ShowLeaders: true}); err == nil {
+		t.Error("dis accepted an empty text section")
 	}
 }
