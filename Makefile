@@ -106,11 +106,14 @@ obs-smoke:
 # edge-audit-smoke drives the indirect-flow recovery contract end to
 # end: rfgen emits the switch-dense and broken-jump-table corpora,
 # rfverify -edges audits every recovered edge on each original, full
-# translation validation runs under both -noindirect settings, and every
-# seeded unsound-edge mutant class must be rejected. See DESIGN.md §17.
+# translation validation runs under both -noindirect settings, every
+# seeded unsound-edge mutant class must be rejected, and every transfer
+# the switch-dense programs make at a resolved site must land in its
+# recovered target set. See DESIGN.md §17.
 edge-audit-smoke:
 	$(GO) test -run TestCLIEdgeAuditSmoke -v .
 	$(GO) test -run TestEdgeAudit -v ./internal/verify/
+	$(GO) test -run TestIndirectEdgeOracle -v ./internal/rtlib/
 
 # bench-smoke regenerates a down-scaled Table 1 with JSON export, as a
 # fast end-to-end exercise of the experiment harness.

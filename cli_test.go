@@ -218,15 +218,44 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("error summary missing: %s", out)
 	}
 
-	// -metrics on the hardening tool writes instrumentation-time counters.
+	// -metrics on the hardening tool writes instrumentation-time counters;
+	// the -analysis-report totals count the same operand fates.
 	metricsPath := filepath.Join(work, "harden.json")
-	out, code = runTool(t, bin, "redfat", "-o", hardPath, "-metrics", metricsPath, relfPath)
+	analysisPath := filepath.Join(work, "analysis.json")
+	out, code = runTool(t, bin, "redfat", "-o", hardPath, "-metrics", metricsPath,
+		"-analysis-report", analysisPath, relfPath)
 	if code != 0 {
-		t.Fatalf("redfat -metrics: %d %s", code, out)
+		t.Fatalf("redfat -metrics -analysis-report: %d %s", code, out)
 	}
-	if data, err := os.ReadFile(metricsPath); err != nil ||
-		!strings.Contains(string(data), `"harden.checks": 1`) {
+	data, err := os.ReadFile(metricsPath)
+	if err != nil || !strings.Contains(string(data), `"harden.checks": 1`) {
 		t.Errorf("harden metrics file: %v %s", err, data)
+	}
+	var metrics struct {
+		Counters map[string]int `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &metrics); err != nil {
+		t.Fatalf("harden metrics file: %v", err)
+	}
+	if data, err = os.ReadFile(analysisPath); err != nil {
+		t.Fatal(err)
+	}
+	var analysis struct {
+		Total map[string]any `json:"total"`
+	}
+	if err := json.Unmarshal(data, &analysis); err != nil {
+		t.Fatalf("analysis report: %v", err)
+	}
+	for key, counter := range map[string]string{
+		"operands":       "harden.operands",
+		"elim_syntactic": "harden.eliminated",
+		"elim_dominated": "harden.elim.dom",
+		"checks_emitted": "harden.instrumented",
+	} {
+		want, ok := metrics.Counters[counter]
+		if got := analysis.Total[key]; !ok || got != float64(want) {
+			t.Errorf("analysis total %s = %v, metrics %s = %v (present %v)", key, got, counter, want, ok)
+		}
 	}
 
 	// Disassembly shows the patch artifacts.

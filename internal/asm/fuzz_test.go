@@ -2,6 +2,7 @@ package asm_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"redfat/internal/asm"
@@ -10,9 +11,10 @@ import (
 )
 
 // FuzzAssemble feeds rfasm source text to Assemble. The result must be an
-// error, or an image that marshals, unmarshals with its text intact, and
-// disassembles (an empty text section is the one image Disassemble
-// refuses, with an error).
+// error, or an image that marshals (or is refused with a *FormatError for
+// a name the format cannot hold), unmarshals with its text and symbol
+// names intact, and disassembles (an empty text section is the one image
+// Disassemble refuses, with an error).
 func FuzzAssemble(f *testing.F) {
 	for _, src := range []string{
 		".func main\n",
@@ -51,7 +53,10 @@ l1: lpad
 			return
 		}
 		img, err := bin.Marshal()
-		if err != nil {
+		var fe *relf.FormatError
+		if errors.As(err, &fe) {
+			return // a name too long for the format
+		} else if err != nil {
 			t.Fatalf("assembled image does not marshal: %v", err)
 		}
 		back, err := relf.Unmarshal(img)
@@ -61,6 +66,14 @@ l1: lpad
 		text := back.Text()
 		if text == nil || !bytes.Equal(text.Data, bin.Text().Data) {
 			t.Fatalf("text changed in the round trip")
+		}
+		if len(back.Symbols) != len(bin.Symbols) {
+			t.Fatalf("%d symbols became %d in the round trip", len(bin.Symbols), len(back.Symbols))
+		}
+		for i, s := range back.Symbols {
+			if s.Name != bin.Symbols[i].Name {
+				t.Fatalf("symbol %q came back as %q", bin.Symbols[i].Name, s.Name)
+			}
 		}
 		_, err = cfg.Disassemble(back)
 		if empty := len(text.Data) == 0; (err != nil) != empty {

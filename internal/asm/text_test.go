@@ -1,12 +1,14 @@
 package asm_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"redfat/internal/asm"
 	"redfat/internal/heap"
 	"redfat/internal/mem"
+	"redfat/internal/relf"
 	"redfat/internal/rtlib"
 	"redfat/internal/vm"
 )
@@ -209,5 +211,20 @@ func TestAssembleRejectsTruncatedOperands(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestLongNameDoesNotMarshal: a RELF name holds at most 65,535 bytes,
+// so an image with a longer label is refused, never saved with the
+// name cut short (a cut import name would bind a different routine).
+func TestLongNameDoesNotMarshal(t *testing.T) {
+	bin, err := asm.Assemble(".func main\n ret\n.func " + strings.Repeat("f", 70000) + "\n ret\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := bin.Marshal()
+	var fe *relf.FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("Marshal = %d bytes, %v; want a *relf.FormatError", len(img), err)
 	}
 }

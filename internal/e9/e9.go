@@ -238,7 +238,6 @@ func (rw *Rewriter) Instrument(i int, payload []isa.Inst) error {
 
 	// Build the trampoline.
 	trampAddr := rw.trampBase + uint64(len(rw.tramp))
-	rw.origins[trampAddr] = di.Addr
 	buf := rw.tramp
 	var err error
 	for _, p := range payload {
@@ -301,6 +300,7 @@ func (rw *Rewriter) Instrument(i int, payload []isa.Inst) error {
 	}
 
 	rw.tramp = buf
+	rw.origins[trampAddr] = di.Addr
 	rw.patched[i] = tactic
 	for _, j := range displaced[1:] {
 		rw.stolen[j] = true

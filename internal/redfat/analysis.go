@@ -5,10 +5,7 @@ import (
 	"io"
 	"sort"
 
-	"redfat/internal/cfg"
-	"redfat/internal/isa"
 	"redfat/internal/relf"
-	"redfat/internal/rtlib"
 )
 
 // FuncStats is the per-function slice of an analysis report. The JSON
@@ -26,14 +23,16 @@ type FuncStats struct {
 	// under the whole-CFG liveness solution (k = min(4, dead count)).
 	DeadRegHist [5]int `json:"dead_reg_hist"`
 
-	// Site-selection outcome for the function's memory operands, per
-	// eliminating pass. ChecksEmitted counts operand-level checks
-	// before merging (merging changes records, not protection).
+	// The fates Harden gave the function's memory operands: one count
+	// per fate, summing to Operands. ChecksEmitted counts operands
+	// covered by a check before merging (merging changes records, not
+	// protection); Unprotected counts those whose patch failed.
 	Operands      int `json:"operands"`
 	SkippedReads  int `json:"skipped_reads"`
 	ElimSyntactic int `json:"elim_syntactic"`
 	ElimDominated int `json:"elim_dominated"`
 	ChecksEmitted int `json:"checks_emitted"`
+	Unprotected   int `json:"unprotected,omitempty"`
 }
 
 // Analysis is the machine-readable dump behind redfat -analysis-report:
@@ -51,16 +50,18 @@ func (a *Analysis) WriteJSON(w io.Writer) error {
 	return enc.Encode(a)
 }
 
-// Analyze runs the dataflow engine over bin and reports per-function
-// statistics under the site-selection policy of opt, without rewriting
-// anything. Instructions outside every function symbol are attributed
-// to a synthetic "(outside function symbols)" entry.
+// Analyze runs Harden's pipeline over bin under opt, rewriting only in
+// memory, and reports per-function statistics: the dataflow engine's
+// view of the unpatched program and a count of the fates Harden gave
+// each memory operand, so its totals equal Harden's Report. Instructions
+// outside every function symbol are attributed to a synthetic
+// "(outside function symbols)" entry.
 func Analyze(bin *relf.Binary, opt Options) (*Analysis, error) {
-	prog, err := cfg.Disassemble(bin)
+	r, err := rewrite(bin, opt, true)
 	if err != nil {
 		return nil, err
 	}
-	df := cfg.NewDataflowOpts(prog, cfg.GraphOptions{NoIndirect: opt.NoIndirect})
+	prog, df := r.prog, r.df
 
 	// Function ranges from the symbol table, sorted by address; each
 	// covers up to the next function start.
@@ -87,95 +88,45 @@ func Analyze(bin *relf.Binary, opt Options) (*Analysis, error) {
 		return &stats[k] // k==0 → outside every function
 	}
 
-	// Instruction-level: counts and the dead-register histogram.
-	for i := range prog.Insts {
-		fs := fnOf(prog.Insts[i].Addr)
-		fs.Insts++
-		k := df.DeadRegsAt(i).Count()
-		if k > 4 {
-			k = 4
+	// Each instruction and block counts toward its function and the total.
+	a := &Analysis{Total: FuncStats{Name: "total"}}
+	for i, f := range r.fates {
+		k := min(df.DeadRegsAt(i).Count(), 4)
+		for _, fs := range [2]*FuncStats{fnOf(prog.Insts[i].Addr), &a.Total} {
+			fs.Insts++
+			fs.DeadRegHist[k]++
+			if f != notOperand {
+				fs.Operands++
+			}
+			switch f {
+			case readSkipped:
+				fs.SkippedReads++
+			case elimSyntactic:
+				fs.ElimSyntactic++
+			case elimDominated:
+				fs.ElimDominated++
+			case checked:
+				fs.ChecksEmitted++
+			case unprotected:
+				fs.Unprotected++
+			}
 		}
-		fs.DeadRegHist[k]++
 	}
-
-	// Block-level: CFG size and dominator-tree depth.
 	for b := range df.Graph.Blocks {
 		blk := &df.Graph.Blocks[b]
-		fs := fnOf(prog.Insts[blk.Start].Addr)
-		fs.Blocks++
-		// Unknown blocks record no successors, so Edges counts proven
-		// edges only; their ⊤ flow shows up as shallow dominator depth.
-		fs.Edges += len(blk.Succs)
-		if d := df.Dom.Depth(b); d > fs.DomDepth {
-			fs.DomDepth = d
+		d := df.Dom.Depth(b)
+		for _, fs := range [2]*FuncStats{fnOf(prog.Insts[blk.Start].Addr), &a.Total} {
+			fs.Blocks++
+			// Unknown blocks record no successors, so Edges counts proven
+			// edges only; their ⊤ flow shows up as shallow dominator depth.
+			fs.Edges += len(blk.Succs)
+			fs.DomDepth = max(fs.DomDepth, d)
 		}
 	}
-
-	// Site selection, mirroring Harden's passes A and A'.
-	want := make([]bool, len(prog.Insts))
-	var cands []cfg.CheckSite
-	for i := range prog.Insts {
-		di := &prog.Insts[i]
-		in := &di.Inst
-		if !in.IsMemAccess() {
-			continue
-		}
-		fs := fnOf(di.Addr)
-		fs.Operands++
-		if !opt.CheckReads && !in.Writes() {
-			fs.SkippedReads++
-			continue
-		}
-		if opt.Elim && Eliminable(in.Mem) {
-			fs.ElimSyntactic++
-			continue
-		}
-		want[i] = true
-		if opt.ElimDom && !opt.Profile && in.Mem.Base != isa.RIP {
-			mode := rtlib.ModeRedzone
-			if opt.LowFat && (opt.AllowList == nil || opt.AllowList[di.Addr]) {
-				mode = rtlib.ModeFull
-			}
-			lo := int64(in.Mem.Disp)
-			cands = append(cands, cfg.CheckSite{
-				Inst: i, Mode: uint8(mode),
-				Lo: lo, Hi: lo + int64(in.MemWidth()),
-			})
-		}
-	}
-	if opt.ElimDom && !opt.Profile {
-		for i := range df.Redundant(cands) {
-			want[i] = false
-			fnOf(prog.Insts[i].Addr).ElimDominated++
-		}
-	}
-	for i, w := range want {
-		if w {
-			fnOf(prog.Insts[i].Addr).ChecksEmitted++
-		}
-	}
-
-	a := &Analysis{Total: FuncStats{Name: "total"}}
 	for i := range stats {
-		fs := &stats[i]
-		if i > 0 || fs.Insts > 0 { // keep the synthetic entry only if used
-			a.Functions = append(a.Functions, *fs)
+		if i > 0 || stats[i].Insts > 0 { // keep the synthetic entry only if used
+			a.Functions = append(a.Functions, stats[i])
 		}
-		t := &a.Total
-		t.Insts += fs.Insts
-		t.Blocks += fs.Blocks
-		t.Edges += fs.Edges
-		if fs.DomDepth > t.DomDepth {
-			t.DomDepth = fs.DomDepth
-		}
-		for k := range fs.DeadRegHist {
-			t.DeadRegHist[k] += fs.DeadRegHist[k]
-		}
-		t.Operands += fs.Operands
-		t.SkippedReads += fs.SkippedReads
-		t.ElimSyntactic += fs.ElimSyntactic
-		t.ElimDominated += fs.ElimDominated
-		t.ChecksEmitted += fs.ChecksEmitted
 	}
 	return a, nil
 }

@@ -11,7 +11,6 @@ package redfat
 
 import (
 	"fmt"
-	"sort"
 
 	"redfat/internal/cfg"
 	"redfat/internal/e9"
@@ -104,13 +103,15 @@ func Defaults() Options {
 	}
 }
 
-// Report summarizes an instrumentation run.
+// Report summarizes an instrumentation run. The operand counters count
+// the fates site selection gave the memory operands, so SkippedReads +
+// Eliminated + ElimDominated + Instrumented + FailedSites = Operands.
 type Report struct {
 	Operands      int // memory operands considered
 	Eliminated    int // removed by (syntactic) check elimination
 	ElimDominated int // removed as redundant under a dominating check
 	SkippedReads  int // skipped because CheckReads is off
-	Instrumented  int // operands receiving a check of their own
+	Instrumented  int // operands covered by an emitted check record
 	Checks        int // emitted check records (after merging)
 	Batches       int // trampolines
 	MergedAway    int // checks saved by merging
@@ -184,13 +185,26 @@ func Eliminable(m isa.Mem) bool {
 	return false
 }
 
-// site is an operand selected for checking.
-type site struct {
-	idx   int // instruction index
-	addr  uint64
-	inst  *isa.Inst
-	mode  rtlib.Mode
-	write bool
+// fate is what site selection decided for one instruction. Harden gives
+// every instruction exactly one; its Report and Analyze only count them.
+type fate uint8
+
+const (
+	notOperand    fate = iota // no memory operand
+	readSkipped               // a read, and CheckReads is off
+	elimSyntactic             // Eliminable: cannot reach the heap
+	elimDominated             // covered by a dominating check (ElimDom)
+	checked                   // covered by a check record of its batch
+	unprotected               // its patch failed; listed in .rf.unprot
+)
+
+// rewriting is one run of Harden's pipeline over a clone of its input.
+type rewriting struct {
+	prog  *cfg.Program  // the clone's; Insts were decoded before patching
+	df    *cfg.Dataflow // built before patching; nil when nothing needed it
+	fates []fate        // per prog.Insts index
+	hard  *relf.Binary
+	rep   *Report
 }
 
 // Harden instruments bin according to opt, returning the hardened binary
@@ -198,23 +212,36 @@ type site struct {
 // already-hardened binary is rejected (double instrumentation would
 // install checks on trampoline code and re-patch patched sites).
 func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
+	r, err := rewrite(bin, opt, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.hard, r.rep, nil
+}
+
+// rewrite decides each instruction's fate, emits the checks and patches
+// their batches. withDataflow builds the whole-CFG engine even when no
+// pass needs it, for Analyze to report on.
+func rewrite(bin *relf.Binary, opt Options, withDataflow bool) (rewriting, error) {
 	if bin.Section(rtlib.SitesSection) != nil {
-		return nil, nil, fmt.Errorf("redfat: binary is already instrumented")
+		return rewriting{}, fmt.Errorf("redfat: binary is already instrumented")
 	}
 	if opt.MaxBatch == 0 {
 		opt.MaxBatch = 8
 	}
 	rw, err := e9.New(bin)
 	if err != nil {
-		return nil, nil, err
+		return rewriting{}, err
 	}
 	prog := rw.Prog
 	rep := &Report{}
+	elimDom := opt.ElimDom && !opt.Profile
 
 	// Whole-CFG dataflow engine: needed for dominator-based check
 	// elimination and for the global liveness trampoline specialization.
+	// It reads the clone's text and data, so it is built before patching.
 	var df *cfg.Dataflow
-	if (opt.ElimDom && !opt.Profile) || (!opt.NoClobberSpec && !opt.LocalLiveness) {
+	if withDataflow || elimDom || (!opt.NoClobberSpec && !opt.LocalLiveness) {
 		df = cfg.NewDataflowOpts(prog, cfg.GraphOptions{NoIndirect: opt.NoIndirect})
 		if ind := df.Graph.Indirect; ind != nil {
 			for _, r := range ind.Resolved {
@@ -227,83 +254,55 @@ func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 		}
 	}
 
-	// Pass A: select sites and decide their check mode.
-	siteOf := make(map[int]*site)
-	want := make([]bool, len(prog.Insts))
+	// Pass A: each memory operand is skipped, eliminated or checked.
+	fates := make([]fate, len(prog.Insts))
 	for i := range prog.Insts {
-		di := &prog.Insts[i]
-		in := &di.Inst
-		if !in.IsMemAccess() {
-			continue
-		}
-		rep.Operands++
-		if !opt.CheckReads && !in.Writes() {
-			rep.SkippedReads++
-			continue
-		}
-		if opt.Elim && Eliminable(in.Mem) {
-			rep.Eliminated++
-			continue
-		}
-		mode := rtlib.ModeRedzone
+		in := &prog.Insts[i].Inst
 		switch {
-		case opt.Profile:
-			mode = rtlib.ModeProfile
-		case opt.LowFat && (opt.AllowList == nil || opt.AllowList[di.Addr]):
-			mode = rtlib.ModeFull
+		case !in.IsMemAccess():
+		case !opt.CheckReads && !in.Writes():
+			fates[i] = readSkipped
+		case opt.Elim && Eliminable(in.Mem):
+			fates[i] = elimSyntactic
+		default:
+			fates[i] = checked
 		}
-		siteOf[i] = &site{idx: i, addr: di.Addr, inst: in, mode: mode,
-			write: in.Writes()}
-		want[i] = true
-		rep.Instrumented++
 	}
 
 	// Pass A': dominator-based redundant-check elimination. A site whose
 	// address shape, mode and span are covered by an available dominating
-	// check is dropped; the provider protects it. Skipped in Profile
-	// mode (per-site execution statistics must stay complete). In an
-	// aborting run the guest-visible detections are identical: the
+	// check is dropped; its witness (the provider) protects it. Skipped in
+	// Profile mode (per-site execution statistics must stay complete). In
+	// an aborting run the guest-visible detections are identical: the
 	// provider executes first on every path and fails on a superset of
 	// the dropped check's failures.
-	elimBy := make(map[int][]int) // provider inst → eliminated dependents
-	elimSites := make(map[int]*site)
-	if opt.ElimDom && !opt.Profile {
+	var witness map[int]int
+	if elimDom {
 		var cands []cfg.CheckSite
-		for i := range prog.Insts {
-			if !want[i] {
-				continue
-			}
-			s := siteOf[i]
-			if s.inst.Mem.Base == isa.RIP {
+		for i, f := range fates {
+			di := &prog.Insts[i]
+			if f != checked || di.Inst.Mem.Base == isa.RIP {
 				continue // PC-relative shapes never repeat
 			}
-			lo := int64(s.inst.Mem.Disp)
+			lo := int64(di.Inst.Mem.Disp)
 			cands = append(cands, cfg.CheckSite{
-				Inst: i, Mode: uint8(s.mode),
-				Lo: lo, Hi: lo + int64(s.inst.MemWidth()),
+				Inst: i, Mode: uint8(opt.modeAt(di.Addr)),
+				Lo: lo, Hi: lo + int64(di.Inst.MemWidth()),
 			})
 		}
-		for i, w := range df.Redundant(cands) {
-			want[i] = false
-			elimSites[i] = siteOf[i]
-			delete(siteOf, i)
-			elimBy[w] = append(elimBy[w], i)
-			rep.ElimDominated++
-			rep.Instrumented--
+		witness = df.Redundant(cands)
+		for i := range witness {
+			fates[i] = elimDominated
 		}
 	}
 
-	// Pass B: group sites into batches.
-	var batches []cfg.Batch
-	if opt.Batch {
-		batches = prog.Batches(func(i int) bool { return want[i] }, opt.MaxBatch)
-	} else {
-		for i := range prog.Insts {
-			if want[i] {
-				batches = append(batches, cfg.Batch{Members: []int{i}})
-			}
-		}
+	// Pass B: group the checked operands into batches (of one each
+	// without batching).
+	maxBatch := opt.MaxBatch
+	if !opt.Batch {
+		maxBatch = 1
 	}
+	batches := prog.Batches(func(i int) bool { return fates[i] == checked }, maxBatch)
 
 	// Reserve all batch heads so byte stealing never swallows one.
 	for _, b := range batches {
@@ -315,55 +314,41 @@ func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 
 	// clobberSpec computes the trampoline prologue requirements at a
 	// batch head from the selected liveness analysis.
-	clobberSpec := func(head int) (int, bool) {
-		savedRegs, saveFlags := 4, true
-		if opt.NoClobberSpec {
-			return savedRegs, saveFlags
-		}
+	clobberSpec := func(head int) (savedRegs int, saveFlags bool) {
 		var dead cfg.RegSet
-		var flagsDead bool
-		if df != nil && !opt.LocalLiveness {
-			dead = df.DeadRegsAt(head)
-			flagsDead = df.FlagsDeadAt(head)
-		} else {
-			dead = prog.DeadRegsAt(head)
-			flagsDead = prog.FlagsDeadAt(head)
+		flagsDead := false
+		switch {
+		case opt.NoClobberSpec:
+		case df != nil && !opt.LocalLiveness:
+			dead, flagsDead = df.DeadRegsAt(head), df.FlagsDeadAt(head)
+		default:
+			dead, flagsDead = prog.DeadRegsAt(head), prog.FlagsDeadAt(head)
 		}
-		if d := dead.Count(); d < savedRegs {
-			savedRegs -= d
-		} else {
-			savedRegs = 0
-		}
-		return savedRegs, !flagsDead
+		return max(4-dead.Count(), 0), !flagsDead
 	}
 
-	// instrument emits the checks for one batch and patches its head.
+	// instrument patches one batch head and, once the patch is written,
+	// records the batch's checks (merged within the batch).
 	instrument := func(members []int) error {
 		head := members[0]
 		savedRegs, saveFlags := clobberSpec(head)
-		groups := mergeGroups(members, siteOf, opt.Merge)
-		var payload []isa.Inst
+		groups := mergeGroups(prog, members, opt)
+		payload := make([]isa.Inst, len(groups))
+		for gi := range groups {
+			payload[gi] = isa.Inst{
+				Op: isa.RTCALL, Form: isa.FI,
+				Imm: vm.RTCallImm(checkIdx, uint32(len(checks)+gi)),
+			}
+		}
+		if err := rw.Instrument(head, payload); err != nil {
+			return err
+		}
 		for gi, g := range groups {
-			c := buildCheck(prog, g, siteOf, opt)
+			c := buildCheck(prog, g, opt)
 			c.Leader = gi == 0
 			c.SavedRegs = uint8(savedRegs)
 			c.SaveFlags = saveFlags
-			siteIndex := uint32(len(checks))
 			checks = append(checks, c)
-			if c.Mode == rtlib.ModeFull {
-				rep.FullChecks++
-			}
-			rep.MergedAway += int(c.Merged) - 1
-			payload = append(payload, isa.Inst{
-				Op: isa.RTCALL, Form: isa.FI,
-				Imm: vm.RTCallImm(checkIdx, siteIndex),
-			})
-		}
-		if err := rw.Instrument(head, payload); err != nil {
-			// Drop this batch's checks again; the caller decides how to
-			// account for the unprotected members.
-			checks = checks[:len(checks)-len(groups)]
-			return err
 		}
 		rep.Batches++
 		rep.LiveRegsSaved += savedRegs
@@ -373,17 +358,12 @@ func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 		return nil
 	}
 
-	// Pass C: emit checks (merging within each batch) and patch.
-	failed := make(map[int]bool) // member insts of batches that failed to patch
-	var unprot []uint64          // operand addresses left unprotected
+	// Pass C: patch every batch. A batch that fails to patch is left
+	// unprotected rather than failing the whole rewrite.
 	for _, b := range batches {
-		if err := instrument(b.Members); err != nil {
-			// Leave this batch unprotected rather than fail the whole
-			// rewrite.
-			rep.FailedSites += len(b.Members)
+		if instrument(b.Members) != nil {
 			for _, m := range b.Members {
-				failed[m] = true
-				unprot = append(unprot, prog.Insts[m].Addr)
+				fates[m] = unprotected
 			}
 		}
 	}
@@ -391,30 +371,21 @@ func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 	// Repair round: a site eliminated under a dominating check whose
 	// batch failed to patch would be silently unprotected. Re-instrument
 	// such dependents individually (their own bytes were never reserved,
-	// so this is best-effort; failures are reported as unprotected).
-	var repair []int
-	for w, deps := range elimBy {
-		if failed[w] {
-			repair = append(repair, deps...)
+	// so this is best-effort). Witnesses are never dominated themselves
+	// (RedundantChecks resolves chains to their root), so this scan
+	// changes no witness's fate.
+	for i, f := range fates {
+		if f == elimDominated && fates[witness[i]] == unprotected {
+			fates[i] = checked
+			if instrument([]int{i}) != nil {
+				fates[i] = unprotected
+			}
 		}
 	}
-	sort.Ints(repair)
-	for _, i := range repair {
-		s := elimSites[i]
-		siteOf[i] = s
-		if err := instrument([]int{i}); err != nil {
-			rep.FailedSites++
-			unprot = append(unprot, s.addr)
-			continue
-		}
-		rep.ElimDominated--
-		rep.Instrumented++
-	}
-	rep.Checks = len(checks)
 
 	hard, err := rw.Finalize()
 	if err != nil {
-		return nil, nil, err
+		return rewriting{}, err
 	}
 	hard.AddSection(&relf.Section{
 		Name: rtlib.SitesSection, Kind: relf.SecMeta,
@@ -424,93 +395,105 @@ func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 		Name: ConfigSection, Kind: relf.SecMeta,
 		Data: EncodeConfig(opt),
 	})
-	if len(unprot) > 0 {
-		m := make(map[uint64]uint64, len(unprot))
-		for _, a := range unprot {
-			m[a] = 0
+
+	// The report counts the final fates and the records written.
+	var n [unprotected + 1]int
+	unprot := make(map[uint64]uint64)
+	for i, f := range fates {
+		n[f]++
+		if f == unprotected {
+			unprot[prog.Insts[i].Addr] = 0
 		}
+	}
+	if len(unprot) > 0 {
 		hard.AddSection(&relf.Section{
 			Name: UnprotSection, Kind: relf.SecMeta,
-			Data: relf.EncodePatchTable(m),
+			Data: relf.EncodePatchTable(unprot),
 		})
 	}
+	rep.Operands = len(fates) - n[notOperand]
+	rep.SkippedReads = n[readSkipped]
+	rep.Eliminated = n[elimSyntactic]
+	rep.ElimDominated = n[elimDominated]
+	rep.Instrumented = n[checked]
+	rep.FailedSites = n[unprotected]
+	rep.Checks = len(checks)
+	for _, c := range checks {
+		if c.Mode == rtlib.ModeFull {
+			rep.FullChecks++
+		}
+		rep.MergedAway += int(c.Merged) - 1
+	}
 	rep.Rewrite = rw.Stats()
-	return hard, rep, nil
+	return rewriting{prog: prog, df: df, fates: fates, hard: hard, rep: rep}, nil
 }
 
-// mergeKey identifies operands that may merge: same segment, base, index,
-// scale and check mode (paper §6, "Check merging").
-type mergeKey struct {
-	seg         isa.Seg
-	base, index isa.Reg
-	scale       uint8
-	mode        rtlib.Mode
-	uniq        int // nonzero forces a singleton group (RIP-relative operands)
+// modeAt returns the check mode of an operand at addr.
+func (opt Options) modeAt(addr uint64) rtlib.Mode {
+	switch {
+	case opt.Profile:
+		return rtlib.ModeProfile
+	case opt.LowFat && (opt.AllowList == nil || opt.AllowList[addr]):
+		return rtlib.ModeFull
+	}
+	return rtlib.ModeRedzone
 }
 
 // mergeGroups partitions batch members into mergeable groups, preserving
-// program order of group leaders.
-func mergeGroups(members []int, siteOf map[int]*site, merge bool) [][]int {
-	if !merge {
-		out := make([][]int, 0, len(members))
-		for _, m := range members {
-			out = append(out, []int{m})
-		}
-		return out
-	}
-	var order []mergeKey
-	byKey := make(map[mergeKey][]int)
+// program order of group leaders: operands of one address shape and
+// check mode (one cfg.CheckKey) merge (paper §6, "Check merging").
+// RIP-relative displacements are relative to different instruction
+// addresses, so those operands, and all operands without merging, form
+// groups of their own.
+func mergeGroups(prog *cfg.Program, members []int, opt Options) [][]int {
+	keys := make([]cfg.CheckKey, 0, len(members))
+	groups := make([][]int, 0, len(members))
 	for _, m := range members {
-		s := siteOf[m]
-		k := mergeKey{
-			seg:   s.inst.Mem.Seg,
-			base:  s.inst.Mem.Base,
-			index: s.inst.Mem.Index,
-			scale: s.inst.Mem.Scale,
-			mode:  s.mode,
+		di := &prog.Insts[m]
+		mem := di.Inst.Mem
+		k := cfg.CheckKey{Seg: mem.Seg, Base: mem.Base, Index: mem.Index, Scale: mem.Scale,
+			Mode: uint8(opt.modeAt(di.Addr))}
+		g := len(keys)
+		for j := 0; j < len(keys) && opt.Merge && mem.Base != isa.RIP; j++ {
+			if keys[j] == k {
+				g = j
+				break
+			}
 		}
-		if s.inst.Mem.Base == isa.RIP {
-			// RIP-relative displacements are relative to different
-			// instruction addresses; do not merge them.
-			k.uniq = m + 1
+		if g == len(keys) {
+			keys = append(keys, k)
+			groups = append(groups, nil)
 		}
-		if _, seen := byKey[k]; !seen {
-			order = append(order, k)
-		}
-		byKey[k] = append(byKey[k], m)
+		groups[g] = append(groups[g], m)
 	}
-	out := make([][]int, 0, len(order))
-	for _, k := range order {
-		out = append(out, byKey[k])
-	}
-	return out
+	return groups
 }
 
 // buildCheck constructs the check record for a merge group.
-func buildCheck(prog *cfg.Program, group []int, siteOf map[int]*site, opt Options) rtlib.Check {
-	first := siteOf[group[0]]
+func buildCheck(prog *cfg.Program, group []int, opt Options) rtlib.Check {
+	first := &prog.Insts[group[0]]
 	c := rtlib.Check{
-		PC:          first.addr,
-		Mode:        first.mode,
-		Operand:     first.inst.Mem,
+		PC:          first.Addr,
+		Mode:        opt.modeAt(first.Addr),
+		Operand:     first.Inst.Mem,
 		NoSizeCheck: !opt.SizeCheck,
 		Merged:      uint16(len(group)),
 	}
-	if first.inst.Mem.Base == isa.RIP {
-		c.RipNext = first.addr + uint64(first.inst.Len)
+	if first.Inst.Mem.Base == isa.RIP {
+		c.RipNext = first.Addr + uint64(first.Inst.Len)
 	}
-	minDisp := first.inst.Mem.Disp
-	maxEnd := int64(first.inst.Mem.Disp) + int64(first.inst.MemWidth())
+	minDisp := first.Inst.Mem.Disp
+	maxEnd := int64(minDisp) + int64(first.Inst.MemWidth())
 	for _, m := range group {
-		s := siteOf[m]
-		if s.write {
+		in := &prog.Insts[m].Inst
+		if in.Writes() {
 			c.Write = true
 		}
-		d := s.inst.Mem.Disp
+		d := in.Mem.Disp
 		if d < minDisp {
 			minDisp = d
 		}
-		if end := int64(d) + int64(s.inst.MemWidth()); end > maxEnd {
+		if end := int64(d) + int64(in.MemWidth()); end > maxEnd {
 			maxEnd = end
 		}
 	}

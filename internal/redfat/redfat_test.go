@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"redfat/internal/asm"
+	"redfat/internal/cfg"
 	"redfat/internal/isa"
 	"redfat/internal/redfat"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
+	"redfat/internal/verify"
 	"redfat/internal/vm"
 )
 
@@ -514,5 +516,89 @@ func TestHardenDeterministic(t *testing.T) {
 	}
 	if string(b1) != string(b2) {
 		t.Error("hardening is not deterministic")
+	}
+}
+
+// failedPatch lists programs whose first batch cannot be patched: its
+// head is too short for a jump, and the follower it would steal is a
+// RIP-relative load the trampoline region is out of rel32 reach of.
+var failedPatch = []struct{ name, src string }{
+	// The third instruction's check was dropped under the first's, so
+	// the repair round gives it its own.
+	{"repaired", ".func main\n mov (%rbx), %rax\n mov -0x7ffffff0(%rip), %rcx\n mov (%rbx), %rdx\n ret\n"},
+	{"unrepaired", ".func main\n mov (%rbx), %rax\n mov -0x7ffffff0(%rip), %rcx\n ret\n"},
+}
+
+// TestFailedPatch: an operand whose patch fails is counted once, as
+// unprotected, and listed in .rf.unprot; a dependent of its dropped
+// check gets a check of its own; and the validators accept the image.
+func TestFailedPatch(t *testing.T) {
+	// Operands, Eliminated, ElimDominated, Instrumented, FailedSites,
+	// Checks, FullChecks, MergedAway, Batches.
+	want := map[string][9]int{
+		"repaired":   {3, 1, 0, 1, 1, 1, 1, 0, 1},
+		"unrepaired": {2, 1, 0, 0, 1, 0, 0, 0, 0},
+	}
+	for _, fp := range failedPatch {
+		t.Run(fp.name, func(t *testing.T) {
+			bin, err := asm.Assemble(fp.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := cfg.Disassemble(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hard, rep, err := redfat.Harden(bin, redfat.Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [9]int{rep.Operands, rep.Eliminated, rep.ElimDominated, rep.Instrumented,
+				rep.FailedSites, rep.Checks, rep.FullChecks, rep.MergedAway, rep.Batches}
+			if got != want[fp.name] {
+				t.Errorf("report counters %v, want %v", got, want[fp.name])
+			}
+
+			sec := hard.Section(redfat.UnprotSection)
+			if sec == nil {
+				t.Fatal("no .rf.unprot section")
+			}
+			unprot, err := relf.DecodePatchTable(sec.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if head := prog.Insts[0].Addr; len(unprot) != 1 || unprot[head] != 0 {
+				t.Errorf(".rf.unprot = %v, want only %#x", unprot, head)
+			}
+
+			recs, err := rtlib.SitesFrom(hard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Checks == 0 {
+				if len(recs) != 0 {
+					t.Errorf("check records %+v, want none", recs)
+				}
+			} else if dep := prog.Insts[2]; len(recs) != 1 || recs[0].PC != dep.Addr ||
+				recs[0].Mode != rtlib.ModeFull || recs[0].Operand != dep.Inst.Mem ||
+				recs[0].Len != 8 || !recs[0].Leader || recs[0].Merged != 1 {
+				t.Errorf("check records %+v, want one full leader check of %s at %#x",
+					recs, dep.Inst.Mem.String(), dep.Addr)
+			}
+
+			for name, validate := range map[string]func() (*verify.Report, error){
+				"Verify":     func() (*verify.Report, error) { return verify.Verify(bin, hard) },
+				"Structural": func() (*verify.Report, error) { return verify.Structural(hard) },
+			} {
+				vrep, err := validate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !vrep.OK() {
+					t.Errorf("%s rejects the image: %+v", name, vrep.Violations)
+				}
+			}
+			agree(t, fp.name, bin, redfat.Defaults())
+		})
 	}
 }

@@ -250,9 +250,10 @@ func (b *Binary) Marshal() ([]byte, error) {
 	buf.Write(Magic[:])
 	w32 := func(v uint32) { binary.Write(&buf, binary.LittleEndian, v) }
 	w64 := func(v uint64) { binary.Write(&buf, binary.LittleEndian, v) }
+	var long error // the first name too long for its 16-bit length
 	wstr := func(s string) {
-		if len(s) > 0xFFFF {
-			s = s[:0xFFFF]
+		if len(s) > 0xFFFF && long == nil {
+			long = formatErr("name %.16q... of %d bytes exceeds the 65535-byte limit", s, len(s))
 		}
 		binary.Write(&buf, binary.LittleEndian, uint16(len(s)))
 		buf.WriteString(s)
@@ -303,6 +304,9 @@ func (b *Binary) Marshal() ([]byte, error) {
 		wstr(n)
 	}
 
+	if long != nil {
+		return nil, long
+	}
 	sum := crc32.ChecksumIEEE(buf.Bytes())
 	binary.Write(&buf, binary.LittleEndian, sum)
 	return buf.Bytes(), nil
@@ -311,7 +315,8 @@ func (b *Binary) Marshal() ([]byte, error) {
 // FormatError reports bytes no encoder in this package produces: a
 // corrupt or truncated image, or a malformed metadata section. Images
 // and their sections are untrusted input, so every decoder here fails
-// with one instead of faulting the host.
+// with one instead of faulting the host. Marshal returns one for a
+// binary the format cannot hold: a name over 65,535 bytes.
 type FormatError struct{ Reason string }
 
 // Error implements the error interface.

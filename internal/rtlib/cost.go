@@ -4,20 +4,22 @@ package rtlib
 //
 // In the real RedFat, trampolines contain hand-optimized x86_64 assembly;
 // in this reproduction the check logic executes host-side (the RTCALL
-// handler) and charges the cycle cost of the instruction sequence it
-// stands for. The constants below are derived by counting the operations
-// of each check step at vm.CostInst/CostMem rates:
+// handler) and charges a modelled cycle cost for each step of the
+// sequence it stands for. The constants below are the model's cost per
+// step; nothing yet ties them to an instruction count of paper Fig. 4:
 //
-//	register/flag save+restore     2 cycles per register pair + 4 for flags
-//	LB/UB computation (2× lea)     3
+//	register save+restore          1 per saved register (leader only)
+//	flags save+restore             2                    (leader only)
+//	LB/UB computation              2
 //	base(ptr): shift, table load,
-//	  magic-multiply modulo        6
-//	header load (STATE/SIZE)       3
-//	size-metadata validation       3   (the -size option removes this)
-//	merged UaF+LB+UB compare       5   (underflow-trick variant)
-//	redzone fallback base(LB)      6   (only when ptr is non-fat)
+//	  magic-multiply modulo        4   (again for the redzone fallback
+//	                                    base(LB) when ptr is non-fat)
+//	header load (SIZE)             2
+//	size-metadata validation       2   (the -size option removes this)
+//	UaF and bounds compare         3   (SIZE==0, then LB and UB)
+//	per-site profiling counters    4   (the profiling variant only)
 //
-// The profiling variant additionally maintains per-site counters (+4).
+// A check whose LB is non-fat too stops after the base computations.
 const (
 	costSavePerReg = 1
 	costSaveFlags  = 2

@@ -64,12 +64,6 @@ type RunConfig struct {
 	// host-side only: it never alters guest cycle accounting.
 	Metrics *telemetry.Registry `json:"-"`
 
-	// IndirectHook, when set, observes every indirect JMP/CALL transfer
-	// (pc → target) before it commits. Host-side observability only —
-	// the differential edge oracle uses it to compare actual transfers
-	// against the statically recovered target sets.
-	IndirectHook func(pc, target uint64) `json:"-"`
-
 	// Profiler, when set, samples guest execution by cycle budget from
 	// the dispatch loop (see vm.GuestProfiler). Host-side only.
 	Profiler *vm.GuestProfiler `json:"-"`
@@ -163,7 +157,6 @@ func (p *Process) attachTrace() {
 // leave enforcement off, like a legacy DSO disabling process-wide IBT.
 func (p *Process) attachIndirect(mods []*relf.Binary) {
 	v := p.VM
-	v.IndirectHook = p.cfg.IndirectHook
 	for _, b := range mods {
 		if !cfg.MarkerBuilt(b) {
 			return

@@ -9,9 +9,9 @@ import (
 )
 
 // TestIndirectEdgeOracle is the differential oracle for the indirect-flow
-// recovery: run the switch-dense benchmarks while recording every actual
-// indirect transfer (pc → target), and check that at every statically
-// resolved site the observed targets are a subset of the recovered Succs.
+// recovery: run the switch-dense benchmarks instruction by instruction,
+// recording every transfer (pc → target) at a statically resolved site,
+// and check that the observed targets are a subset of the recovered Succs.
 // A single counterexample would mean the recovery is unsound — a real
 // edge the rewriter's analyses never saw. The precision ratio (observed
 // vs claimed targets) is logged alongside.
@@ -37,29 +37,27 @@ func TestIndirectEdgeOracle(t *testing.T) {
 				t.Fatal("recovery resolved no sites")
 			}
 
+			// Every claimed site is an indirect JMP or CALL, so the RIP a
+			// step there leaves is the transfer's target.
 			observed := map[uint64]map[uint64]bool{}
-			rc := rtlib.RunConfig{
-				Input: cp.RefInput(),
-				Knobs: rtlib.Knobs{NoJIT: true},
-				IndirectHook: func(pc, target uint64) {
-					s := observed[pc]
-					if s == nil {
-						s = map[uint64]bool{}
-						observed[pc] = s
-					}
-					s[target] = true
-				},
-			}
-			if _, err := rtlib.RunBaseline(bin, rc); err != nil {
+			defer rtlib.StepObserver(func(pc, rip uint64) {
+				if _, ok := claimed[pc]; !ok {
+					return // not a claim to audit
+				}
+				s := observed[pc]
+				if s == nil {
+					s = map[uint64]bool{}
+					observed[pc] = s
+				}
+				s[rip] = true
+			})()
+			if _, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: cp.RefInput()}); err != nil {
 				t.Fatal(err)
 			}
 
 			executed := 0
 			for pc, obs := range observed {
-				want, ok := claimed[pc]
-				if !ok {
-					continue // site the recovery left Unknown: no claim to audit
-				}
+				want := claimed[pc]
 				executed++
 				for tgt := range obs {
 					if !want[tgt] {

@@ -145,9 +145,6 @@ func (v *VM) store(addr uint64, w uint16, val uint64) error {
 // the site's set bumps the escape counter; the monitor never alters guest
 // behaviour.
 func (v *VM) checkIndirect(pc, target uint64) error {
-	if v.IndirectHook != nil {
-		v.IndirectHook(pc, target)
-	}
 	if v.IndirectTargets != nil {
 		if set, ok := v.IndirectTargets[pc]; ok && !set[target] {
 			if v.tel != nil {

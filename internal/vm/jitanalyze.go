@@ -120,11 +120,10 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 	base := uint64(CostInst)
 	next := pc + uint64(in.Len)
 	// Indirect transfers end the trace before them while landing-pad
-	// enforcement, the escape monitor or the indirect-transfer
-	// observation hook is on: all live in the interpreter's
-	// checkIndirect. Host-side only: the trace boundary never changes
-	// guest cycles.
-	indirectChecked := v.LPADCheck || v.IndirectTargets != nil || v.IndirectHook != nil
+	// enforcement or the escape monitor is on: both live in the
+	// interpreter's checkIndirect. Host-side only: the trace boundary
+	// never changes guest cycles.
+	indirectChecked := v.LPADCheck || v.IndirectTargets != nil
 
 	switch in.Op {
 	case isa.NOP, isa.CQO, isa.LPAD, isa.LEA:

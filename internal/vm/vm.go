@@ -325,15 +325,6 @@ type VM struct {
 	// output are bit-identical with or without it attached.
 	IndirectTargets map[uint64]map[uint64]bool
 
-	// IndirectHook, when set, observes every indirect JMP/CALL transfer
-	// (pc → target) before it commits. Host-side observability only — it
-	// feeds the differential edge oracle that validates the static
-	// recovery against actual execution; guest behaviour is identical
-	// with or without it. Indirect sites always retire through the
-	// interpreter when enforcement or the monitor is armed, but attach
-	// NoJIT when using the hook on non-marker binaries.
-	IndirectHook func(pc, target uint64)
-
 	// InlineCheck, when set by the runtime layer, resolves an RTCALL at
 	// pc (import importIdx, static argument arg) into a fusable check
 	// plan, or nil when the call is not an instrumented check. The JIT

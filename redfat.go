@@ -263,10 +263,11 @@ func VerifyStructural(hard *Binary) (*VerifyReport, error) {
 // -analysis-report flag (see internal/redfat.Analysis).
 type Analysis = core.Analysis
 
-// Analyze runs the whole-CFG dataflow engine over bin under the
-// site-selection policy of opt and reports per-function statistics
-// (blocks, edges, dominator depth, dead-register histogram, checks
-// eliminated by each pass) without rewriting anything.
+// Analyze runs Harden's pipeline over bin under opt, rewriting only in
+// memory, and reports per-function statistics: blocks, edges, dominator
+// depth and the dead-register histogram of the unpatched program, and
+// a count of the fates Harden gave the memory operands, whose totals
+// equal Harden's Report.
 func Analyze(bin *Binary, opt Options) (*Analysis, error) {
 	return core.Analyze(bin, opt)
 }
@@ -293,7 +294,7 @@ type Knobs = rtlib.Knobs
 // Input, Abort (stop at the first detected memory error), the MaxCycles
 // budget, Forensics (fills Result.Reports), the execution Knobs and
 // RandomizeHeap, plus the host-side observers TraceWriter/TraceLimit,
-// Metrics, Profiler, Flight and IndirectHook. It is rtlib.RunConfig,
+// Metrics, Profiler and Flight. It is rtlib.RunConfig,
 // whose fields carry the full documentation, and a runpack records it
 // as the replay spec.
 type RunOptions = rtlib.RunConfig
