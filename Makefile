@@ -94,14 +94,14 @@ replay-smoke:
 # obs-smoke exercises the event model and the live introspection
 # surface: the golden-pinned endpoint formats, the flight-recorder
 # semantics, bit-identity of runs with the ring at either grain, the
-# execution-grain stream against its golden, the Chrome trace export,
-# and a scrape of all five endpoints on a live `rfvm -listen` process.
-# See DESIGN.md §15.
+# execution-grain stream against its golden, the `rfvm -events`
+# instruction trace, the Chrome trace export, and a scrape of all five
+# endpoints on a live `rfvm -listen` process. See DESIGN.md §15.
 obs-smoke:
 	$(GO) test -run 'TestEndpoints|TestFlight|TestServerBeforePublish' -v ./internal/obs/
 	$(GO) test -run TestFlightIdentityMatrix -v ./internal/vm/
 	$(GO) test -run TestExecutionGrainMatchesTracerGolden -v ./internal/rtlib/
-	$(GO) test -run 'TestCLIObsSmoke|TestCLITraceSmoke' -v .
+	$(GO) test -run 'TestCLIObsSmoke|TestCLITraceSmoke|TestCLIEventsTrace' -v .
 
 # edge-audit-smoke drives the indirect-flow recovery contract end to
 # end: rfgen emits the switch-dense and broken-jump-table corpora,

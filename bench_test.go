@@ -32,7 +32,7 @@ const table1Scale = 0.02
 // suite through every instrumentation configuration plus Memcheck.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table1(table1Scale, nil)
+		rows, err := (&bench.Harness{}).Table1(table1Scale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func BenchmarkTable1DetectedErrors(b *testing.B) {
 // gromacs 3, GemsFDTD 32, wrf 26, calculix 2).
 func BenchmarkTable1FalsePositives(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.FalsePositives(table1Scale, nil)
+		rows, err := (&bench.Harness{}).FalsePositives(table1Scale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func BenchmarkTable1FalsePositives(b *testing.B) {
 // 480-case Juliet CWE-122 suite under RedFat and Memcheck.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table2(nil)
+		rows, err := (&bench.Harness{}).Table2(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkTable2Juliet(b *testing.B) {
 // hardening measured with the 14 Kraken sub-benchmarks.
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, gm, err := bench.Figure8(2048, 400, nil)
+		_, gm, err := (&bench.Harness{}).Figure8(2048, 400, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func BenchmarkFigure8(b *testing.B) {
 // binary population (the rewriting-substrate ablation from DESIGN.md).
 func BenchmarkAblationTactics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Tactics(1024, nil)
+		rows, err := (&bench.Harness{}).Tactics(1024, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func BenchmarkAblationTactics(b *testing.B) {
 // batching ablation, paper §6).
 func BenchmarkAblationBatchWidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.BatchSweep("povray", table1Scale, nil)
+		rows, err := (&bench.Harness{}).BatchSweep("povray", table1Scale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -150,12 +150,6 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("diagnostic missing allocation site: %s", out)
 	}
 
-	// Trace mode emits instructions.
-	out, _ = runTool(t, bin, "rfvm", "-trace", "5", "-input", "2", relfPath)
-	if !strings.Contains(out, "mov $0x28, %rdi") {
-		t.Errorf("trace output missing: %s", out)
-	}
-
 	// -stats prints the telemetry report with nonzero VM, check and
 	// allocator counters; -events prints the trailing event window.
 	out, code = runTool(t, bin, "rfvm", "-hardened", "-stats", "-events", "8",
@@ -262,6 +256,38 @@ func TestCLIPipeline(t *testing.T) {
 	out, code = runTool(t, bin, "rfdis", hardPath)
 	if code != 0 || !strings.Contains(out, ".tramp") || !strings.Contains(out, "rtcall") {
 		t.Fatalf("rfdis: %d %s", code, out)
+	}
+}
+
+// TestCLIEventsTrace: -events is the instruction trace. Each retire in
+// the window is named by its disassembly, and -max ends the run at a
+// guest cycle, so the window shows how the run starts.
+func TestCLIEventsTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI tools")
+	}
+	bin := buildTools(t)
+	work := t.TempDir()
+	src := filepath.Join(work, "prog.s")
+	relfPath := filepath.Join(work, "prog.relf")
+	if err := os.WriteFile(src, []byte(cliProg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, code := runTool(t, bin, "rfasm", "-o", relfPath, src); code != 0 {
+		t.Fatalf("rfasm: %s", out)
+	}
+	out, code := runTool(t, bin, "rfvm", "-events", "16", "-max", "3", "-input", "2", relfPath)
+	if code != 20 {
+		t.Fatalf("rfvm -events 16 -max 3: exit %d, want 20 (cycle budget)\n%s", code, out)
+	}
+	var insts []string
+	for _, line := range eventWindow(out) {
+		if strings.Contains(line, " inst ") {
+			insts = append(insts, line)
+		}
+	}
+	if len(insts) == 0 || !strings.Contains(insts[0], "inst         mov $0x28, %rdi pc=0x") {
+		t.Errorf("first inst event %q, want the disassembled mov $0x28, %%rdi\n%s", insts, out)
 	}
 }
 

@@ -20,8 +20,11 @@
 // report (retired instructions per opcode, allocator activity, check
 // outcomes, RTCALL cost); -top bounds the hottest-site listing; -events N
 // prints the last N events of the flight ring (below) recorded at
-// execution grain: retires, trampoline entries, runtime calls, check
-// verdicts, alloc/free. Telemetry never alters cycle accounting.
+// execution grain: retires, each named by its disassembly, trampoline
+// entries, runtime calls, check verdicts, alloc/free. It is the
+// instruction trace: -events N -max C shows the run up to guest cycle C,
+// where the cycle budget ends it. Telemetry never alters cycle
+// accounting.
 //
 // Forensics: -forensics resolves each detected error into a symbolized
 // ASan-style report (owning object, allocation/free backtraces);
@@ -100,10 +103,9 @@ func main() {
 	flag.BoolVar(&ro.Memcheck, "memcheck", false, "run under the Memcheck model")
 	flag.BoolVar(&ro.Abort, "abort", false, "abort on the first detected memory error")
 	flag.Uint64Var(&ro.MaxCycles, "max", 0, "cycle budget (0 = default)")
-	trace := flag.Int("trace", 0, "print an execution trace of up to N instructions")
 	stats := flag.Bool("stats", false, "collect telemetry and print a run report")
 	top := flag.Int("top", 10, "with -stats, hottest instrumentation sites to list")
-	events := flag.Int("events", 0, "record execution events and print the last N")
+	events := flag.Int("events", 0, "record execution events and print the last N, each retire as its disassembly (-max C stops the run at guest cycle C)")
 	forensic := flag.Bool("forensics", false, "resolve detected errors into symbolized forensic reports")
 	forensicJSON := flag.Bool("forensics-json", false, "with -forensics, also print the reports as JSON")
 	profGuest := flag.Bool("profile-guest", false, "sample guest execution and print a hot-site profile")
@@ -152,10 +154,6 @@ func main() {
 			}
 			ro.Input = append(ro.Input, v)
 		}
-	}
-	if *trace > 0 {
-		ro.TraceWriter = os.Stderr
-		ro.TraceLimit = *trace
 	}
 	var reg *redfat.Metrics
 	if *stats {
@@ -215,6 +213,9 @@ func main() {
 		// packs them.
 		showReports := *forensic
 		sym := redfat.NewSymbolizer(bin)
+		for i := range res.Traces {
+			res.Traces[i].Symbol = sym.Format(res.Traces[i].EntryPC)
+		}
 		if len(res.Output) > 0 {
 			os.Stdout.Write(res.Output)
 			fmt.Println()
@@ -273,9 +274,9 @@ func main() {
 			// depends only on guest-deterministic quantities.
 			fmt.Println("--- telemetry ---")
 			reg.Snapshot().StripHostTime().WriteText(os.Stdout)
-			if rows := redfat.TraceRows(res.Traces, sym); len(rows) > 0 {
+			if len(res.Traces) > 0 {
 				fmt.Println("--- jit traces ---")
-				writeTraceTable(os.Stdout, rows)
+				writeTraceTable(os.Stdout, res.Traces)
 			}
 		}
 		if prof != nil && *profGuest {
@@ -300,7 +301,7 @@ func main() {
 		if srv != nil {
 			st := &redfat.ObsState{
 				Telemetry: reg.Snapshot().StripHostTime(),
-				Traces:    redfat.TraceRows(res.Traces, sym),
+				Traces:    res.Traces,
 				Flight:    dump,
 			}
 			if prof != nil {

@@ -77,11 +77,6 @@ func (h *Harness) Tactics(fillerFuncs int, w io.Writer) ([]TacticRow, error) {
 	return rows, nil
 }
 
-// Tactics is the serial form of Harness.Tactics.
-func Tactics(fillerFuncs int, w io.Writer) ([]TacticRow, error) {
-	return (&Harness{}).Tactics(fillerFuncs, w)
-}
-
 // BatchRow reports the overhead at one maximum batch width.
 type BatchRow struct {
 	MaxBatch int     `json:"max_batch"`
@@ -138,11 +133,6 @@ func (h *Harness) BatchSweep(benchName string, scale float64, w io.Writer) ([]Ba
 	return rows, nil
 }
 
-// BatchSweep is the serial form of Harness.BatchSweep.
-func BatchSweep(benchName string, scale float64, w io.Writer) ([]BatchRow, error) {
-	return (&Harness{}).BatchSweep(benchName, scale, w)
-}
-
 // ClobberRow compares trampoline save/restore cost with and without the
 // dead-register specialization (paper §6, low-level optimizations).
 type ClobberRow struct {
@@ -192,11 +182,6 @@ func (h *Harness) ClobberSweep(benchName string, scale float64, w io.Writer) ([]
 		}
 	}
 	return rows, nil
-}
-
-// ClobberSweep is the serial form of Harness.ClobberSweep.
-func ClobberSweep(benchName string, scale float64, w io.Writer) ([]ClobberRow, error) {
-	return (&Harness{}).ClobberSweep(benchName, scale, w)
 }
 
 // FuzzRow compares allow-list coverage with and without the
@@ -253,11 +238,6 @@ func (h *Harness) FuzzBoostStudy(benchName string, budgets []int, w io.Writer) (
 		}
 	}
 	return rows, nil
-}
-
-// FuzzBoostStudy is the serial form of Harness.FuzzBoostStudy.
-func FuzzBoostStudy(benchName string, budgets []int, w io.Writer) ([]FuzzRow, error) {
-	return (&Harness{}).FuzzBoostStudy(benchName, budgets, w)
 }
 
 // DataflowRow reports total guest cycles over a workload suite for one
@@ -371,11 +351,6 @@ func (h *Harness) DataflowSweep(names []string, scale float64, w io.Writer) ([]D
 		}
 	}
 	return rows, nil
-}
-
-// DataflowSweep is the serial form of Harness.DataflowSweep.
-func DataflowSweep(names []string, scale float64, w io.Writer) ([]DataflowRow, error) {
-	return (&Harness{}).DataflowSweep(names, scale, w)
 }
 
 // IndirectRow reports one {indirect-flow recovery} × {dominator
@@ -507,9 +482,4 @@ func (h *Harness) IndirectSweep(names []string, scale float64, w io.Writer) ([]I
 			int64(blocked.TotalCycles)-int64(unlocked.TotalCycles))
 	}
 	return rows, nil
-}
-
-// IndirectSweep is the serial form of Harness.IndirectSweep.
-func IndirectSweep(names []string, scale float64, w io.Writer) ([]IndirectRow, error) {
-	return (&Harness{}).IndirectSweep(names, scale, w)
 }

@@ -15,8 +15,8 @@
 // Every experiment is a method on Harness, which fans independent units
 // (a benchmark, a benchmark × configuration cell, a Juliet case) over a
 // bounded worker pool and renders the assembled results afterwards, so
-// output is byte-identical at any pool width. The package-level functions
-// are serial shorthands for the zero-value harness.
+// output is byte-identical at any pool width. The zero-value Harness runs
+// them serially.
 package bench
 
 import (
@@ -268,11 +268,6 @@ func (h *Harness) Table1(scale float64, w io.Writer) ([]*Table1Row, error) {
 	return rows, nil
 }
 
-// Table1 runs every benchmark serially and renders the table to w (nil ok).
-func Table1(scale float64, w io.Writer) ([]*Table1Row, error) {
-	return (&Harness{}).Table1(scale, w)
-}
-
 // renderTable1 writes the per-benchmark rows and the geomean summary row.
 func renderTable1(rows []*Table1Row, w io.Writer) {
 	if w == nil {
@@ -387,11 +382,6 @@ func (h *Harness) FalsePositives(scale float64, w io.Writer) ([]FPRow, error) {
 	return rows, nil
 }
 
-// FalsePositives is the serial form of Harness.FalsePositives.
-func FalsePositives(scale float64, w io.Writer) ([]FPRow, error) {
-	return (&Harness{}).FalsePositives(scale, w)
-}
-
 func errorPCs(bin *relf.Binary, bm *workload.Benchmark, lowfat bool, reg *telemetry.Registry) (map[uint64]bool, error) {
 	opt := redfat.Defaults()
 	opt.LowFat = lowfat
@@ -470,11 +460,6 @@ func (h *Harness) Table2(w io.Writer) ([]Table2Row, error) {
 	}
 	renderTable2(rows, w)
 	return rows, nil
-}
-
-// Table2 is the serial form of Harness.Table2.
-func Table2(w io.Writer) ([]Table2Row, error) {
-	return (&Harness{}).Table2(w)
 }
 
 func renderTable2(rows []Table2Row, w io.Writer) {
@@ -570,11 +555,6 @@ func (h *Harness) Table2Extended(w io.Writer) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// Table2Extended is the serial form of Harness.Table2Extended.
-func Table2Extended(w io.Writer) ([]Table2Row, error) {
-	return (&Harness{}).Table2Extended(w)
-}
-
 // Fig8Row is one Kraken sub-benchmark's overhead.
 type Fig8Row struct {
 	Name     string  `json:"name"`
@@ -634,9 +614,4 @@ func (h *Harness) Figure8(fillerFuncs int, scale uint64, w io.Writer) ([]Fig8Row
 		fmt.Fprintf(w, "%-22s %6.0f%%\n", "Geometric Mean", gm*100)
 	}
 	return rows, gm, nil
-}
-
-// Figure8 is the serial form of Harness.Figure8.
-func Figure8(fillerFuncs int, scale uint64, w io.Writer) ([]Fig8Row, float64, error) {
-	return (&Harness{}).Figure8(fillerFuncs, scale, w)
 }

@@ -72,7 +72,7 @@ func TestTable1SwitchDense(t *testing.T) {
 }
 
 func TestIndirectSweep(t *testing.T) {
-	rows, err := bench.IndirectSweep(nil, 0.02, nil)
+	rows, err := (&bench.Harness{}).IndirectSweep(nil, 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDetectedErrors(t *testing.T) {
 }
 
 func TestFalsePositiveCountsMatchPaper(t *testing.T) {
-	rows, err := bench.FalsePositives(0.02, nil)
+	rows, err := (&bench.Harness{}).FalsePositives(0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestTable2(t *testing.T) {
 		t.Skip("480-case sweep")
 	}
 	var sb strings.Builder
-	rows, err := bench.Table2(&sb)
+	rows, err := (&bench.Harness{}).Table2(&sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFigure8(t *testing.T) {
-	rows, gm, err := bench.Figure8(512, 120, nil)
+	rows, gm, err := (&bench.Harness{}).Figure8(512, 120, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFigure8(t *testing.T) {
 }
 
 func TestTactics(t *testing.T) {
-	rows, err := bench.Tactics(256, nil)
+	rows, err := (&bench.Harness{}).Tactics(256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestTactics(t *testing.T) {
 }
 
 func TestBatchSweep(t *testing.T) {
-	rows, err := bench.BatchSweep("povray", 0.02, nil)
+	rows, err := (&bench.Harness{}).BatchSweep("povray", 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestBatchSweep(t *testing.T) {
 }
 
 func TestClobberSweep(t *testing.T) {
-	rows, err := bench.ClobberSweep("sjeng", 0.02, nil)
+	rows, err := (&bench.Harness{}).ClobberSweep("sjeng", 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestClobberSweep(t *testing.T) {
 
 func TestDataflowSweep(t *testing.T) {
 	names := []string{"libquantum", "povray", "calculix", "sjeng"}
-	rows, err := bench.DataflowSweep(names, 0.02, nil)
+	rows, err := (&bench.Harness{}).DataflowSweep(names, 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestFuzzBoostStudy(t *testing.T) {
 	if testing.Short() {
 		budgets = []int{1, 30} // the race-detector run: a smaller budget still shows the trend
 	}
-	rows, err := bench.FuzzBoostStudy("h264ref", budgets, nil)
+	rows, err := (&bench.Harness{}).FuzzBoostStudy("h264ref", budgets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestFuzzBoostStudy(t *testing.T) {
 }
 
 func TestTable2Extended(t *testing.T) {
-	rows, err := bench.Table2Extended(nil)
+	rows, err := (&bench.Harness{}).Table2Extended(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,8 +96,3 @@ func (h *Harness) GuestProfiles(scale float64, dir string, w io.Writer) ([]Guest
 	}
 	return rows, nil
 }
-
-// GuestProfiles is the serial form of Harness.GuestProfiles.
-func GuestProfiles(scale float64, dir string, w io.Writer) ([]GuestProfRow, error) {
-	return (&Harness{}).GuestProfiles(scale, dir, w)
-}

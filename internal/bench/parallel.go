@@ -11,8 +11,8 @@ import (
 )
 
 // Harness runs the experiments of this package over a bounded worker
-// pool. The zero value is the legacy serial harness: one worker, no
-// progress output, no telemetry.
+// pool. The zero value is the serial harness: one worker, no progress
+// output, no telemetry.
 //
 // Every experiment decomposes into independent units (a benchmark, a
 // benchmark × configuration cell, a Juliet case, ...), the units fan out

@@ -14,9 +14,10 @@
 //	T1 — the instruction is ≥6 bytes: overwrite with jmp rel32.
 //	T2 — steal bytes from following instructions: overwrite up to 6 bytes
 //	     spanning several instructions (all displaced into the trampoline),
-//	     provided no stolen instruction is a potential jump target. This
-//	     models E9Patch's instruction-punning tactics, which succeed for
-//	     the overwhelming majority of short instructions.
+//	     provided no stolen instruction is a potential jump target and
+//	     each can be relocated into the trampoline. This models E9Patch's
+//	     instruction-punning tactics, which succeed for the overwhelming
+//	     majority of short instructions.
 //	T3 — last resort: a 1-byte TRAP patch dispatched through the binary's
 //	     patch table, with a large per-execution cost (models signal- or
 //	     punning-constrained dispatch).
@@ -188,6 +189,46 @@ func relocate(di cfg.DecodedInst, newNext int64) (isa.Inst, error) {
 	return in, nil
 }
 
+// trampoline returns the trampoline region with one more trampoline
+// appended: the payload, the displaced instructions relocated to run
+// there, and a jump back to resume.
+func (rw *Rewriter) trampoline(payload []isa.Inst, displaced []int, resume int64) ([]byte, error) {
+	buf := rw.tramp
+	var err error
+	for _, p := range payload {
+		if buf, err = encodeTo(buf, p); err != nil {
+			return nil, fmt.Errorf("e9: payload: %w", err)
+		}
+	}
+	for _, j := range displaced {
+		d := rw.Prog.Insts[j]
+		// The relocated instruction's "next" is wherever it lands; we
+		// must encode to know the length, so iterate: lengths in RF64
+		// depend only on the instruction content, and widening rel8→rel32
+		// is the only length change, done inside relocate.
+		probe, err := relocate(d, 0)
+		if err != nil {
+			return nil, err
+		}
+		plen, err := isa.EncodeLen(&probe)
+		if err != nil {
+			return nil, err
+		}
+		newNext := int64(rw.trampBase) + int64(len(buf)) + int64(plen)
+		fixed, err := relocate(d, newNext)
+		if err != nil {
+			return nil, err
+		}
+		if buf, err = encodeTo(buf, fixed); err != nil {
+			return nil, fmt.Errorf("e9: displaced %s: %w", d.Inst.String(), err)
+		}
+	}
+	jback := isa.Inst{Op: isa.JMP, Form: isa.FRel32}
+	jbackLen, _ := isa.EncodeLen(&isa.Inst{Op: isa.JMP, Form: isa.FRel32, Imm: 0})
+	jback.Imm = resume - (int64(rw.trampBase) + int64(len(buf)) + int64(jbackLen))
+	return encodeTo(buf, jback)
+}
+
 // Instrument patches the instruction at index i so that, at runtime, the
 // payload instructions execute (with all guest state exactly as at the
 // patch point), then the displaced instruction(s), then control returns
@@ -236,44 +277,16 @@ func (rw *Rewriter) Instrument(i int, payload []isa.Inst) error {
 		}
 	}
 
-	// Build the trampoline.
+	// Build the trampoline. A displaced follower that cannot be
+	// relocated there (a RIP-relative operand the trampoline is out of
+	// reach of) leaves the head alone to T3.
 	trampAddr := rw.trampBase + uint64(len(rw.tramp))
-	buf := rw.tramp
-	var err error
-	for _, p := range payload {
-		if buf, err = encodeTo(buf, p); err != nil {
-			return fmt.Errorf("e9: payload: %w", err)
-		}
+	buf, err := rw.trampoline(payload, displaced, int64(di.Addr)+int64(span))
+	if err != nil && tactic == TacticT2 {
+		tactic, span, displaced = TacticT3, instLen, displaced[:1]
+		buf, err = rw.trampoline(payload, displaced, int64(di.Addr)+int64(span))
 	}
-	for _, j := range displaced {
-		d := rw.Prog.Insts[j]
-		// The relocated instruction's "next" is wherever it lands; we
-		// must encode to know the length, so iterate: lengths in RF64
-		// depend only on the instruction content, and widening rel8→rel32
-		// is the only length change, done inside relocate.
-		probe, err := relocate(d, 0)
-		if err != nil {
-			return err
-		}
-		plen, err := isa.EncodeLen(&probe)
-		if err != nil {
-			return err
-		}
-		newNext := int64(rw.trampBase) + int64(len(buf)) + int64(plen)
-		fixed, err := relocate(d, newNext)
-		if err != nil {
-			return err
-		}
-		if buf, err = encodeTo(buf, fixed); err != nil {
-			return fmt.Errorf("e9: displaced %s: %w", d.Inst.String(), err)
-		}
-	}
-	// Jump back to the first non-displaced instruction.
-	resume := int64(di.Addr) + int64(span)
-	jback := isa.Inst{Op: isa.JMP, Form: isa.FRel32}
-	jbackLen, _ := isa.EncodeLen(&isa.Inst{Op: isa.JMP, Form: isa.FRel32, Imm: 0})
-	jback.Imm = resume - (int64(rw.trampBase) + int64(len(buf)) + int64(jbackLen))
-	if buf, err = encodeTo(buf, jback); err != nil {
+	if err != nil {
 		return err
 	}
 

@@ -44,7 +44,7 @@ const (
 	EvICacheGen                   // icache generation bump: blocks, chains and traces dropped
 	EvCheckFail                   // a memory error was reported, or a profile-mode check failed (Reason: vm.MemErrorKind, PC: fault site, Arg: fault address)
 	EvBudgetPoll                  // the cycle budget expired (PC: abort RIP, Arg: cycles at abort)
-	EvInst                        // an instruction retired (Reason: isa.Op, PC: its address)
+	EvInst                        // an instruction retired (Reason: isa.Op, PC: its address; dumped as its disassembly)
 	EvTrampEnter                  // a TRAP patch dispatched to its trampoline (PC: the trap, Arg: trampoline)
 	EvRTCall                      // a host runtime call returned (PC: the RTCALL, Arg: cycles the handler charged)
 	EvCheckPass                   // an instrumented check passed (PC: check site, Arg: accessed lower bound)
@@ -121,7 +121,7 @@ type Flight struct {
 	ring    []Event
 	seq     uint64
 	cycles  *uint64
-	labeler func(kind EventKind, reason uint8) string
+	labeler func(kind EventKind, reason uint8, pc uint64) string
 }
 
 // NewFlight returns a recorder with the given ring capacity (≤ 0 selects
@@ -144,9 +144,10 @@ func (f *Flight) BindCycles(c *uint64) {
 }
 
 // SetLabeler installs the reason-name resolver used when dumping (the VM
-// installs one that names deopt reasons and memory-error kinds; obs
-// cannot import those enums itself).
-func (f *Flight) SetLabeler(fn func(kind EventKind, reason uint8) string) {
+// installs one that names deopt reasons and memory-error kinds, and
+// retires by the disassembly at their PC; obs cannot import those enums
+// or the decoder itself).
+func (f *Flight) SetLabeler(fn func(kind EventKind, reason uint8, pc uint64) string) {
 	if f != nil {
 		f.labeler = fn
 	}
@@ -257,7 +258,7 @@ func (f *Flight) Dump() *FlightDump {
 			Size:   e.Size,
 		}
 		if f.labeler != nil {
-			fe.Reason = f.labeler(e.Kind, e.Reason)
+			fe.Reason = f.labeler(e.Kind, e.Reason, e.PC)
 		}
 		d.Events = append(d.Events, fe)
 	}

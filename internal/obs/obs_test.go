@@ -68,7 +68,7 @@ func TestFlightDefaultCapacityAndNilSafety(t *testing.T) {
 
 func TestFlightDumpAppliesLabeler(t *testing.T) {
 	f := NewFlight(8)
-	f.SetLabeler(func(kind EventKind, reason uint8) string {
+	f.SetLabeler(func(kind EventKind, reason uint8, pc uint64) string {
 		if kind == EvDeopt && reason == 2 {
 			return "halt"
 		}
@@ -120,7 +120,7 @@ func testState(t *testing.T) *State {
 	flight := NewFlight(8)
 	var cyc uint64
 	flight.BindCycles(&cyc)
-	flight.SetLabeler(func(kind EventKind, reason uint8) string {
+	flight.SetLabeler(func(kind EventKind, reason uint8, pc uint64) string {
 		if kind == EvDeopt {
 			return [...]string{"side", "dyn", "halt"}[reason]
 		}

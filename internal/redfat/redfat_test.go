@@ -1,6 +1,7 @@
 package redfat_test
 
 import (
+	"reflect"
 	"testing"
 
 	"redfat/internal/asm"
@@ -519,26 +520,45 @@ func TestHardenDeterministic(t *testing.T) {
 	}
 }
 
-// failedPatch lists programs whose first batch cannot be patched: its
-// head is too short for a jump, and the follower it would steal is a
-// RIP-relative load the trampoline region is out of rel32 reach of.
-var failedPatch = []struct{ name, src string }{
-	// The third instruction's check was dropped under the first's, so
-	// the repair round gives it its own.
-	{"repaired", ".func main\n mov (%rbx), %rax\n mov -0x7ffffff0(%rip), %rcx\n mov (%rbx), %rdx\n ret\n"},
-	{"unrepaired", ".func main\n mov (%rbx), %rax\n mov -0x7ffffff0(%rip), %rcx\n ret\n"},
+// noElim is Defaults without syntactic elimination, under which a
+// RIP-relative operand is checked and so can head a batch.
+func noElim() redfat.Options {
+	opt := redfat.Defaults()
+	opt.Elim = false
+	return opt
 }
 
-// TestFailedPatch: an operand whose patch fails is counted once, as
-// unprotected, and listed in .rf.unprot; a dependent of its dropped
-// check gets a check of its own; and the validators accept the image.
-func TestFailedPatch(t *testing.T) {
+// failedPatch lists programs at the edge of patching. Each mentions a
+// RIP-relative load the trampoline region is out of rel32 reach of, so
+// no trampoline can hold it.
+var failedPatch = []struct {
+	name, src string
+	opt       redfat.Options
+	unprot    []int // indices of the instructions left unprotected
+	checked   int   // index of the one instruction checked, or -1
 	// Operands, Eliminated, ElimDominated, Instrumented, FailedSites,
-	// Checks, FullChecks, MergedAway, Batches.
-	want := map[string][9]int{
-		"repaired":   {3, 1, 0, 1, 1, 1, 1, 0, 1},
-		"unrepaired": {2, 1, 0, 0, 1, 0, 0, 0, 0},
-	}
+	// Checks, FullChecks, MergedAway, Batches, T3 patches.
+	counters [10]int
+}{
+	// The first batch, headed by the load, fails under every tactic.
+	// The third instruction's check was dropped under the second's, so
+	// the repair round gives it its own.
+	{"repaired", ".func main\n mov -0x7ffffff0(%rip), %rcx\n mov (%rbx), %rax\n mov (%rbx), %rdx\n ret\n",
+		noElim(), []int{0, 1}, 2, [10]int{3, 0, 0, 1, 2, 1, 1, 0, 1, 1}},
+	{"unrepaired", ".func main\n mov -0x7ffffff0(%rip), %rcx\n mov (%rbx), %rax\n ret\n",
+		noElim(), []int{0, 1}, -1, [10]int{2, 0, 0, 0, 2, 0, 0, 0, 0, 0}},
+	// The head is too short for a jump, and byte stealing would
+	// displace the load: the head is patched alone with a trap.
+	{"t3-fallback", ".func main\n mov (%rbx), %rax\n mov -0x7ffffff0(%rip), %rcx\n ret\n",
+		redfat.Defaults(), nil, 0, [10]int{2, 1, 0, 1, 0, 1, 1, 0, 1, 1}},
+}
+
+// TestFailedPatch: a site whose follower cannot be displaced falls back
+// to a trap patch; an operand whose patch fails under every tactic is
+// counted once, as unprotected, and listed in .rf.unprot; a dependent of
+// its dropped check gets a check of its own; and the validators accept
+// the image.
+func TestFailedPatch(t *testing.T) {
 	for _, fp := range failedPatch {
 		t.Run(fp.name, func(t *testing.T) {
 			bin, err := asm.Assemble(fp.src)
@@ -549,41 +569,45 @@ func TestFailedPatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hard, rep, err := redfat.Harden(bin, redfat.Defaults())
+			hard, rep, err := redfat.Harden(bin, fp.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := [9]int{rep.Operands, rep.Eliminated, rep.ElimDominated, rep.Instrumented,
-				rep.FailedSites, rep.Checks, rep.FullChecks, rep.MergedAway, rep.Batches}
-			if got != want[fp.name] {
-				t.Errorf("report counters %v, want %v", got, want[fp.name])
+			got := [10]int{rep.Operands, rep.Eliminated, rep.ElimDominated, rep.Instrumented,
+				rep.FailedSites, rep.Checks, rep.FullChecks, rep.MergedAway, rep.Batches, rep.Rewrite.T3}
+			if got != fp.counters {
+				t.Errorf("report counters %v, want %v", got, fp.counters)
 			}
 
-			sec := hard.Section(redfat.UnprotSection)
-			if sec == nil {
-				t.Fatal("no .rf.unprot section")
+			want := map[uint64]uint64{}
+			for _, i := range fp.unprot {
+				want[prog.Insts[i].Addr] = 0
 			}
-			unprot, err := relf.DecodePatchTable(sec.Data)
-			if err != nil {
-				t.Fatal(err)
+			unprot := map[uint64]uint64{}
+			if sec := hard.Section(redfat.UnprotSection); sec != nil {
+				if unprot, err = relf.DecodePatchTable(sec.Data); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if head := prog.Insts[0].Addr; len(unprot) != 1 || unprot[head] != 0 {
-				t.Errorf(".rf.unprot = %v, want only %#x", unprot, head)
+			if !reflect.DeepEqual(unprot, want) {
+				t.Errorf(".rf.unprot = %v, want %v", unprot, want)
 			}
 
 			recs, err := rtlib.SitesFrom(hard)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Checks == 0 {
+			if fp.checked < 0 {
 				if len(recs) != 0 {
 					t.Errorf("check records %+v, want none", recs)
 				}
-			} else if dep := prog.Insts[2]; len(recs) != 1 || recs[0].PC != dep.Addr ||
+			} else if dep := prog.Insts[fp.checked]; len(recs) != 1 || recs[0].PC != dep.Addr ||
 				recs[0].Mode != rtlib.ModeFull || recs[0].Operand != dep.Inst.Mem ||
 				recs[0].Len != 8 || !recs[0].Leader || recs[0].Merged != 1 {
 				t.Errorf("check records %+v, want one full leader check of %s at %#x",
 					recs, dep.Inst.Mem.String(), dep.Addr)
+			} else if text := hard.Text(); text.Data[dep.Addr-text.Addr] != byte(isa.TRAP) {
+				t.Errorf("checked site %#x is not patched with a trap", dep.Addr)
 			}
 
 			for name, validate := range map[string]func() (*verify.Report, error){
@@ -598,7 +622,7 @@ func TestFailedPatch(t *testing.T) {
 					t.Errorf("%s rejects the image: %+v", name, vrep.Violations)
 				}
 			}
-			agree(t, fp.name, bin, redfat.Defaults())
+			agree(t, fp.name, bin, fp.opt)
 		})
 	}
 }

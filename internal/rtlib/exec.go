@@ -1,12 +1,8 @@
 package rtlib
 
 import (
-	"fmt"
-	"io"
-
 	"redfat/internal/cfg"
 	"redfat/internal/heap"
-	"redfat/internal/isa"
 	"redfat/internal/lowfat"
 	"redfat/internal/mem"
 	"redfat/internal/obs"
@@ -53,11 +49,6 @@ type RunConfig struct {
 	// randomization (the basic heap randomization paper §8 mentions).
 	// Guest-visible: it moves the pointers malloc returns.
 	RandomizeHeap bool `json:"randomize_heap,omitempty"`
-
-	// TraceWriter, when set, receives one line per executed instruction
-	// (address and disassembly), up to TraceLimit lines (0 = 10000).
-	TraceWriter io.Writer `json:"-"`
-	TraceLimit  int       `json:"-"`
 
 	// Metrics, when set, receives counters/gauges/histograms from every
 	// instrumented layer (VM dispatch, allocators, checks). Telemetry is
@@ -123,29 +114,8 @@ func NewProcess(cfg RunConfig, budget uint64, mods ...*relf.Binary) *Process {
 	v.Profiler = cfg.Profiler
 	v.AttachTelemetry(cfg.Metrics)
 	p := &Process{VM: v, cfg: cfg}
-	p.attachTrace()
 	p.attachIndirect(mods)
 	return p
-}
-
-// attachTrace installs the execution tracer if configured.
-func (p *Process) attachTrace() {
-	w := p.cfg.TraceWriter
-	if w == nil {
-		return
-	}
-	limit := p.cfg.TraceLimit
-	if limit == 0 {
-		limit = 10000
-	}
-	n := 0
-	p.VM.TraceHook = func(v *vm.VM, pc uint64, in *isa.Inst) {
-		if n >= limit {
-			return
-		}
-		n++
-		fmt.Fprintf(w, "%10x: %s\n", pc, in.String())
-	}
 }
 
 // attachIndirect arms the CET-style landing-pad machinery when every

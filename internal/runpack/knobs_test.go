@@ -107,7 +107,7 @@ func runKeys(t *testing.T) []string {
 			keys = append(keys, key)
 		}
 	}
-	observers := []string{"TraceWriter", "TraceLimit", "Metrics", "Profiler", "Flight"}
+	observers := []string{"Metrics", "Profiler", "Flight"}
 	if !reflect.DeepEqual(hostOnly, observers) {
 		t.Fatalf("RunConfig fields tagged \"-\" are %v, want exactly %v", hostOnly, observers)
 	}

@@ -1,10 +1,13 @@
 package runpack
 
 import (
+	"archive/tar"
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -680,4 +683,120 @@ func TestRunExitCodes(t *testing.T) {
 	if got := RunExit(42, []vm.MemError{{Kind: vm.ErrOOBRead}}, nil); got != ExitDetectOOBRead {
 		t.Errorf("detection precedence = %d, want %d", got, ExitDetectOOBRead)
 	}
+}
+
+// tarGz gzips a tarball of the given name/content members, in order.
+func tarGz(t testing.TB, members ...[2]string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	tw := tar.NewWriter(gz)
+	for _, m := range members {
+		hdr := &tar.Header{Name: m[0], Mode: 0o644, Size: int64(len(m[1])), Typeflag: tar.TypeReg}
+		if err := tw.WriteHeader(hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write([]byte(m[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// oversizedTarball is a gzipped tarball holding only the header of a
+// member one byte over maxMemberSize: the reader must refuse the member
+// before reading its content.
+func oversizedTarball(t testing.TB) []byte {
+	t.Helper()
+	var raw, buf bytes.Buffer
+	hdr := &tar.Header{Name: "binary.relf", Mode: 0o644, Size: maxMemberSize + 1, Typeflag: tar.TypeReg}
+	if err := tar.NewWriter(&raw).WriteHeader(hdr); err != nil {
+		t.Fatal(err)
+	}
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(raw.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sealedTarball is the tarball of a small sealed pack.
+func sealedTarball(t testing.TB) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	b, err := NewBuilder(dir, KindRun, "rfvm", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AddBytes(MemberResult, []byte("{}\n"))
+	if err := b.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Tar(dir, &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenTarRejectsMalformed: a tarball whose members share a base
+// name, whose member exceeds maxMemberSize, or whose gzip stream is cut
+// short is refused with a *VerifyError carrying its exit code, while the
+// whole tarball of a sealed pack verifies.
+func TestOpenTarRejectsMalformed(t *testing.T) {
+	valid := sealedTarball(t)
+	cases := []struct {
+		name string
+		data []byte
+		want int
+	}{
+		{"duplicate-base-name", tarGz(t, [2]string{"a/x.bin", "1"}, [2]string{"b/x.bin", "2"}), ExitMissing},
+		{"oversized-member", oversizedTarball(t), ExitBadDigest},
+		{"truncated-gzip", valid[:len(valid)/2], ExitBadDigest},
+		{"not-gzip", []byte("manifest.json"), ExitBadDigest},
+	}
+	for _, tc := range cases {
+		_, err := openTar(bytes.NewReader(tc.data))
+		var ve *VerifyError
+		if !errors.As(err, &ve) || ve.Code != tc.want {
+			t.Errorf("%s: openTar error %v, want a *VerifyError with exit code %d", tc.name, err, tc.want)
+		}
+	}
+	p, err := openTar(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Verify(p); err != nil {
+		t.Errorf("sealed tarball failed verify: %v", err)
+	}
+}
+
+// FuzzOpen feeds arbitrary bytes to the tarball reader. Every input ends
+// in a *VerifyError from openTar, or in a pack that Verify accepts or
+// rejects with one of its documented exit codes; none panics.
+func FuzzOpen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := openTar(bytes.NewReader(data))
+		if err != nil {
+			var ve *VerifyError
+			if !errors.As(err, &ve) || (ve.Code != ExitBadDigest && ve.Code != ExitMissing) {
+				t.Fatalf("openTar error %v is not a digest or missing-member *VerifyError", err)
+			}
+			return
+		}
+		switch _, err := Verify(p); ExitCode(err) {
+		case ExitOK, ExitBadDigest, ExitBadManifest, ExitMissing, ExitBadSchema:
+		default:
+			t.Fatalf("Verify ended in %v, outside the documented exit codes", err)
+		}
+	})
 }

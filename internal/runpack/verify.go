@@ -21,7 +21,10 @@ import (
 // to exactly one code: flipping a member byte or truncating it is
 // ExitBadDigest; editing the manifest or its seal is ExitBadManifest;
 // renaming or removing a member is ExitMissing; an unknown or future
-// manifest schema is ExitBadSchema.
+// manifest schema is ExitBadSchema. A tarball pack adds three: bytes the
+// gzip or tar reader rejects, or a member over maxMemberSize, are
+// ExitBadDigest; a second member with a name already seen is
+// ExitMissing, like any file the manifest does not list.
 const (
 	ExitOK          = 0 // pack verified / replay byte-identical
 	ExitToolError   = 1 // I/O or internal failure
@@ -100,11 +103,19 @@ func Open(path string) (*Pack, error) {
 	return nil, fmt.Errorf("runpack: %s is neither a directory nor a .tar.gz pack", path)
 }
 
-// openTar reads a gzipped tarball into an in-memory pack.
+// maxMemberSize bounds one member of a tarball pack, which openTar reads
+// into memory.
+const maxMemberSize = 64 << 20
+
+// openTar reads a gzipped tarball into an in-memory pack. Member paths
+// are flattened to their base names, as a pack is a flat directory.
 func openTar(r io.Reader) (*Pack, error) {
+	unreadable := func(err error) error {
+		return &VerifyError{Code: ExitBadDigest, Reason: fmt.Sprintf("unreadable tarball: %v", err)}
+	}
 	gz, err := gzip.NewReader(r)
 	if err != nil {
-		return nil, err
+		return nil, unreadable(err)
 	}
 	defer gz.Close()
 	tr := tar.NewReader(gz)
@@ -115,15 +126,23 @@ func openTar(r io.Reader) (*Pack, error) {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, unreadable(err)
 		}
 		if hdr.Typeflag != tar.TypeReg {
 			continue
 		}
 		name := filepath.Base(hdr.Name)
+		if _, dup := p.files[name]; dup {
+			return nil, &VerifyError{Code: ExitMissing, Member: name,
+				Reason: "member appears twice in the tarball"}
+		}
+		if hdr.Size > maxMemberSize {
+			return nil, &VerifyError{Code: ExitBadDigest, Member: name,
+				Reason: fmt.Sprintf("size %d exceeds the %d-byte member limit", hdr.Size, maxMemberSize)}
+		}
 		data, err := io.ReadAll(tr)
 		if err != nil {
-			return nil, err
+			return nil, unreadable(err)
 		}
 		p.files[name] = data
 		p.listing = append(p.listing, name)

@@ -27,11 +27,11 @@ package vm
 // tables and every chain die with the cache generation).
 //
 // The cache is host-side only: cycle accounting, hook invocation order
-// (TraceHook, MemHook, BlockHook), error reporting and the cycle-budget
-// abort point are bit-identical to VM.Step, which decodes every
-// instruction afresh and is the reference the identity tests compare
-// against. Chaining is unconditional; perfbench reports how many block
-// exits it absorbs (vm.chain_hit_rate).
+// (MemHook, BlockHook), error reporting and the cycle-budget abort point
+// are bit-identical to VM.Step, which decodes every instruction afresh
+// and is the reference the identity tests compare against. Chaining is
+// unconditional; perfbench reports how many block exits it absorbs
+// (vm.chain_hit_rate).
 
 import (
 	"redfat/internal/isa"

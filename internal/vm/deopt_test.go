@@ -28,8 +28,8 @@ func deoptReasonNames() []string {
 }
 
 // checkDeoptAccounting asserts the split is internally consistent: the
-// aggregate equals the sum of the per-reason counters, and both equal
-// the per-trace histograms TraceStats reports.
+// aggregate equals the sum of the per-reason counters, and each reason's
+// counter equals the sum of that reason over the trace rows.
 func checkDeoptAccounting(t *testing.T, label string, v *vm.VM, snap *telemetry.Snapshot) {
 	t.Helper()
 	var byReason uint64
@@ -39,14 +39,19 @@ func checkDeoptAccounting(t *testing.T, label string, v *vm.VM, snap *telemetry.
 	if agg := snap.Counters["vm.jit.deopt.count"]; agg != byReason {
 		t.Errorf("%s: aggregate deopts %d != per-reason sum %d", label, agg, byReason)
 	}
-	var byTrace uint64
-	for _, st := range v.TraceStats() {
-		for _, n := range st.Deopts {
-			byTrace += n
+	byTrace := map[string]uint64{}
+	for _, row := range v.TraceRows() {
+		for _, d := range row.Deopts {
+			if d.Count == 0 {
+				t.Errorf("%s: trace %#x lists a zero %s count", label, row.EntryPC, d.Reason)
+			}
+			byTrace["vm.jit.deopt."+d.Reason+".count"] += d.Count
 		}
 	}
-	if byTrace != byReason {
-		t.Errorf("%s: per-trace deopts %d != per-reason counters %d", label, byTrace, byReason)
+	for _, name := range deoptReasonNames() {
+		if byTrace[name] != snap.Counters[name] {
+			t.Errorf("%s: per-trace %s %d != counter %d", label, name, byTrace[name], snap.Counters[name])
+		}
 	}
 }
 
@@ -308,8 +313,8 @@ func TestFlightIdentityMatrix(t *testing.T) {
 				if !reflect.DeepEqual(on.Errors, off.Errors) {
 					t.Errorf("%s grain: detection divergence: flight-on %v, flight-off %v", grain, on.Errors, off.Errors)
 				}
-				if !reflect.DeepEqual(on.TraceStats(), off.TraceStats()) {
-					t.Errorf("%s grain: trace-table divergence:\non:  %+v\noff: %+v", grain, on.TraceStats(), off.TraceStats())
+				if !reflect.DeepEqual(on.TraceRows(), off.TraceRows()) {
+					t.Errorf("%s grain: trace-table divergence:\non:  %+v\noff: %+v", grain, on.TraceRows(), off.TraceRows())
 				}
 				if !reflect.DeepEqual(onSnap.StripHostTime(), offSnap.StripHostTime()) {
 					t.Errorf("%s grain: telemetry divergence:\non:  %+v\noff: %+v", grain, onSnap, offSnap)

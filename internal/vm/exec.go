@@ -305,9 +305,6 @@ func (v *VM) exec(pc uint64, in *isa.Inst) error {
 	if v.Profiler != nil {
 		v.Profiler.maybeSample(v, pc)
 	}
-	if v.TraceHook != nil {
-		v.TraceHook(v, pc, in)
-	}
 	if v.tel != nil {
 		v.tel.retiredAll.Inc()
 		v.tel.retired[in.Op].Inc()

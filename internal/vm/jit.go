@@ -297,54 +297,45 @@ type trace struct {
 	deopts  [NumDeoptReasons]uint64
 }
 
-// TraceStat is the exported runtime record of one compiled trace: its
-// shape plus its entry count and per-reason deopt histogram.
-type TraceStat struct {
-	EntryPC uint64
-	EndPC   uint64 // PC of the last step
-	Steps   int
-	Checks  int // fused check sites
-	Entries uint64
-	Deopts  [NumDeoptReasons]uint64
-}
-
-// TraceStats reports every compiled trace's runtime history, in
-// compilation order (deterministic: compilation order is a function of
-// guest execution).
-func (v *VM) TraceStats() []TraceStat {
+// TraceRows reports every compiled trace as a row of the /traces table,
+// in compilation order (deterministic: compilation order is a function
+// of guest execution), with its nonzero deopt counts in reason-enum
+// order. Symbol is left for the caller, which holds the symbolizer.
+func (v *VM) TraceRows() []obs.TraceRow {
 	if len(v.traces) == 0 {
 		return nil
 	}
-	out := make([]TraceStat, len(v.traces))
+	rows := make([]obs.TraceRow, len(v.traces))
 	for i, t := range v.traces {
-		s := TraceStat{
-			EntryPC: t.entryPC,
-			Steps:   len(t.info.Steps),
-			Entries: t.entries,
-			Deopts:  t.deopts,
+		steps := t.info.Steps
+		r := obs.TraceRow{EntryPC: t.entryPC, Steps: len(steps), Entries: t.entries}
+		if n := len(steps); n > 0 {
+			r.EndPC = steps[n-1].PC
 		}
-		if n := len(t.info.Steps); n > 0 {
-			s.EndPC = t.info.Steps[n-1].PC
-		}
-		for j := range t.info.Steps {
-			if t.info.Steps[j].Check != nil {
-				s.Checks++
+		for j := range steps {
+			if steps[j].Check != nil {
+				r.Checks++
 			}
 		}
-		out[i] = s
+		for reason, n := range t.deopts {
+			if n != 0 {
+				r.Deopts = append(r.Deopts, obs.DeoptCount{Reason: DeoptReason(reason).String(), Count: n})
+			}
+		}
+		rows[i] = r
 	}
-	return out
+	return rows
 }
 
 // jitEnabled decides whether this run may use the superblock tier: the
-// tier needs no per-instruction observers — trace/mem/block hooks, an
+// tier needs no per-instruction observers — mem/block hooks, an
 // execution-grain flight recorder and the guest profiler all require
 // interpreter-grain callbacks, so any of them pins execution to tier 0.
 // Trace costs are compiled at CostInst per instruction, so a nonzero
 // PerInstOverhead (set only by Memcheck, which also installs the hooks)
 // pins tier 0 as well.
 func (v *VM) jitEnabled() bool {
-	return !v.NoJIT && v.TraceHook == nil && !v.execEvents &&
+	return !v.NoJIT && !v.execEvents &&
 		v.Profiler == nil && v.MemHook == nil && v.BlockHook == nil &&
 		v.PerInstOverhead == 0
 }

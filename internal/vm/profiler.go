@@ -22,7 +22,7 @@ import (
 const (
 	DefaultSampleInterval = 4096 // guest cycles between samples
 	DefaultSampleDepth    = 16   // frames per sample, leaf included
-	defaultTimelineCap    = 4096 // retained raw samples for timeline export
+	timelineCap           = 4096 // retained raw samples for timeline export
 )
 
 // ProfSample is one aggregated call-stack bucket: a unique guest stack
@@ -50,9 +50,6 @@ type GuestProfiler struct {
 	// MaxDepth bounds the captured stack, leaf included
 	// (0 = DefaultSampleDepth).
 	MaxDepth int
-	// TimelineCap bounds the retained raw-sample ring
-	// (0 = defaultTimelineCap, negative = no timeline).
-	TimelineCap int
 
 	next    uint64 // cycle counter threshold for the next sample
 	last    uint64 // cycle counter at the previous sample
@@ -60,8 +57,8 @@ type GuestProfiler struct {
 	count   uint64 // samples taken
 	buckets map[string]*ProfSample
 
-	timeline []TimeSample
-	timePos  int // next overwrite position once the ring is full
+	timeline []TimeSample // the newest timelineCap raw samples
+	timePos  int          // oldest sample once the ring is full, else 0
 }
 
 func (p *GuestProfiler) interval() uint64 {
@@ -109,21 +106,12 @@ func (p *GuestProfiler) maybeSample(v *VM, pc uint64) {
 	b.Cycles += weight
 	b.Count++
 
-	if p.TimelineCap >= 0 {
-		capacity := p.TimelineCap
-		if capacity == 0 {
-			capacity = defaultTimelineCap
-		}
-		ts := TimeSample{Cycles: v.Cycles, Weight: weight, PC: pc}
-		if len(p.timeline) < capacity {
-			p.timeline = append(p.timeline, ts)
-		} else {
-			p.timeline[p.timePos] = ts
-			p.timePos++
-			if p.timePos == capacity {
-				p.timePos = 0
-			}
-		}
+	ts := TimeSample{Cycles: v.Cycles, Weight: weight, PC: pc}
+	if len(p.timeline) < timelineCap {
+		p.timeline = append(p.timeline, ts)
+	} else {
+		p.timeline[p.timePos] = ts
+		p.timePos = (p.timePos + 1) % timelineCap
 	}
 }
 
@@ -193,18 +181,14 @@ func (p *GuestProfiler) HotPCs() []ProfSample {
 	return out
 }
 
-// Timeline returns the retained raw samples in guest-cycle order.
+// Timeline returns the retained raw samples (the newest timelineCap) in
+// guest-cycle order.
 func (p *GuestProfiler) Timeline() []TimeSample {
 	if p == nil {
 		return nil
 	}
-	if len(p.timeline) < cap(p.timeline) || p.timePos == 0 {
-		return append([]TimeSample(nil), p.timeline...)
-	}
-	out := make([]TimeSample, 0, len(p.timeline))
-	out = append(out, p.timeline[p.timePos:]...)
-	out = append(out, p.timeline[:p.timePos]...)
-	return out
+	out := append([]TimeSample(nil), p.timeline[p.timePos:]...)
+	return append(out, p.timeline[:p.timePos]...)
 }
 
 // TotalCycles returns the guest cycles attributed across all samples.

@@ -232,10 +232,6 @@ type VM struct {
 	// obs.Flight's nil receiver.
 	Flight *obs.Flight
 
-	// TraceHook, if set, is invoked before every instruction retires
-	// (single-step debugging / execution tracing).
-	TraceHook func(v *VM, pc uint64, in *isa.Inst)
-
 	// execEvents caches Flight.Execution at Run, so the per-instruction
 	// cost of default grain is this one branch.
 	execEvents bool
@@ -620,7 +616,7 @@ func (e *CycleLimitError) Error() string {
 func (v *VM) Run() error {
 	if v.Flight != nil {
 		v.Flight.BindCycles(&v.Cycles)
-		v.Flight.SetLabeler(flightLabel)
+		v.Flight.SetLabeler(v.flightLabel)
 		v.execEvents = v.Flight.Execution
 	}
 	defer v.FlushTelemetry()
@@ -637,15 +633,20 @@ func (v *VM) overBudget() error {
 }
 
 // flightLabel names the kind-specific reason bytes of flight events: the
-// deopt-reason enum for deopts, the memory-error kind for check failures
-// and the opcode for retires (obs cannot import these enums itself).
-func flightLabel(kind obs.EventKind, reason uint8) string {
+// deopt-reason enum for deopts and the memory-error kind for check
+// failures (obs cannot import these enums itself). A retire is named by
+// its disassembly, decoded from guest memory at dump time, or by its
+// opcode when the code is no longer mapped.
+func (v *VM) flightLabel(kind obs.EventKind, reason uint8, pc uint64) string {
 	switch kind {
 	case obs.EvDeopt:
 		return DeoptReason(reason).String()
 	case obs.EvCheckFail:
 		return MemErrorKind(reason).String()
 	case obs.EvInst:
+		if in, err := v.decodeAt(pc); err == nil {
+			return in.String()
+		}
 		return isa.Op(reason).String()
 	}
 	return ""

@@ -460,6 +460,48 @@ func TestCycleLimit(t *testing.T) {
 	}
 }
 
+// TestProfilerTimelineKeepsNewest samples every retire of a loop long
+// enough to wrap the profiler's timeline ring several thousand samples
+// past its capacity: the timeline must hold the newest samples, each
+// following the previous one, in guest-cycle order.
+func TestProfilerTimelineKeepsNewest(t *testing.T) {
+	b := asm.NewBuilder(asm.Options{})
+	b.Func("main")
+	b.MovRI(isa.RCX, 0)
+	b.Label("loop")
+	b.AluRI(isa.ADD, isa.RCX, 1)
+	b.AluRI(isa.CMP, isa.RCX, 2000)
+	b.Jcc(isa.JL, "loop")
+	b.Ret()
+	bin, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mem.New()
+	v := vm.New(m)
+	prof := &vm.GuestProfiler{Interval: 1}
+	v.Profiler = prof
+	if err := v.Load(bin, rtlib.LibC(heap.New(m), m)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tl := prof.Timeline()
+	if len(tl) == 0 || uint64(len(tl)) >= prof.SampleCount() {
+		t.Fatalf("timeline keeps %d of %d samples; the ring never wrapped", len(tl), prof.SampleCount())
+	}
+	if newest := tl[len(tl)-1].Cycles; newest != prof.TotalCycles() {
+		t.Errorf("newest retained sample at cycle %d, last sample at %d", newest, prof.TotalCycles())
+	}
+	for i := 1; i < len(tl); i++ {
+		if tl[i].Cycles-tl[i].Weight != tl[i-1].Cycles {
+			t.Fatalf("sample %d (cycle %d, weight %d) does not follow sample %d (cycle %d)",
+				i, tl[i].Cycles, tl[i].Weight, i-1, tl[i-1].Cycles)
+		}
+	}
+}
+
 func TestUnresolvedImport(t *testing.T) {
 	b := asm.NewBuilder(asm.Options{})
 	b.Func("main")

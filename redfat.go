@@ -87,10 +87,6 @@ type Flight = obs.Flight
 // FlightDump is a flight recorder's serializable dump (see obs.FlightDump).
 type FlightDump = obs.FlightDump
 
-// TraceStat reports one compiled superblock's shape and runtime
-// behaviour, including its per-reason deopt counts.
-type TraceStat = vm.TraceStat
-
 // ObsServer is the live introspection HTTP server serving /metrics,
 // /snapshot, /traces, /profile and /flight from published State.
 type ObsServer = obs.Server
@@ -99,7 +95,9 @@ type ObsServer = obs.Server
 // table, folded profile, flight dump).
 type ObsState = obs.State
 
-// TraceRow is one row of the /traces table.
+// TraceRow is one compiled superblock as a row of the /traces table:
+// its shape and runtime behaviour, including its per-reason deopt
+// counts.
 type TraceRow = obs.TraceRow
 
 // ErrorReport is a fully resolved memory error: symbolized PCs, guest
@@ -140,32 +138,6 @@ func NewObsServer() *ObsServer { return obs.NewServer() }
 // ServeObs serves the introspection endpoints on l until the listener
 // closes (blocking; run it in a goroutine alongside the guest).
 func ServeObs(l net.Listener, s *ObsServer) error { return obs.Serve(l, s) }
-
-// TraceRows converts per-trace JIT statistics into /traces table rows,
-// symbolizing entry PCs via sym (nil leaves rows unsymbolized) and
-// expanding each trace's nonzero deopt counters in reason-enum order.
-func TraceRows(stats []TraceStat, sym *Symbolizer) []TraceRow {
-	rows := make([]TraceRow, 0, len(stats))
-	for _, st := range stats {
-		row := TraceRow{
-			EntryPC: st.EntryPC,
-			EndPC:   st.EndPC,
-			Steps:   st.Steps,
-			Checks:  st.Checks,
-			Entries: st.Entries,
-		}
-		if sym != nil {
-			row.Symbol = sym.Format(st.EntryPC)
-		}
-		for r := vm.DeoptReason(0); int(r) < vm.NumDeoptReasons; r++ {
-			if n := st.Deopts[r]; n != 0 {
-				row.Deopts = append(row.Deopts, obs.DeoptCount{Reason: r.String(), Count: n})
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
 
 // WriteFolded renders a profiler's aggregated stacks in folded
 // (flamegraph) format, one "frames... cycles" line per unique stack.
@@ -293,10 +265,9 @@ type Knobs = rtlib.Knobs
 // the Valgrind-Memcheck model; neither for the glibc baseline), the
 // Input, Abort (stop at the first detected memory error), the MaxCycles
 // budget, Forensics (fills Result.Reports), the execution Knobs and
-// RandomizeHeap, plus the host-side observers TraceWriter/TraceLimit,
-// Metrics, Profiler and Flight. It is rtlib.RunConfig,
-// whose fields carry the full documentation, and a runpack records it
-// as the replay spec.
+// RandomizeHeap, plus the host-side observers Metrics, Profiler and
+// Flight. It is rtlib.RunConfig, whose fields carry the full
+// documentation, and a runpack records it as the replay spec.
 type RunOptions = rtlib.RunConfig
 
 // CheckStat reports one instrumentation site's runtime behaviour.
@@ -328,10 +299,10 @@ type Result struct {
 	// Reports are the forensic resolutions of Errors, in the same order
 	// (only set when RunOptions.Forensics is on).
 	Reports []*ErrorReport
-	// Traces holds per-trace superblock statistics (compilation order),
-	// including per-reason deopt counts; nil when the JIT compiled
-	// nothing.
-	Traces []TraceStat
+	// Traces holds one row per compiled superblock (compilation order),
+	// including per-reason deopt counts, with Symbol left empty; nil
+	// when the JIT compiled nothing.
+	Traces []TraceRow
 }
 
 // Run executes a binary on the RF64 VM.
@@ -405,7 +376,7 @@ func newResult(v *vm.VM, opt *RunOptions, bins ...*Binary) *Result {
 	res.Insts = v.Insts
 	res.Output = v.Output
 	res.Errors = v.Errors
-	res.Traces = v.TraceStats()
+	res.Traces = v.TraceRows()
 	if opt.Forensics {
 		res.Reports = buildReports(v, bins...)
 	}
