@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet perfbench-vet rfvet build test race fuzz perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
+.PHONY: check fmt vet perfbench-vet rfvet inline-check build test race fuzz perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
 
 # check is the tier-1 gate: formatting, static analysis (go vet of this
 # module and of the perfbench module, plus the repo-specific rfvet
-# rules), build, tests (deterministic: the wall-clock perf guards live
-# behind the perfsmoke build tag, see perf-smoke), a race-detector pass
-# over the concurrent harness (short mode), the runpack replay smoke,
-# the live introspection smoke, and the indirect-edge audit smoke.
-check: fmt vet perfbench-vet rfvet build test race replay-smoke obs-smoke edge-audit-smoke
+# rules), the inlining guard, build, tests (deterministic: the wall-clock
+# perf guards live behind the perfsmoke build tag, see perf-smoke), a
+# race-detector pass over the concurrent harness (short mode), the
+# runpack replay smoke, the live introspection smoke, and the
+# indirect-edge audit smoke.
+check: fmt vet perfbench-vet rfvet inline-check build test race replay-smoke obs-smoke edge-audit-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -35,6 +36,20 @@ perfbench-vet:
 # report emitters. See cmd/rfvet.
 rfvet:
 	$(GO) run ./cmd/rfvet
+
+# inline-check guards the inlining the hot paths depend on: the flight
+# recorder's Record and RecordExec, which the VM calls for every event,
+# and lowfat.Base, which every check computes, must stay within the
+# compiler's inlining budget. Past it, each becomes a call that costs
+# more than its body, and no test would notice. `go build
+# -gcflags=-m=2` prints each cost.
+inline-check:
+	@inlined=$$($(GO) build -gcflags=-m ./internal/obs ./internal/lowfat 2>&1 | sed -n 's/^.*: can inline //p'); \
+	for fn in '(*Flight).Record' '(*Flight).RecordExec' Base; do \
+		if ! printf '%s\n' "$$inlined" | grep -qFx "$$fn"; then \
+			echo "inline-check: $$fn is no longer inlinable"; exit 1; \
+		fi; \
+	done
 
 build:
 	$(GO) build ./...

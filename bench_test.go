@@ -360,6 +360,43 @@ func BenchmarkMemcheckRun(b *testing.B) {
 	}
 }
 
+// BenchmarkRunSetup measures runs short enough that their set-up
+// dominates, as in Table 2: one Juliet good variant (about 20 guest
+// instructions) under RedFat and under Memcheck, each run with a fresh
+// flight recorder attached, as rfvm and perfbench attach one. Its B/op
+// is a run's Go set-up allocation, which TestRunSetupAllocBudget bounds.
+func BenchmarkRunSetup(b *testing.B) {
+	c := juliet.JulietCases()[0]
+	bin, err := c.BuildGood()
+	if err != nil {
+		b.Fatal(err)
+	}
+	hard, _, err := redfat.Harden(bin, redfat.Defaults())
+	if err != nil {
+		b.Fatal(err)
+	}
+	input := juliet.GoodInput(c)
+	for _, r := range []struct {
+		name string
+		bin  *redfat.Binary
+		opts redfat.RunOptions
+	}{
+		{"redfat", hard, redfat.RunOptions{Input: input, Abort: true, Hardened: true}},
+		{"memcheck", bin, redfat.RunOptions{Input: input, Abort: true, Memcheck: true}},
+	} {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opts := r.opts
+				opts.Flight = redfat.NewFlight(0)
+				if _, err := redfat.Run(r.bin, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAllocators compares the baseline and RedFat allocators through
 // the churn workload.
 func BenchmarkAllocators(b *testing.B) {

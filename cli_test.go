@@ -3,6 +3,7 @@ package redfat_test
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -261,7 +262,9 @@ func TestCLIPipeline(t *testing.T) {
 
 // TestCLIEventsTrace: -events is the instruction trace. Each retire in
 // the window is named by its disassembly, and -max ends the run at a
-// guest cycle, so the window shows how the run starts.
+// guest cycle, so the window shows how the run starts. The window is the
+// run's one ring dump: a budget abort with -events prints no second,
+// automatic dump, and one without -events dumps the ring once, to stderr.
 func TestCLIEventsTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CLI tools")
@@ -288,6 +291,21 @@ func TestCLIEventsTrace(t *testing.T) {
 	}
 	if len(insts) == 0 || !strings.Contains(insts[0], "inst         mov $0x28, %rdi pc=0x") {
 		t.Errorf("first inst event %q, want the disassembled mov $0x28, %%rdi\n%s", insts, out)
+	}
+	if n := strings.Count(out, "flight recorder:"); n != 1 {
+		t.Errorf("-events budget abort printed %d ring dumps, want 1\n%s", n, out)
+	}
+
+	cmd := exec.Command(filepath.Join(bin, "rfvm"), "-max", "3", "-input", "2", relfPath)
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var ee *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &ee) || ee.ExitCode() != 20 {
+		t.Fatalf("rfvm -max 3: %v, want exit 20 (cycle budget)\n%s%s", err, stdout.String(), stderr.String())
+	}
+	if n := strings.Count(stderr.String(), "flight recorder:"); n != 1 || strings.Contains(stdout.String(), "flight recorder:") {
+		t.Errorf("budget abort without -events: %d ring dumps on stderr, want 1 and none on stdout\nstdout:\n%s\nstderr:\n%s",
+			n, stdout.String(), stderr.String())
 	}
 }
 

@@ -54,7 +54,8 @@
 // instead of serving. An always-on flight recorder keeps the last -flight
 // events (block/trace entries, JIT compiles, deopts with reason, TLB
 // flushes, check failures, budget aborts) and dumps to stderr
-// automatically on a detection or budget abort. -events and -trace-out
+// automatically on a detection or budget abort, unless -events prints
+// its window, which is then the dump. -events and -trace-out
 // switch that one ring to execution grain, which pins the run to the
 // interpreter, and widen it to the largest of -flight, the -events
 // window and 4096 events for -trace-out. Both are host-side knobs: guest
@@ -240,9 +241,10 @@ func main() {
 				n, redfat.DistinctErrorSites(res.Errors))
 		}
 		// Dump the flight ring automatically when something went wrong:
-		// a detection or a cycle-budget abort.
+		// a detection or a cycle-budget abort. With -events, its window
+		// below is the dump.
 		var cle *redfat.CycleLimitError
-		if len(res.Errors) > 0 || errors.As(err, &cle) {
+		if *events == 0 && (len(res.Errors) > 0 || errors.As(err, &cle)) {
 			if werr := dump.WriteText(os.Stderr); werr != nil {
 				fatal(werr)
 			}

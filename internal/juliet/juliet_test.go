@@ -6,6 +6,7 @@ import (
 
 	"redfat/internal/juliet"
 	"redfat/internal/memcheck"
+	"redfat/internal/obs"
 	"redfat/internal/redfat"
 	"redfat/internal/rtlib"
 	"redfat/internal/vm"
@@ -117,14 +118,16 @@ func TestGoodVariantsClean(t *testing.T) {
 
 // TestRunSetupAllocBudget guards a run's host set-up cost: the baseline,
 // hardened and Memcheck runs of one Juliet good variant (about 20 guest
-// instructions each) must each allocate at most 128 KiB of Go memory per
-// run, averaged over 50 runs. Guest memory is paid for per page touched
-// (page tables, growing frame slabs and code-page lines), so a short run
+// instructions each), each with a fresh flight recorder attached as rfvm
+// and perfbench attach one, must each allocate at most 64 KiB of Go
+// memory per run, averaged over 50 runs. Guest memory is paid for per
+// page touched (page tables, 64-page frame lines, growing frame slabs and
+// code-page lines) and the flight ring per event recorded, so a short run
 // costs tens of KiB even though it maps an 8 MiB stack. The measure is
 // runtime.MemStats.TotalAlloc, which is deterministic enough for tier-1,
 // unlike wall time.
 func TestRunSetupAllocBudget(t *testing.T) {
-	const runs, budget = 50, 128 << 10
+	const runs, budget = 50, 64 << 10
 	c := juliet.JulietCases()[0]
 	bin, err := c.BuildGood()
 	if err != nil {
@@ -134,17 +137,19 @@ func TestRunSetupAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := rtlib.RunConfig{Input: juliet.GoodInput(c), Abort: true}
+	config := func() rtlib.RunConfig {
+		return rtlib.RunConfig{Input: juliet.GoodInput(c), Abort: true, Flight: obs.NewFlight(0)}
+	}
 	for _, r := range []struct {
 		name string
 		run  func() (*vm.VM, error)
 	}{
-		{"baseline", func() (*vm.VM, error) { return rtlib.RunBaseline(bin, cfg) }},
+		{"baseline", func() (*vm.VM, error) { return rtlib.RunBaseline(bin, config()) }},
 		{"hardened", func() (*vm.VM, error) {
-			v, _, err := rtlib.RunHardened(hard, cfg)
+			v, _, err := rtlib.RunHardened(hard, config())
 			return v, err
 		}},
-		{"memcheck", func() (*vm.VM, error) { return memcheck.Run(bin, cfg) }},
+		{"memcheck", func() (*vm.VM, error) { return memcheck.Run(bin, config()) }},
 	} {
 		if _, err := r.run(); err != nil { // warm up package-level state
 			t.Fatalf("%s: %v", r.name, err)

@@ -13,7 +13,9 @@
 //	base(ptr) = ptr − (ptr mod size(ptr))
 //
 // with SIZES[i] = SIZE_MAX for non-fat regions, so that non-fat pointers
-// are always "in bounds" (over-approximate but valid bounds).
+// are always "in bounds" (over-approximate but valid bounds). As in
+// LowFat's MAGICS table, the modulus is a multiply by a per-class
+// reciprocal and one correction, not a divide.
 //
 // The size classes follow the LowFat default configuration: 64 linear
 // classes of 16·i bytes (16..1024), then power-of-two classes up to 64 MB.
@@ -23,6 +25,7 @@ package lowfat
 
 import (
 	"fmt"
+	"math/bits"
 
 	"redfat/internal/mem"
 	"redfat/internal/telemetry"
@@ -61,8 +64,9 @@ const (
 	HeapHigh = uint64(LegacyRegionIndex+1) * RegionSize
 )
 
-// sizes is the SIZES table: region index → allocation size.
-var sizes [NumClasses + 1]uint64
+// sizes is the SIZES table: region index → allocation size. magics
+// holds each class's reciprocal for mod.
+var sizes, magics [NumClasses + 1]uint64
 
 func init() {
 	for i := 1; i <= NumLinear; i++ {
@@ -71,6 +75,22 @@ func init() {
 	for i := 0; i < NumPow2; i++ {
 		sizes[NumLinear+1+i] = 1 << (11 + i)
 	}
+	for i := 1; i <= NumClasses; i++ {
+		magics[i] = ^uint64(0) / sizes[i]
+	}
+}
+
+// mod returns ptr mod size for any size ≥ 2, given magic =
+// ⌊(2^64−1)/size⌋, without a divide. magic is within 1 of 2^64/size, so
+// the high word of ptr·magic is ⌊ptr/size⌋ or one less, and one
+// conditional subtraction makes the remainder exact for every uint64.
+func mod(ptr, size, magic uint64) uint64 {
+	q, _ := bits.Mul64(ptr, magic)
+	r := ptr - q*size
+	if r >= size {
+		r -= size
+	}
+	return r
 }
 
 // RegionIndex returns the 32 GB region number containing ptr.
@@ -88,11 +108,12 @@ func Size(ptr uint64) uint64 {
 
 // Base implements the low-fat base(ptr) operation: the base address of the
 // (potential) object containing ptr, or 0 (NULL) for non-fat pointers.
+// It is a few ALU operations and stays inlinable (`make inline-check`),
+// since every check computes it.
 func Base(ptr uint64) uint64 {
 	idx := ptr >> RegionShift
 	if idx >= 1 && idx <= NumClasses {
-		size := sizes[idx]
-		return ptr - ptr%size
+		return ptr - mod(ptr, sizes[idx], magics[idx])
 	}
 	return 0
 }

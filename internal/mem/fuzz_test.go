@@ -118,12 +118,14 @@ func (r refMemory) Fetch(addr uint64, buf []byte) int {
 // fuzzRegions are the bases of the address windows the fuzz operations
 // land in, each fuzzSpan bytes wide: one straddling the first 2 MiB
 // page-table boundary, one straddling the 32 GB low-fat region boundary
-// of region 5 (also a table boundary), and one near the top of the
-// address space, far from both.
+// of region 5 (also a table boundary), one near the top of the address
+// space, far from both, and one straddling the boundary between the
+// first two 64-page frame lines of one table.
 var fuzzRegions = [...]uint64{
 	0x200000 - fuzzSpan/2,
 	5<<35 - fuzzSpan/2,
 	^uint64(0) - 2*fuzzSpan + 1,
+	0x400000 + linePages*PageSize - fuzzSpan/2,
 }
 
 const fuzzSpan = 16 * PageSize

@@ -13,10 +13,12 @@
 // address space is a directory of page tables, each covering 512 pages
 // (2 MiB). A table holds one pointer-free permission byte per page, so
 // mapping a range (an 8 MiB stack, a 64 KiB heap extension) only writes
-// those bytes. The table's array of frame pointers is allocated when one
-// of its pages is first written, and the 4 KiB frame itself is carved out
-// of a slab at that moment. Slabs grow geometrically (4, 8, … up to 256
-// frames), so a short run allocates a few frames rather than a whole MiB.
+// those bytes. Frame pointers sit in eight lines of 64 pages per table;
+// a line (512 B) is allocated when one of its pages is first written, and
+// the 4 KiB frame itself is carved out of a slab at that moment. Slabs
+// grow geometrically (4, 8, … up to 256 frames), so a short run that
+// writes a few pages allocates a few frames and a line or two per table
+// it writes, rather than a whole MiB.
 // A mapped page that was never written reads as zero: reads and fetches
 // are served from one shared zero frame. Frames are never recycled: Unmap
 // drops the page's frame, so every frame handed out is demand-zero.
@@ -118,11 +120,16 @@ type page struct {
 	data [PageSize]byte
 }
 
-// Page-table geometry: a table covers tablePages pages (2 MiB).
+// Page-table geometry: a table covers tablePages pages (2 MiB), and its
+// frame pointers are kept in lines of linePages pages.
 const (
 	tableShift = 9
 	tablePages = 1 << tableShift
 	tableMask  = tablePages - 1
+
+	lineShift = 6
+	linePages = 1 << lineShift
+	lineMask  = linePages - 1
 )
 
 // pageMapped marks a page as mapped in its table's permission byte, next
@@ -130,13 +137,13 @@ const (
 const pageMapped Perm = 1 << 7
 
 // pageTable maps one 2 MiB-aligned run of pages. perm is pointer-free, so
-// mapping costs the garbage collector nothing. frames is nil until one of
-// the table's pages is first written, and a frame is nil until its page
-// is first written; reads and fetches of an unwritten page are served
-// from the shared zeroFrame, so pages are demand-zero.
+// mapping costs the garbage collector nothing. A line of frame pointers is
+// nil until one of its linePages pages is first written, and a frame is
+// nil until its page is first written; reads and fetches of an unwritten
+// page are served from the shared zeroFrame, so pages are demand-zero.
 type pageTable struct {
-	perm   [tablePages]Perm // pageMapped | permissions, 0 when unmapped
-	frames *[tablePages]*page
+	perm  [tablePages]Perm // pageMapped | permissions, 0 when unmapped
+	lines [tablePages / linePages]*[linePages]*page
 }
 
 // zeroFrame backs every mapped-but-never-written page. It is shared
@@ -314,8 +321,8 @@ func (m *Memory) invalidate(first, last uint64) {
 // fetch: the private frame once the page has been written, else the
 // shared zeroFrame.
 func (t *pageTable) frame(idx uint64) *page {
-	if t.frames != nil {
-		if f := t.frames[idx&tableMask]; f != nil {
+	if l := t.lines[(idx&tableMask)>>lineShift]; l != nil {
+		if f := l[idx&lineMask]; f != nil {
 			return f
 		}
 	}
@@ -365,13 +372,15 @@ func (m *Memory) writePageSlow(idx uint64) *page {
 	if t == nil || t.perm[idx&tableMask]&PermWrite == 0 {
 		return nil
 	}
-	if t.frames == nil {
-		t.frames = new([tablePages]*page)
+	l := t.lines[(idx&tableMask)>>lineShift]
+	if l == nil {
+		l = new([linePages]*page)
+		t.lines[(idx&tableMask)>>lineShift] = l
 	}
-	f := t.frames[idx&tableMask]
+	f := l[idx&lineMask]
 	if f == nil {
 		f = m.newPage()
-		t.frames[idx&tableMask] = f
+		l[idx&lineMask] = f
 		// The read and exec ways may alias this page to the shared
 		// zeroFrame; drop those entries so future reads see the
 		// materialized frame.
@@ -448,8 +457,8 @@ func (m *Memory) Unmap(addr, size uint64) {
 				t.perm[i] = 0
 				m.mapped--
 			}
-			if t.frames != nil {
-				t.frames[i] = nil
+			if l := t.lines[i>>lineShift]; l != nil {
+				l[i&lineMask] = nil
 			}
 		}
 	})

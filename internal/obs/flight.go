@@ -1,8 +1,8 @@
 // Package obs is the live-observability layer: the flight recorder (a
-// fixed-size, allocation-free ring of recent VM events, the system's one
-// event recorder) and an HTTP introspection server that exposes
-// telemetry, the JIT trace table, the guest profile and the flight ring
-// over five endpoints.
+// bounded ring of recent VM events, the system's one event recorder,
+// which allocates only as it first fills) and an HTTP introspection
+// server that exposes telemetry, the JIT trace table, the guest profile
+// and the flight ring over five endpoints.
 //
 // The ring records at one of two grains. Default grain takes only
 // events off the per-instruction path, so the recorder is always on.
@@ -103,44 +103,61 @@ type Event struct {
 }
 
 // DefaultFlightCapacity sizes the ring when the caller passes none. 1024
-// events (40 KiB) comfortably covers the window between "something went
-// wrong" and the dump.
+// events (40 KiB once full) comfortably covers the window between
+// "something went wrong" and the dump.
 const DefaultFlightCapacity = 1024
 
-// Flight is the flight recorder: a preallocated ring that overwrites
-// oldest-first. Recording is allocation-free and safe on a nil receiver,
-// so the VM hot paths can call it unconditionally. A Flight is
-// single-goroutine like the VM it observes; dump under the same
-// discipline (after Run, or from the VM goroutine).
+// firstRing is the ring's first allocation, in events (1,280 B): enough
+// for the few dozen events a short run records at default grain.
+const firstRing = 32
+
+// noCycles stamps events recorded before the VM binds its counter. It is
+// never written, so an unbound recorder stamps cycle 0 without a nil test.
+var noCycles uint64
+
+// Flight is the flight recorder: a bounded ring that overwrites
+// oldest-first. The ring is allocated on the first record, at firstRing
+// events, and grows once to its full capacity when those fill, so a run
+// pays for the events it records; from then on recording is
+// allocation-free. Recording is safe on a nil receiver, so the VM hot
+// paths can call it unconditionally. A Flight is single-goroutine like
+// the VM it observes; dump under the same discipline (after Run, or from
+// the VM goroutine).
 type Flight struct {
 	// Execution selects execution grain: the ring also takes the
 	// execution-grain kinds (EvInst onward), and a VM running with it
 	// stays in the interpreter. The VM reads it once, at Run.
 	Execution bool
 
-	ring    []Event
-	seq     uint64
-	cycles  *uint64
-	labeler func(kind EventKind, reason uint8, pc uint64) string
+	ring     []Event // grows to capacity before it ever wraps
+	capacity int
+	next     int    // ring index of the next write
+	seq      uint64 // events ever recorded
+	cycles   *uint64
+	labeler  func(kind EventKind, reason uint8, pc uint64) string
 }
 
 // NewFlight returns a recorder with the given ring capacity (≤ 0 selects
-// DefaultFlightCapacity).
+// DefaultFlightCapacity). The ring itself is allocated on first record.
 func NewFlight(capacity int) *Flight {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &Flight{ring: make([]Event, capacity)}
+	return &Flight{capacity: capacity, cycles: &noCycles}
 }
 
 // BindCycles points the recorder at the guest cycle counter so every
 // subsequent event is stamped in guest time. The VM binds its own
 // counter at Run; events recorded earlier (load-time TLB shootdowns)
-// carry cycle 0.
+// carry cycle 0, as do events after BindCycles(nil).
 func (f *Flight) BindCycles(c *uint64) {
-	if f != nil {
-		f.cycles = c
+	if f == nil {
+		return
 	}
+	if c == nil {
+		c = &noCycles
+	}
+	f.cycles = c
 }
 
 // SetLabeler installs the reason-name resolver used when dumping (the VM
@@ -154,44 +171,62 @@ func (f *Flight) SetLabeler(fn func(kind EventKind, reason uint8, pc uint64) str
 }
 
 // Record appends one event at either grain, overwriting the oldest when
-// the ring is full. Nil-safe and allocation-free: one bounds-checked
-// store and an increment.
+// the ring is full. Nil-safe; once the ring has reached its capacity, one
+// compare, one store and two increments. Record stays within the
+// compiler's inlining budget (`make inline-check`), so the VM pays no
+// call for it.
 func (f *Flight) Record(kind EventKind, reason uint8, pc, arg uint64) {
-	if f != nil {
-		f.put(kind, reason, pc, arg, 0)
+	if f == nil {
+		return
 	}
-}
-
-// RecordExec appends one execution-grain event; at default grain it
-// records nothing, so callers may call it unconditionally.
-func (f *Flight) RecordExec(kind EventKind, reason uint8, pc, arg, size uint64) {
-	if f != nil && f.Execution {
-		f.put(kind, reason, pc, arg, size)
+	if f.next == len(f.ring) {
+		f.advance()
 	}
-}
-
-func (f *Flight) put(kind EventKind, reason uint8, pc, arg, size uint64) {
-	var cyc uint64
-	if f.cycles != nil {
-		cyc = *f.cycles
-	}
-	f.ring[f.seq%uint64(len(f.ring))] = Event{
-		Cycles: cyc,
-		Kind:   kind,
-		Reason: reason,
-		PC:     pc,
-		Arg:    arg,
-		Size:   size,
-	}
+	f.ring[f.next] = Event{Cycles: *f.cycles, Kind: kind, Reason: reason, PC: pc, Arg: arg}
+	f.next++
 	f.seq++
 }
 
-// Capacity reports the ring size.
+// RecordExec appends one execution-grain event; at default grain it
+// records nothing, so callers may call it unconditionally. Only the grain
+// test is inlined: the write is out of line, which keeps RecordExec
+// within the inlining budget.
+func (f *Flight) RecordExec(kind EventKind, reason uint8, pc, arg, size uint64) {
+	if f != nil && f.Execution {
+		f.recordExec(kind, reason, pc, arg, size)
+	}
+}
+
+//go:noinline
+func (f *Flight) recordExec(kind EventKind, reason uint8, pc, arg, size uint64) {
+	f.Record(kind, reason, pc, arg)
+	f.ring[f.next-1].Size = size
+}
+
+// advance makes room for the next write once the write index has reached
+// the end of the ring: it wraps to the oldest event when the ring is at
+// capacity, else allocates it (firstRing events) or grows it to capacity
+// in place (the ring never wraps before it is full, so the events keep
+// their indexes).
+func (f *Flight) advance() {
+	switch len(f.ring) {
+	case f.capacity:
+		f.next = 0
+	case 0:
+		f.ring = make([]Event, min(f.capacity, firstRing))
+	default:
+		ring := make([]Event, f.capacity)
+		copy(ring, f.ring)
+		f.ring = ring
+	}
+}
+
+// Capacity reports the ring size: the most events it retains.
 func (f *Flight) Capacity() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.ring)
+	return f.capacity
 }
 
 // Total reports how many events were ever recorded (≥ the ring's
@@ -208,15 +243,12 @@ func (f *Flight) Events() []Event {
 	if f == nil || f.seq == 0 {
 		return nil
 	}
-	n := uint64(len(f.ring))
-	if f.seq < n {
+	if f.seq <= uint64(len(f.ring)) {
 		return append([]Event(nil), f.ring[:f.seq]...)
 	}
-	out := make([]Event, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, f.ring[(f.seq+i)%n])
-	}
-	return out
+	out := make([]Event, 0, len(f.ring))
+	out = append(out, f.ring[f.next:]...)
+	return append(out, f.ring[:f.next]...)
 }
 
 // FlightEvent is the exported form of one event: the kind and reason are

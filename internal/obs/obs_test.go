@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -63,6 +66,98 @@ func TestFlightDefaultCapacityAndNilSafety(t *testing.T) {
 	}
 	if d.Events == nil {
 		t.Error("dump Events must be non-nil so JSON renders [] not null")
+	}
+}
+
+// refRing is the preallocated ring the lazily grown Flight must match:
+// every slot allocated up front, written at seq mod capacity.
+type refRing struct {
+	ring []Event
+	seq  uint64
+}
+
+func (r *refRing) record(e Event) {
+	r.ring[r.seq%uint64(len(r.ring))] = e
+	r.seq++
+}
+
+// dump renders the reference ring the way Flight.Dump renders a ring.
+func (r *refRing) dump() *FlightDump {
+	d := &FlightDump{SchemaVersion: SchemaVersion, Capacity: len(r.ring), Total: r.seq, Events: []FlightEvent{}}
+	n := uint64(len(r.ring))
+	for s := r.seq - min(r.seq, n); s < r.seq; s++ {
+		e := r.ring[s%n]
+		d.Events = append(d.Events, FlightEvent{Seq: s, Cycles: e.Cycles, Kind: e.Kind.String(),
+			Reason: fmt.Sprint(e.Reason), PC: e.PC, Arg: e.Arg, Size: e.Size})
+	}
+	return d
+}
+
+// TestFlightGrowsLikePreallocatedRing pins the lazily grown ring to a
+// preallocated one: across capacities below, at and above the first
+// allocation and event counts around each wrap, both dumps are equal,
+// events recorded at both grains included. It also bounds what the ring
+// allocates: one first allocation of at most 1,280 B for a run of up to
+// 32 events, and at most 42 KiB in all for a full default ring.
+func TestFlightGrowsLikePreallocatedRing(t *testing.T) {
+	labeler := func(kind EventKind, reason uint8, pc uint64) string { return fmt.Sprint(reason) }
+	for _, c := range []int{1, 31, 32, 33, 1024, 4097} {
+		for _, n := range []int{0, 1, c - 1, c, c + 1, 3*c + 7} {
+			f := NewFlight(c)
+			f.Execution = true
+			f.SetLabeler(labeler)
+			var cyc uint64
+			f.BindCycles(&cyc)
+			ref := &refRing{ring: make([]Event, c)}
+			for i := 0; i < n; i++ {
+				cyc = uint64(i) * 3
+				kind, reason, pc, arg := EventKind(i%int(numEventKinds)), uint8(i), uint64(0x1000+i), uint64(i*i)
+				e := Event{Cycles: cyc, Kind: kind, Reason: reason, PC: pc, Arg: arg}
+				if i%3 == 0 {
+					e.Size = uint64(i + 1)
+					f.RecordExec(kind, reason, pc, arg, e.Size)
+				} else {
+					f.Record(kind, reason, pc, arg)
+				}
+				ref.record(e)
+			}
+			if got, want := f.Dump(), ref.dump(); !reflect.DeepEqual(got, want) {
+				t.Errorf("capacity %d, %d events: dump\n%+v\nwant\n%+v", c, n, got, want)
+			}
+		}
+	}
+
+	// allocated records events into fresh rings and returns the
+	// allocations and bytes per ring, the least of a few trials, so that
+	// an allocation elsewhere in the process does not count.
+	allocated := func(capacity, events int) (mallocs, bytes uint64) {
+		const rings, trials = 64, 5
+		mallocs, bytes = ^uint64(0), ^uint64(0)
+		for trial := 0; trial < trials; trial++ {
+			fs := make([]*Flight, rings)
+			for i := range fs {
+				fs[i] = NewFlight(capacity)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, f := range fs {
+				for i := 0; i < events; i++ {
+					f.Record(EvBlockEntry, 0, uint64(i), 1)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			mallocs = min(mallocs, (after.Mallocs-before.Mallocs)/rings)
+			bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/rings)
+		}
+		return mallocs, bytes
+	}
+	for _, events := range []int{1, firstRing} {
+		if mallocs, bytes := allocated(0, events); mallocs != 1 || bytes > 1280 {
+			t.Errorf("%d events: the ring made %d allocations of %d B, want one of at most 1,280 B", events, mallocs, bytes)
+		}
+	}
+	if _, bytes := allocated(0, DefaultFlightCapacity); bytes > 42<<10 {
+		t.Errorf("full default ring allocated %d B, want at most 42 KiB", bytes)
 	}
 }
 

@@ -73,10 +73,11 @@ type Metrics = telemetry.Registry
 // RunOptions, then export it with WriteFolded/WriteHotSites.
 type GuestProfiler = vm.GuestProfiler
 
-// Flight is the flight recorder, the one event ring: a fixed-size,
-// allocation-free ring of recent VM events (block/trace entries, JIT
-// compiles, deopts with reason, TLB flushes, icache generations, check
-// failures, budget aborts), stamped in guest cycles. Setting its
+// Flight is the flight recorder, the one event ring: a bounded ring of
+// recent VM events (block/trace entries, JIT compiles, deopts with
+// reason, TLB flushes, icache generations, check failures, budget
+// aborts), stamped in guest cycles. It is allocated as it first fills,
+// and recording into a full ring allocates nothing. Setting its
 // Execution field selects execution grain, which also records every
 // retire, trampoline entry, runtime call, check pass, alloc and free,
 // and pins the run to the interpreter. Create one with NewFlight, pass
