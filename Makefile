@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet perfbench-vet rfvet inline-check build test race fuzz perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
+.PHONY: check fmt vet perfbench-vet rfvet inline-check build test race results-check fuzz perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
 
 # check is the tier-1 gate: formatting, static analysis (go vet of this
 # module and of the perfbench module, plus the repo-specific rfvet
 # rules), the inlining guard, build, tests (deterministic: the wall-clock
 # perf guards live behind the perfsmoke build tag, see perf-smoke), a
 # race-detector pass over the concurrent harness (short mode), the
-# runpack replay smoke, the live introspection smoke, and the
-# indirect-edge audit smoke.
-check: fmt vet perfbench-vet rfvet inline-check build test race replay-smoke obs-smoke edge-audit-smoke
+# paper's numbers (results-check), the runpack replay smoke, the live
+# introspection smoke, and the indirect-edge audit smoke.
+check: fmt vet perfbench-vet rfvet inline-check build test race results-check replay-smoke obs-smoke edge-audit-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -59,6 +59,25 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# results-check regenerates the paper's numbers and requires them byte for
+# byte: it builds rfbench once, runs the five commands results/run.log
+# records, and compares each output with its committed results/*.txt.
+# The tables are identical at any -parallel width, so the default serves.
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/rfbench" ./cmd/rfbench || exit 1; \
+	check() { \
+		name=$$1; shift; \
+		"$$tmp/rfbench" "$$@" -progress=false > "$$tmp/$$name.txt" || exit 1; \
+		cmp "$$tmp/$$name.txt" "results/$$name.txt" || exit 1; \
+		echo "results-check: results/$$name.txt reproduced"; \
+	}; \
+	check table1 -table1 -scale 1.0; \
+	check falsepos -falsepos -scale 0.1; \
+	check table2 -table2; \
+	check figure8 -figure8 -fillers 20000 -kscale 5000; \
+	check ablation -ablation -scale 0.2 -fillers 8000
 
 # fuzz runs every native Go fuzz target (a func Fuzz* in a _test.go file
 # of this module) for 30 s each, one target per `go test -fuzz` call, as
@@ -143,5 +162,7 @@ bench-history:
 	$(GO) run ./cmd/rfbench -table1 -table2 -scale 0.02 -progress=false \
 		-runpack results/runpack-bench -history results/history
 
+# clean removes the one uncommitted file a target writes under results/
+# (bench-smoke's JSON); the tables, history and runpack there are kept.
 clean:
-	rm -rf results
+	rm -f results/bench.json

@@ -39,26 +39,16 @@ func BenchmarkTable1(b *testing.B) {
 		if i != 0 {
 			continue
 		}
-		get := func(f func(*bench.Table1Row) float64) float64 {
-			xs := make([]float64, len(rows))
-			for j, r := range rows {
-				xs[j] = f(r)
-			}
-			return bench.GeoMean(xs)
-		}
-		b.ReportMetric(get(func(r *bench.Table1Row) float64 { return r.Unopt }), "unopt-x")
-		b.ReportMetric(get(func(r *bench.Table1Row) float64 { return r.Elim }), "elim-x")
-		b.ReportMetric(get(func(r *bench.Table1Row) float64 { return r.Batch }), "batch-x")
-		b.ReportMetric(get(func(r *bench.Table1Row) float64 { return r.Merge }), "merge-x")
-		b.ReportMetric(get(func(r *bench.Table1Row) float64 { return r.Dom }), "dom-x")
-		b.ReportMetric(get(func(r *bench.Table1Row) float64 { return r.NoSize }), "nosize-x")
-		b.ReportMetric(get(func(r *bench.Table1Row) float64 { return r.NoReads }), "noreads-x")
-		b.ReportMetric(get(func(r *bench.Table1Row) float64 { return r.Memcheck }), "memcheck-x")
-		cov := 0.0
-		for _, r := range rows {
-			cov += r.Coverage
-		}
-		b.ReportMetric(100*cov/float64(len(rows)), "coverage-%")
+		s := bench.Summarize(rows)
+		b.ReportMetric(s.Unopt, "unopt-x")
+		b.ReportMetric(s.Elim, "elim-x")
+		b.ReportMetric(s.Batch, "batch-x")
+		b.ReportMetric(s.Merge, "merge-x")
+		b.ReportMetric(s.Dom, "dom-x")
+		b.ReportMetric(s.NoSize, "nosize-x")
+		b.ReportMetric(s.NoReads, "noreads-x")
+		b.ReportMetric(s.Memcheck, "memcheck-x")
+		b.ReportMetric(100*s.MeanCoverage, "coverage-%")
 	}
 }
 

@@ -171,9 +171,6 @@ func run() error {
 	if *all || *table1 {
 		ran = true
 		fmt.Fprintf(w, "=== Table 1: SPEC CPU2006 (scale %.2f) ===\n", *scale)
-		fmt.Fprintf(w, "%-12s %7s %12s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
-			"benchmark", "cover", "baseline", "unopt", "+elim", "+batch",
-			"+merge", "+dom", "+ind", "-size", "-reads", "memcheck")
 		rows, err := h.Table1(*scale, w)
 		if err != nil {
 			return err

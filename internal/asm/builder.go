@@ -267,11 +267,6 @@ func (b *Builder) StoreMI(m isa.Mem, imm int64, size uint8) {
 	b.Emit(isa.Inst{Op: isa.MOV, Form: isa.FMI, Mem: m, Imm: imm, Size: size})
 }
 
-// Lea emits lea of a memory operand into dst.
-func (b *Builder) Lea(dst isa.Reg, m isa.Mem) {
-	b.Emit(isa.Inst{Op: isa.LEA, Form: isa.FRM, Reg: dst, Mem: m, Size: 8})
-}
-
 // ALU helpers (register forms).
 
 // AluRR emits op src → dst (e.g. add %src, %dst).
@@ -403,11 +398,6 @@ func (b *Builder) JmpIndexed(sym string, idx isa.Reg) {
 	b.emitFix(isa.Inst{Op: isa.JMP, Form: isa.FM,
 		Mem: isa.Mem{Base: isa.RegNone, Index: idx, Scale: 8}, Size: 8},
 		fixMemAbs, sym, 0)
-}
-
-// CallReg emits an indirect call through a register.
-func (b *Builder) CallReg(r isa.Reg) {
-	b.Emit(isa.Inst{Op: isa.CALL, Form: isa.FR, Reg: r, Size: 8})
 }
 
 func fixAbsOrRIP(pic bool) fixKind {

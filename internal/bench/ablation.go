@@ -84,46 +84,29 @@ type BatchRow struct {
 }
 
 // BatchSweep measures the benefit of check batching as a function of the
-// maximum trampoline batch width, on a store-dense benchmark. The build
-// and baseline run once, serially; the widths fan out as pool units.
+// maximum trampoline batch width, on a store-dense benchmark; each width
+// is one grid configuration.
 func (h *Harness) BatchSweep(benchName string, scale float64, w io.Writer) ([]BatchRow, error) {
-	bm := workload.ByName(benchName)
-	if bm == nil {
-		return nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
-	}
-	bm = scaled(bm, scale)
-	bin, err := bm.Build()
-	if err != nil {
-		return nil, err
-	}
-	base, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: h.Metrics})
+	bms, err := benchmarks([]string{benchName}, nil)
 	if err != nil {
 		return nil, err
 	}
 	widths := []int{1, 2, 4, 8, 16}
-	rows, err := fanOut(h, "batch", len(widths),
-		func(i int) string { return fmt.Sprintf("width-%d", widths[i]) },
-		func(i int, reg *telemetry.Registry) (BatchRow, error) {
-			width := widths[i]
-			opt := redfat.Defaults()
-			opt.MaxBatch = width
-			if width == 1 {
-				opt.Batch = false
-				opt.Merge = false
-			}
-			hard, _, err := redfat.Harden(bin, opt)
-			if err != nil {
-				return BatchRow{}, err
-			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
-			if err != nil {
-				return BatchRow{}, err
-			}
-			return BatchRow{MaxBatch: width,
-				Slowdown: float64(v.Cycles) / float64(base.Cycles)}, nil
-		})
+	g, err := h.sweep("batch", bms, scale, variants(len(widths), func(i int, opt *redfat.Options) string {
+		opt.MaxBatch = widths[i]
+		if widths[i] == 1 {
+			opt.Batch = false
+			opt.Merge = false
+		}
+		return fmt.Sprintf("width-%d", widths[i])
+	}))
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]BatchRow, len(widths))
+	for c, width := range widths {
+		rows[c].MaxBatch = width
+		_, rows[c].Slowdown = g.total(c)
 	}
 	if w != nil {
 		for _, r := range rows {
@@ -141,40 +124,25 @@ type ClobberRow struct {
 }
 
 // ClobberSweep measures the benefit of the dead-register trampoline
-// specialization on one benchmark. The two variants fan out as pool units.
+// specialization on one benchmark; each variant is one grid
+// configuration.
 func (h *Harness) ClobberSweep(benchName string, scale float64, w io.Writer) ([]ClobberRow, error) {
-	bm := workload.ByName(benchName)
-	if bm == nil {
-		return nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
-	}
-	bm = scaled(bm, scale)
-	bin, err := bm.Build()
-	if err != nil {
-		return nil, err
-	}
-	base, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: h.Metrics})
+	bms, err := benchmarks([]string{benchName}, nil)
 	if err != nil {
 		return nil, err
 	}
 	specs := []bool{false, true}
-	rows, err := fanOut(h, "clobber", len(specs),
-		func(i int) string { return fmt.Sprintf("specialized-%v", specs[i]) },
-		func(i int, reg *telemetry.Registry) (ClobberRow, error) {
-			opt := redfat.Defaults()
-			opt.NoClobberSpec = !specs[i]
-			hard, _, err := redfat.Harden(bin, opt)
-			if err != nil {
-				return ClobberRow{}, err
-			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
-			if err != nil {
-				return ClobberRow{}, err
-			}
-			return ClobberRow{Specialized: specs[i],
-				Slowdown: float64(v.Cycles) / float64(base.Cycles)}, nil
-		})
+	g, err := h.sweep("clobber", bms, scale, variants(len(specs), func(i int, opt *redfat.Options) string {
+		opt.NoClobberSpec = !specs[i]
+		return fmt.Sprintf("specialized-%v", specs[i])
+	}))
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]ClobberRow, len(specs))
+	for c, spec := range specs {
+		rows[c].Specialized = spec
+		_, rows[c].Slowdown = g.total(c)
 	}
 	if w != nil {
 		for _, r := range rows {
@@ -262,82 +230,25 @@ var dataflowCombos = []struct{ elimDom, local bool }{
 
 // DataflowSweep measures the dataflow-engine ablation: every combination
 // of {ElimDom} × {LocalLiveness} over the named benchmarks (nil = the
-// full suite). Builds and baselines run once per benchmark, serially;
-// the benchmark × configuration grid fans out as pool units.
+// full suite), one grid configuration per combination.
 func (h *Harness) DataflowSweep(names []string, scale float64, w io.Writer) ([]DataflowRow, error) {
-	var bms []*workload.Benchmark
-	if names == nil {
-		bms = workload.All()
-	} else {
-		for _, name := range names {
-			bm := workload.ByName(name)
-			if bm == nil {
-				return nil, fmt.Errorf("bench: unknown benchmark %q", name)
-			}
-			bms = append(bms, bm)
-		}
-	}
-	type prep struct {
-		bm    *workload.Benchmark
-		bin   *relf.Binary
-		base  uint64
-		exitC uint64
-	}
-	preps := make([]*prep, len(bms))
-	for i, bm := range bms {
-		bm = scaled(bm, scale)
-		bin, err := bm.Build()
-		if err != nil {
-			return nil, err
-		}
-		v, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: h.Metrics})
-		if err != nil {
-			return nil, err
-		}
-		preps[i] = &prep{bm: bm, bin: bin, base: v.Cycles, exitC: v.ExitCode}
-	}
-	nc := len(dataflowCombos)
-	cells, err := fanOut(h, "dataflow", len(preps)*nc,
-		func(i int) string {
-			c := dataflowCombos[i%nc]
-			return fmt.Sprintf("%s/dom=%v,local=%v", preps[i/nc].bm.Name, c.elimDom, c.local)
-		},
-		func(i int, reg *telemetry.Registry) (uint64, error) {
-			p, c := preps[i/nc], dataflowCombos[i%nc]
-			opt := redfat.Defaults()
-			opt.ElimDom = c.elimDom
-			opt.LocalLiveness = c.local
-			hard, _, err := redfat.Harden(p.bin, opt)
-			if err != nil {
-				return 0, err
-			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: p.bm.RefInput(), Metrics: reg})
-			if err != nil {
-				return 0, err
-			}
-			if v.ExitCode != p.exitC {
-				return 0, fmt.Errorf("bench: %s checksum changed under dom=%v local=%v",
-					p.bm.Name, c.elimDom, c.local)
-			}
-			return v.Cycles, nil
-		})
+	bms, err := benchmarks(names, workload.All)
 	if err != nil {
 		return nil, err
 	}
-	var baseTotal uint64
-	for _, p := range preps {
-		baseTotal += p.base
+	g, err := h.sweep("dataflow", bms, scale, variants(len(dataflowCombos), func(i int, opt *redfat.Options) string {
+		c := dataflowCombos[i]
+		opt.ElimDom = c.elimDom
+		opt.LocalLiveness = c.local
+		return fmt.Sprintf("dom=%v,local=%v", c.elimDom, c.local)
+	}))
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]DataflowRow, nc)
+	rows := make([]DataflowRow, len(dataflowCombos))
 	for ci, c := range dataflowCombos {
-		var total uint64
-		for bi := range preps {
-			total += cells[bi*nc+ci]
-		}
-		rows[ci] = DataflowRow{
-			ElimDom: c.elimDom, LocalLiveness: c.local,
-			TotalCycles: total, Slowdown: float64(total) / float64(baseTotal),
-		}
+		rows[ci] = DataflowRow{ElimDom: c.elimDom, LocalLiveness: c.local}
+		rows[ci].TotalCycles, rows[ci].Slowdown = g.total(ci)
 	}
 	if w != nil {
 		for _, r := range rows {
@@ -381,94 +292,32 @@ var indirectCombos = []struct{ noInd, elimDom bool }{
 // IndirectSweep measures the indirect-flow-recovery ablation: every
 // combination of {NoIndirect} × {ElimDom} over the named benchmarks
 // (nil = the switch-dense suite, the marker-built workloads where
-// recovery has edges to find). Builds and baselines run once per
-// benchmark, serially; the benchmark × configuration grid fans out as
-// pool units. Every cell's exit checksum is asserted against the
-// baseline — recovery must never change guest results.
+// recovery has edges to find), one grid configuration per combination.
+// Like every sweep, it rejects a cell whose exit checksum differs from
+// the baseline's: recovery must never change guest results.
 func (h *Harness) IndirectSweep(names []string, scale float64, w io.Writer) ([]IndirectRow, error) {
-	var bms []*workload.Benchmark
-	if names == nil {
-		bms = workload.SwitchDense()
-	} else {
-		for _, name := range names {
-			bm := workload.ByName(name)
-			if bm == nil {
-				return nil, fmt.Errorf("bench: unknown benchmark %q", name)
-			}
-			bms = append(bms, bm)
-		}
-	}
-	type prep struct {
-		bm    *workload.Benchmark
-		bin   *relf.Binary
-		base  uint64
-		exitC uint64
-	}
-	preps := make([]*prep, len(bms))
-	for i, bm := range bms {
-		bm = scaled(bm, scale)
-		bin, err := bm.Build()
-		if err != nil {
-			return nil, err
-		}
-		v, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: h.Metrics})
-		if err != nil {
-			return nil, err
-		}
-		preps[i] = &prep{bm: bm, bin: bin, base: v.Cycles, exitC: v.ExitCode}
-	}
-	type cell struct {
-		cycles   uint64
-		resolved int
-		elim     int
-	}
-	nc := len(indirectCombos)
-	cells, err := fanOut(h, "indirect", len(preps)*nc,
-		func(i int) string {
-			c := indirectCombos[i%nc]
-			return fmt.Sprintf("%s/noind=%v,dom=%v", preps[i/nc].bm.Name, c.noInd, c.elimDom)
-		},
-		func(i int, reg *telemetry.Registry) (cell, error) {
-			p, c := preps[i/nc], indirectCombos[i%nc]
-			opt := redfat.Defaults()
-			opt.NoIndirect = c.noInd
-			opt.ElimDom = c.elimDom
-			hard, rep, err := redfat.Harden(p.bin, opt)
-			if err != nil {
-				return cell{}, err
-			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: p.bm.RefInput(), Metrics: reg})
-			if err != nil {
-				return cell{}, err
-			}
-			if v.ExitCode != p.exitC {
-				return cell{}, fmt.Errorf("bench: %s checksum changed under noind=%v dom=%v",
-					p.bm.Name, c.noInd, c.elimDom)
-			}
-			return cell{cycles: v.Cycles, resolved: rep.IndirectResolved,
-				elim: rep.ElimDominated}, nil
-		})
+	bms, err := benchmarks(names, workload.SwitchDense)
 	if err != nil {
 		return nil, err
 	}
-	var baseTotal uint64
-	for _, p := range preps {
-		baseTotal += p.base
+	g, err := h.sweep("indirect", bms, scale, variants(len(indirectCombos), func(i int, opt *redfat.Options) string {
+		c := indirectCombos[i]
+		opt.NoIndirect = c.noInd
+		opt.ElimDom = c.elimDom
+		return fmt.Sprintf("noind=%v,dom=%v", c.noInd, c.elimDom)
+	}))
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]IndirectRow, nc)
+	rows := make([]IndirectRow, len(indirectCombos))
 	for ci, c := range indirectCombos {
-		var total uint64
-		var resolved, elim int
-		for bi := range preps {
-			cl := cells[bi*nc+ci]
-			total += cl.cycles
-			resolved += cl.resolved
-			elim += cl.elim
-		}
-		rows[ci] = IndirectRow{
-			NoIndirect: c.noInd, ElimDom: c.elimDom,
-			TotalCycles: total, Slowdown: float64(total) / float64(baseTotal),
-			Resolved: resolved, Eliminated: elim,
+		r := &rows[ci]
+		r.NoIndirect, r.ElimDom = c.noInd, c.elimDom
+		r.TotalCycles, r.Slowdown = g.total(ci)
+		for b := range g.benches {
+			rep := g.cell(b, ci).rep
+			r.Resolved += rep.IndirectResolved
+			r.Eliminated += rep.ElimDominated
 		}
 	}
 	if w != nil {

@@ -28,7 +28,6 @@ import (
 	"redfat/internal/juliet"
 	"redfat/internal/kraken"
 	"redfat/internal/memcheck"
-	"redfat/internal/profile"
 	"redfat/internal/redfat"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
@@ -60,7 +59,7 @@ type Table1Row struct {
 
 	BaselineCycles uint64 `json:"baseline_cycles"`
 
-	// Slow-down factors vs baseline.
+	// Slow-down factors vs baseline, one per table1Configs column.
 	Unopt    float64 `json:"unopt"`
 	Elim     float64 `json:"elim"`
 	Batch    float64 `json:"batch"`
@@ -75,15 +74,20 @@ type Table1Row struct {
 	ChecksumOK     bool `json:"checksum_ok"`
 }
 
-// table1Configs returns the instrumentation ladder of Table 1's columns.
-// The ladder runs with indirect-flow recovery disabled through +dom so
-// the +ind step isolates the recovered-edge benefit (elimination across
+// columns lists the row's slow-down fields in table1Configs order.
+func (r *Table1Row) columns() []*float64 {
+	return []*float64{&r.Unopt, &r.Elim, &r.Batch, &r.Merge, &r.Dom, &r.Ind, &r.NoSize, &r.NoReads, &r.Memcheck}
+}
+
+// table1Configs returns Table 1's columns: the instrumentation ladder,
+// then the Memcheck comparison. The names are the column headers. The
+// ladder runs with indirect-flow recovery disabled through +dom so the
+// +ind step isolates the recovered-edge benefit (elimination across
 // formerly-Unknown boundaries); the later columns inherit recovery on.
-func table1Configs(allow profile.AllowList) []redfat.Options {
-	base := redfat.Options{LowFat: true, CheckReads: true, SizeCheck: true,
-		AllowList: allow, NoIndirect: true}
-	unopt := base
-	elim := base
+// Each benchmark's allow-list is added per cell.
+func table1Configs() []gridConfig {
+	unopt := redfat.Options{LowFat: true, CheckReads: true, SizeCheck: true, NoIndirect: true}
+	elim := unopt
 	elim.Elim = true
 	batch := elim
 	batch.Batch = true
@@ -97,200 +101,89 @@ func table1Configs(allow profile.AllowList) []redfat.Options {
 	nosize.SizeCheck = false
 	noreads := nosize
 	noreads.CheckReads = false
-	return []redfat.Options{unopt, elim, batch, merge, dom, ind, nosize, noreads}
+	return []gridConfig{{name: "unopt", opt: unopt}, {name: "+elim", opt: elim},
+		{name: "+batch", opt: batch}, {name: "+merge", opt: merge}, {name: "+dom", opt: dom},
+		{name: "+ind", opt: ind}, {name: "-size", opt: nosize}, {name: "-reads", opt: noreads},
+		{name: "memcheck", memcheck: true}}
 }
 
-// t1nConfigs is the number of Table 1 measurement columns: the eight-step
-// instrumentation ladder plus the Memcheck comparison.
-const t1nConfigs = 9
-
-// t1configNames labels the Table 1 configuration columns in progress output.
-var t1configNames = [t1nConfigs]string{
-	"unopt", "+elim", "+batch", "+merge", "+dom", "+ind", "-size", "-reads", "memcheck",
-}
-
-// t1prep is the per-benchmark state shared by the seven Table 1
-// configuration runs: the built binary, its baseline execution, and the
-// phase-1 allow-list.
-type t1prep struct {
-	bm    *workload.Benchmark
-	bin   *relf.Binary
-	base  *vm.VM
-	allow profile.AllowList
-}
-
-// table1Prep builds one benchmark, measures its baseline, and derives the
-// allow-list from the train workload (paper methodology, Fig. 5 phase 1).
-func table1Prep(bm *workload.Benchmark, scale float64, reg *telemetry.Registry) (*t1prep, error) {
-	bm = scaled(bm, scale)
-	bin, err := bm.Build()
-	if err != nil {
-		return nil, err
-	}
-	base, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
-	if err != nil {
-		return nil, fmt.Errorf("%s baseline: %w", bm.Name, err)
-	}
-	allow, err := allowListFor(bin, bm, reg)
-	if err != nil {
-		return nil, err
-	}
-	return &t1prep{bm: bm, bin: bin, base: base, allow: allow}, nil
-}
-
-// t1res is one (benchmark × configuration) cell of Table 1.
-type t1res struct {
-	cycles   uint64
-	exitOK   bool
-	coverage float64 // config 3 (+merge) only
-	errors   int     // config 3 (+merge) only
-}
-
-// table1Config measures one configuration column for a prepared
-// benchmark: columns 0–7 are the instrumentation ladder, column 8 is the
-// Memcheck comparison.
-func table1Config(p *t1prep, c int, reg *telemetry.Registry) (t1res, error) {
-	if c == t1nConfigs-1 {
-		mc, err := memcheck.Run(p.bin, rtlib.RunConfig{Input: p.bm.RefInput(), Metrics: reg})
-		if err != nil {
-			return t1res{}, fmt.Errorf("%s memcheck: %w", p.bm.Name, err)
-		}
-		return t1res{cycles: mc.Cycles, exitOK: mc.ExitCode == p.base.ExitCode}, nil
-	}
-	hard, _, err := redfat.Harden(p.bin, table1Configs(p.allow)[c])
-	if err != nil {
-		return t1res{}, fmt.Errorf("%s config %d: %w", p.bm.Name, c, err)
-	}
-	v, rt, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: p.bm.RefInput(), Metrics: reg})
-	if err != nil {
-		return t1res{}, fmt.Errorf("%s config %d run: %w", p.bm.Name, c, err)
-	}
-	r := t1res{cycles: v.Cycles, exitOK: v.ExitCode == p.base.ExitCode}
-	if c == 3 { // +merge: full checking with per-site reports intact
-		r.coverage = rtlib.Coverage(rt)
-		r.errors = vm.DistinctErrorSites(v.Errors)
-	}
-	return r, nil
-}
-
-// assembleT1Row folds the nine configuration cells into a table row.
-func assembleT1Row(p *t1prep, cells []t1res) *Table1Row {
-	row := &Table1Row{Name: p.bm.Name, Lang: p.bm.Lang, ChecksumOK: true,
-		BaselineCycles: p.base.Cycles}
-	for _, c := range cells {
-		if !c.exitOK {
-			row.ChecksumOK = false
-		}
-	}
-	slow := func(i int) float64 { return float64(cells[i].cycles) / float64(p.base.Cycles) }
-	row.Unopt, row.Elim, row.Batch = slow(0), slow(1), slow(2)
-	row.Merge, row.Dom, row.Ind = slow(3), slow(4), slow(5)
-	row.NoSize, row.NoReads = slow(6), slow(7)
-	row.Memcheck = slow(8)
-	row.Coverage = cells[3].coverage
-	row.DetectedErrors = cells[3].errors
-	return row
-}
+// table1Merge is the +merge column: full checking with per-site reports
+// intact, which a row's coverage and detected errors come from.
+const table1Merge = 3
 
 // Table1Bench runs the full Table 1 pipeline for one benchmark at the
 // given workload scale (1.0 = full ref size), serially.
 func Table1Bench(bm *workload.Benchmark, scale float64) (*Table1Row, error) {
-	p, err := table1Prep(bm, scale, nil)
+	rows, err := (&Harness{}).table1([]*workload.Benchmark{bm}, scale)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]t1res, t1nConfigs)
-	for c := range cells {
-		if cells[c], err = table1Config(p, c, nil); err != nil {
-			return nil, err
-		}
-	}
-	return assembleT1Row(p, cells), nil
+	return rows[0], nil
 }
 
-func allowListFor(bin *relf.Binary, bm *workload.Benchmark, reg *telemetry.Registry) (profile.AllowList, error) {
-	profBin, _, err := redfat.Harden(bin, profile.Options(redfat.Defaults()))
-	if err != nil {
-		return nil, err
-	}
-	p := profile.NewProfiler()
-	_, rt, err := rtlib.RunHardened(profBin, rtlib.RunConfig{Input: bm.TrainInput(), Metrics: reg})
-	if err != nil {
-		return nil, fmt.Errorf("%s profiling: %w", bm.Name, err)
-	}
-	p.Accumulate(rt)
-	return p.AllowList(), nil
-}
-
-func scaled(bm *workload.Benchmark, scale float64) *workload.Benchmark {
-	cp := *bm
-	cp.RefScale = uint64(float64(bm.RefScale) * scale)
-	if cp.RefScale < 800 {
-		cp.RefScale = 800
-	}
-	cp.TrainScale = cp.RefScale / 8
-	return &cp
-}
-
-// Table1 runs every benchmark over the harness pool in two fan-out
-// stages — per-benchmark preparation (build, baseline, allow-list), then
-// the (benchmark × configuration) grid — and renders the table to w
-// (nil ok). Rows are assembled in benchmark order regardless of
-// completion order, so the output is identical at any pool width. The
-// switch-dense marker-built benchmarks ride along after the SPEC set:
-// they are where the +ind column separates from +dom (the SPEC binaries
-// carry no jump-table declarations, so recovery is a no-op there).
+// Table1 runs every benchmark through the Table 1 grid over the harness
+// pool and renders the table to w (nil ok). Rows are assembled in
+// benchmark order regardless of completion order, so the output is
+// identical at any pool width. The switch-dense marker-built benchmarks
+// ride along after the SPEC set: they are where the +ind column
+// separates from +dom (the SPEC binaries carry no jump-table
+// declarations, so recovery is a no-op there).
 func (h *Harness) Table1(scale float64, w io.Writer) ([]*Table1Row, error) {
-	bms := append(workload.All(), workload.SwitchDense()...)
-	preps, err := fanOut(h, "table1/prep", len(bms),
-		func(i int) string { return bms[i].Name },
-		func(i int, reg *telemetry.Registry) (*t1prep, error) {
-			return table1Prep(bms[i], scale, reg)
-		})
+	rows, err := h.table1(append(workload.All(), workload.SwitchDense()...), scale)
 	if err != nil {
 		return nil, err
-	}
-	cells, err := fanOut(h, "table1", len(preps)*t1nConfigs,
-		func(i int) string {
-			return preps[i/t1nConfigs].bm.Name + "/" + t1configNames[i%t1nConfigs]
-		},
-		func(i int, reg *telemetry.Registry) (t1res, error) {
-			return table1Config(preps[i/t1nConfigs], i%t1nConfigs, reg)
-		})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]*Table1Row, len(preps))
-	for b := range preps {
-		rows[b] = assembleT1Row(preps[b], cells[b*t1nConfigs:(b+1)*t1nConfigs])
 	}
 	renderTable1(rows, w)
 	return rows, nil
 }
 
-// renderTable1 writes the per-benchmark rows and the geomean summary row.
+// table1 folds the Table 1 grid over bms into one row per benchmark.
+func (h *Harness) table1(bms []*workload.Benchmark, scale float64) ([]*Table1Row, error) {
+	g, err := h.runGrid("table1", bms, scale, true, table1Configs())
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]*Table1Row, len(g.benches))
+	for b, p := range g.benches {
+		merge := g.cell(b, table1Merge)
+		row := &Table1Row{Name: p.bm.Name, Lang: p.bm.Lang, Coverage: merge.coverage,
+			BaselineCycles: p.baseCycles, DetectedErrors: merge.errors, ChecksumOK: true}
+		for c, col := range row.columns() {
+			cell := g.cell(b, c)
+			*col = float64(cell.cycles) / float64(p.baseCycles)
+			row.ChecksumOK = row.ChecksumOK && cell.exitOK
+		}
+		rows[b] = row
+	}
+	return rows, nil
+}
+
+// renderTable1 writes the header, the per-benchmark rows and the
+// geomean summary row.
 func renderTable1(rows []*Table1Row, w io.Writer) {
 	if w == nil {
 		return
 	}
-	for _, row := range rows {
-		fmt.Fprintf(w, "%-12s %6.1f%% %12d %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %s\n",
-			row.Name, row.Coverage*100, row.BaselineCycles,
-			row.Unopt, row.Elim, row.Batch, row.Merge, row.Dom, row.Ind,
-			row.NoSize, row.NoReads, row.Memcheck, okFlag(row.ChecksumOK))
+	fmt.Fprintf(w, "%-12s %7s %12s", "benchmark", "cover", "baseline")
+	for _, c := range table1Configs() {
+		fmt.Fprintf(w, " %9s", c.name)
 	}
-	fmt.Fprintf(w, "%-12s %6.1f%% %12s %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx\n",
-		"geomean", 100*mean(rows, func(r *Table1Row) float64 { return r.Coverage }),
-		"",
-		geo(rows, func(r *Table1Row) float64 { return r.Unopt }),
-		geo(rows, func(r *Table1Row) float64 { return r.Elim }),
-		geo(rows, func(r *Table1Row) float64 { return r.Batch }),
-		geo(rows, func(r *Table1Row) float64 { return r.Merge }),
-		geo(rows, func(r *Table1Row) float64 { return r.Dom }),
-		geo(rows, func(r *Table1Row) float64 { return r.Ind }),
-		geo(rows, func(r *Table1Row) float64 { return r.NoSize }),
-		geo(rows, func(r *Table1Row) float64 { return r.NoReads }),
-		geo(rows, func(r *Table1Row) float64 { return r.Memcheck }))
+	fmt.Fprintln(w)
+	for _, row := range rows {
+		fmt.Fprintf(w, "%-12s %6.1f%% %12d", row.Name, row.Coverage*100, row.BaselineCycles)
+		writeColumns(w, row.columns())
+		fmt.Fprintf(w, " %s\n", okFlag(row.ChecksumOK))
+	}
+	s := Summarize(rows)
+	fmt.Fprintf(w, "%-12s %6.1f%% %12s", "geomean", 100*s.MeanCoverage, "")
+	writeColumns(w, s.columns())
+	fmt.Fprintln(w)
+}
+
+func writeColumns(w io.Writer, cols []*float64) {
+	for _, x := range cols {
+		fmt.Fprintf(w, " %8.2fx", *x)
+	}
 }
 
 func okFlag(ok bool) string {
@@ -298,25 +191,6 @@ func okFlag(ok bool) string {
 		return ""
 	}
 	return "CHECKSUM-MISMATCH"
-}
-
-func geo(rows []*Table1Row, f func(*Table1Row) float64) float64 {
-	xs := make([]float64, len(rows))
-	for i, r := range rows {
-		xs[i] = f(r)
-	}
-	return GeoMean(xs)
-}
-
-func mean(rows []*Table1Row, f func(*Table1Row) float64) float64 {
-	s := 0.0
-	for _, r := range rows {
-		s += f(r)
-	}
-	if len(rows) == 0 {
-		return 0
-	}
-	return s / float64(len(rows))
 }
 
 // FPRow is one benchmark's false-positive count (allow-list disabled).

@@ -10,32 +10,42 @@ import (
 )
 
 // Table1Summary aggregates Table 1 across benchmarks: mean coverage and
-// the geometric-mean slow-down of every optimization column.
+// the geometric-mean slow-down of every column.
 type Table1Summary struct {
 	MeanCoverage float64 `json:"mean_coverage"`
 	Unopt        float64 `json:"unopt"`
 	Elim         float64 `json:"elim"`
 	Batch        float64 `json:"batch"`
 	Merge        float64 `json:"merge"`
+	Dom          float64 `json:"dom"`
 	Ind          float64 `json:"ind"`
 	NoSize       float64 `json:"nosize"`
 	NoReads      float64 `json:"noreads"`
 	Memcheck     float64 `json:"memcheck"`
 }
 
+// columns lists the summary's geomean fields in Table1Row.columns order.
+func (s *Table1Summary) columns() []*float64 {
+	return []*float64{&s.Unopt, &s.Elim, &s.Batch, &s.Merge, &s.Dom, &s.Ind, &s.NoSize, &s.NoReads, &s.Memcheck}
+}
+
 // Summarize computes the geometric-mean summary row of Table 1.
 func Summarize(rows []*Table1Row) Table1Summary {
-	return Table1Summary{
-		MeanCoverage: mean(rows, func(r *Table1Row) float64 { return r.Coverage }),
-		Unopt:        geo(rows, func(r *Table1Row) float64 { return r.Unopt }),
-		Elim:         geo(rows, func(r *Table1Row) float64 { return r.Elim }),
-		Batch:        geo(rows, func(r *Table1Row) float64 { return r.Batch }),
-		Merge:        geo(rows, func(r *Table1Row) float64 { return r.Merge }),
-		Ind:          geo(rows, func(r *Table1Row) float64 { return r.Ind }),
-		NoSize:       geo(rows, func(r *Table1Row) float64 { return r.NoSize }),
-		NoReads:      geo(rows, func(r *Table1Row) float64 { return r.NoReads }),
-		Memcheck:     geo(rows, func(r *Table1Row) float64 { return r.Memcheck }),
+	var s Table1Summary
+	for _, r := range rows {
+		s.MeanCoverage += r.Coverage
 	}
+	if len(rows) > 0 {
+		s.MeanCoverage /= float64(len(rows))
+	}
+	for c, col := range s.columns() {
+		xs := make([]float64, len(rows))
+		for i, r := range rows {
+			xs[i] = *r.columns()[c]
+		}
+		*col = GeoMean(xs)
+	}
+	return s
 }
 
 // Figure8Result bundles the per-benchmark Kraken rows with their

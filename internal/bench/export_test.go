@@ -4,20 +4,45 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
 func TestSummarize(t *testing.T) {
-	rows := []*Table1Row{
-		{Coverage: 0.5, Unopt: 2, Elim: 2, Batch: 2, Merge: 2, NoSize: 2, NoReads: 2, Memcheck: 2},
-		{Coverage: 1.0, Unopt: 8, Elim: 8, Batch: 8, Merge: 8, NoSize: 8, NoReads: 8, Memcheck: 8},
+	// Two rows whose slow-down columns all differ, so a summary field that
+	// read another column would show.
+	rows := []*Table1Row{{Coverage: 0.5}, {Coverage: 1.0}}
+	rowType := reflect.TypeOf(Table1Row{})
+	var cols []int // the row's slow-down fields
+	for i := 0; i < rowType.NumField(); i++ {
+		if f := rowType.Field(i); f.Type.Kind() == reflect.Float64 && f.Name != "Coverage" {
+			cols = append(cols, i)
+		}
+	}
+	for k, i := range cols {
+		reflect.ValueOf(rows[0]).Elem().Field(i).SetFloat(float64(k + 2))
+		reflect.ValueOf(rows[1]).Elem().Field(i).SetFloat(float64(4 * (k + 2)))
 	}
 	s := Summarize(rows)
 	if math.Abs(s.MeanCoverage-0.75) > 1e-9 {
 		t.Errorf("mean coverage = %v, want 0.75", s.MeanCoverage)
 	}
-	if math.Abs(s.Merge-4) > 1e-9 { // geomean(2, 8) = 4
-		t.Errorf("merge geomean = %v, want 4", s.Merge)
+	if math.Abs(s.Merge-10) > 1e-9 { // geomean(5, 20) = 10
+		t.Errorf("merge geomean = %v, want 10", s.Merge)
+	}
+	// Every row column has a same-named summary field: its geomean.
+	sum := reflect.ValueOf(s)
+	for _, i := range cols {
+		name := rowType.Field(i).Name
+		f := sum.FieldByName(name)
+		if !f.IsValid() {
+			t.Errorf("Table1Summary has no %s column", name)
+			continue
+		}
+		xs := []float64{reflect.ValueOf(*rows[0]).Field(i).Float(), reflect.ValueOf(*rows[1]).Field(i).Float()}
+		if got, want := f.Float(), GeoMean(xs); got != want {
+			t.Errorf("summary %s = %v, want GeoMean %v", name, got, want)
+		}
 	}
 }
 

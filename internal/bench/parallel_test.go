@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -265,5 +266,49 @@ func TestTable1ParallelIdentity(t *testing.T) {
 	}
 	if serialTel.Counters["vm.retired.total"] == 0 {
 		t.Errorf("aggregate telemetry has no retired instructions")
+	}
+}
+
+// TestAblationParallelIdentity checks that each grid sweep's rows,
+// rendered text and aggregate telemetry (host timings stripped) are
+// identical between the serial harness and a pool of three workers.
+func TestAblationParallelIdentity(t *testing.T) {
+	sweeps := []struct {
+		name string
+		run  func(h *Harness, w io.Writer) (any, error)
+	}{
+		{"batch", func(h *Harness, w io.Writer) (any, error) { return h.BatchSweep("povray", 0.02, w) }},
+		{"clobber", func(h *Harness, w io.Writer) (any, error) { return h.ClobberSweep("sjeng", 0.02, w) }},
+		{"dataflow", func(h *Harness, w io.Writer) (any, error) {
+			return h.DataflowSweep([]string{"libquantum", "povray", "calculix", "sjeng"}, 0.02, w)
+		}},
+		{"indirect", func(h *Harness, w io.Writer) (any, error) { return h.IndirectSweep(nil, 0.02, w) }},
+	}
+	for _, s := range sweeps {
+		t.Run(s.name, func(t *testing.T) {
+			render := func(width int) (string, any, *telemetry.Snapshot) {
+				var buf bytes.Buffer
+				h := &Harness{Parallel: width, Metrics: telemetry.New()}
+				rows, err := s.run(h, &buf)
+				if err != nil {
+					t.Fatalf("width %d: %v", width, err)
+				}
+				return buf.String(), rows, h.Metrics.Snapshot().StripHostTime()
+			}
+			serialOut, serialRows, serialTel := render(1)
+			parOut, parRows, parTel := render(3)
+			if serialOut != parOut {
+				t.Errorf("rendered output differs:\n--- serial\n%s--- parallel\n%s", serialOut, parOut)
+			}
+			if !reflect.DeepEqual(serialRows, parRows) {
+				t.Errorf("rows differ: serial %+v, parallel %+v", serialRows, parRows)
+			}
+			if !reflect.DeepEqual(serialTel, parTel) {
+				t.Errorf("aggregate telemetry differs between serial and parallel")
+			}
+			if serialTel.Counters["vm.retired.total"] == 0 {
+				t.Errorf("aggregate telemetry has no retired instructions")
+			}
+		})
 	}
 }

@@ -7,19 +7,15 @@ package cfg
 // (indirect jump, call return, trap) is dominated by nothing but itself,
 // which is exactly the conservative answer.
 type DomTree struct {
-	g     *Graph
-	idom  []int // immediate dominator block id; root is virtualRoot
+	idom  []int // immediate dominator block id; the virtual root is one past the last block
 	depth []int // depth in the dominator tree (root = 0)
 }
-
-// virtualRoot is the node id used for the synthetic root.
-func (d *DomTree) virtualRoot() int { return len(d.g.Blocks) }
 
 // NewDomTree computes the dominator tree of g.
 func NewDomTree(g *Graph) *DomTree {
 	n := len(g.Blocks)
 	root := n
-	d := &DomTree{g: g, idom: make([]int, n+1), depth: make([]int, n+1)}
+	d := &DomTree{idom: make([]int, n+1), depth: make([]int, n+1)}
 
 	// Predecessor lists including the virtual root edges.
 	preds := make([][]int, n)
@@ -118,30 +114,9 @@ func NewDomTree(g *Graph) *DomTree {
 	return d
 }
 
-// Idom returns the immediate dominator of block b, or -1 for blocks
-// whose only dominator is the virtual root.
-func (d *DomTree) Idom(b int) int {
-	if i := d.idom[b]; i != d.virtualRoot() {
-		return i
-	}
-	return -1
-}
-
 // Depth returns b's depth in the dominator tree (children of the
 // virtual root have depth 1).
 func (d *DomTree) Depth(b int) int { return d.depth[b] }
-
-// MaxDepth returns the height of the dominator tree over the block
-// range [lo, hi) (used for per-function report stats).
-func (d *DomTree) MaxDepth(blocks []int) int {
-	max := 0
-	for _, b := range blocks {
-		if d.depth[b] > max {
-			max = d.depth[b]
-		}
-	}
-	return max
-}
 
 // Dominates reports whether block a dominates block b (reflexive).
 func (d *DomTree) Dominates(a, b int) bool {

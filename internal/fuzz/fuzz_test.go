@@ -77,7 +77,7 @@ func productionCoverage(t *testing.T, bm *workload.Benchmark, allow map[uint64]b
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt.Coverage()
+	return rtlib.Coverage(rt)
 }
 
 func TestBoostDeterministic(t *testing.T) {

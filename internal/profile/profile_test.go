@@ -97,7 +97,7 @@ func TestTwoPhaseWorkflow(t *testing.T) {
 	if v.ExitCode != 7 {
 		t.Errorf("exit = %d, want 7", v.ExitCode)
 	}
-	if cov := rt.Coverage(); cov <= 0 || cov >= 1 {
+	if cov := rtlib.Coverage(rt); cov <= 0 || cov >= 1 {
 		t.Errorf("coverage = %v, want strictly between 0 and 1", cov)
 	}
 }

@@ -91,21 +91,6 @@ func (rt *Runtime) PublishSiteStats(reg *telemetry.Registry) {
 	}
 }
 
-// ErrorSites returns the distinct original instruction addresses whose
-// checks flagged at least one execution — the stats-backed view for
-// consumers that have a Runtime rather than a trapped-error list. The
-// sort-and-dedup itself is vm.SiteList, the one implementation behind
-// every "distinct error sites" view.
-func (rt *Runtime) ErrorSites() []uint64 {
-	var pcs []uint64
-	for i := range rt.Checks {
-		if rt.Stats[i].Fails() > 0 {
-			pcs = append(pcs, rt.Checks[i].PC)
-		}
-	}
-	return vm.SiteList(pcs)
-}
-
 // NewRuntime parses the site table of a hardened binary.
 func NewRuntime(bin *relf.Binary, h *redzone.Heap) (*Runtime, error) {
 	checks, err := SitesFrom(bin)
@@ -299,6 +284,3 @@ func Coverage(rts ...*Runtime) float64 {
 	}
 	return float64(full) / float64(total)
 }
-
-// Coverage returns the dynamic full-check coverage of rt alone.
-func (rt *Runtime) Coverage() float64 { return Coverage(rt) }

@@ -25,11 +25,10 @@ const (
 	MemberResult    = "result.json"   // run packs: RunResult
 	MemberReports   = "reports.json"  // run packs: forensic error reports
 	MemberTelemetry = "telemetry.json"
-	MemberFlight    = "flight.json"    // run packs: flight-recorder dump
-	MemberProfile   = "profile.folded" // run packs: guest profile (folded stacks)
-	MemberBench     = "bench.json"     // bench packs: bench.Results document
-	MemberAllowList = "allowlist.txt"  // rewrite packs: profiling allow-list
-	MemberRewrite   = "rewrite.json"   // rewrite packs: instrumentation report
+	MemberFlight    = "flight.json"   // run packs: flight-recorder dump
+	MemberBench     = "bench.json"    // bench packs: bench.Results document
+	MemberAllowList = "allowlist.txt" // rewrite packs: profiling allow-list
+	MemberRewrite   = "rewrite.json"  // rewrite packs: instrumentation report
 )
 
 // RunError is one detection in a packed RunResult (the replay-comparable

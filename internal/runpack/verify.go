@@ -166,20 +166,6 @@ func (p *Pack) ReadMember(name string) ([]byte, error) {
 // List returns every file present in the pack, sorted.
 func (p *Pack) List() []string { return p.listing }
 
-// Manifest reads and parses the manifest without verifying anything.
-// Use Verify for the integrity-checked path.
-func (p *Pack) Manifest() (*Manifest, error) {
-	data, err := p.ReadMember(ManifestName)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
 // Verify re-checks the pack end to end: the outer manifest seal, the
 // manifest schema, every member's size and SHA-256, the chained content
 // digest, and that no unknown files hide inside the pack. On success it

@@ -19,10 +19,9 @@ package shadow
 
 // Poison kinds (ASAN-compatible values).
 const (
-	Addressable   = 0x00
-	HeapRedzone   = 0xFA
-	FreedMemory   = 0xFD
-	GlobalRedzone = 0xF9
+	Addressable = 0x00
+	HeapRedzone = 0xFA
+	FreedMemory = 0xFD
 )
 
 const (

@@ -45,11 +45,9 @@ type TimeSample struct {
 // VM.Profiler before Run; read results with Samples/HotPCs after.
 type GuestProfiler struct {
 	// Interval is the cycle budget between samples
-	// (0 = DefaultSampleInterval).
+	// (0 = DefaultSampleInterval). A sample captures at most
+	// DefaultSampleDepth frames.
 	Interval uint64
-	// MaxDepth bounds the captured stack, leaf included
-	// (0 = DefaultSampleDepth).
-	MaxDepth int
 
 	next    uint64 // cycle counter threshold for the next sample
 	last    uint64 // cycle counter at the previous sample
@@ -66,13 +64,6 @@ func (p *GuestProfiler) interval() uint64 {
 		return DefaultSampleInterval
 	}
 	return p.Interval
-}
-
-func (p *GuestProfiler) depth() int {
-	if p.MaxDepth <= 0 {
-		return DefaultSampleDepth
-	}
-	return p.MaxDepth
 }
 
 // maybeSample fires when the guest cycle counter has crossed the next
@@ -93,9 +84,9 @@ func (p *GuestProfiler) maybeSample(v *VM, pc uint64) {
 	p.total += weight
 	p.count++
 
-	stack := make([]uint64, 0, p.depth())
+	stack := make([]uint64, 0, DefaultSampleDepth)
 	stack = append(stack, pc)
-	stack = append(stack, v.Backtrace(p.depth()-1)...)
+	stack = append(stack, v.Backtrace(DefaultSampleDepth-1)...)
 
 	key := stackKey(stack)
 	b := p.buckets[key]

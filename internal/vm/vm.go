@@ -159,9 +159,8 @@ func (e *MemError) Error() string {
 }
 
 // SiteList returns the sorted distinct values of pcs. It is the single
-// dedup/ordering implementation behind every "distinct error sites" view:
-// ErrorSites and DistinctErrorSites here, and rtlib.Runtime.ErrorSites on
-// the check-stat side, all reduce to it.
+// dedup/ordering implementation behind the "distinct error sites" views,
+// ErrorSites and DistinctErrorSites.
 func SiteList(pcs []uint64) []uint64 {
 	out := append([]uint64(nil), pcs...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -456,9 +455,6 @@ func New(m *mem.Memory) *VM {
 		bcPageIdx: ^uint64(0),
 	}
 }
-
-// Binary returns the loaded binary, if any.
-func (v *VM) Binary() *relf.Binary { return v.binary }
 
 // Bindings maps import names to host functions.
 type Bindings map[string]HostFunc

@@ -206,7 +206,7 @@ func TestCoverageVariesWithGating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rt.Coverage()
+		return rtlib.Coverage(rt)
 	}
 	low := cov("h264ref")
 	high := cov("libquantum")

@@ -325,23 +325,7 @@ func Run(bin *Binary, opt RunOptions) (*Result, error) {
 	}
 	res := newResult(v, &opt, bin)
 	if rt != nil {
-		res.Coverage = rtlib.Coverage(rt)
-		rt.PublishSiteStats(opt.Metrics)
-		for i := range rt.Checks {
-			c := &rt.Checks[i]
-			res.Checks = append(res.Checks, CheckStat{
-				PC:           c.PC,
-				Operand:      c.Operand.String(),
-				Mode:         c.Mode.String(),
-				Merged:       int(c.Merged),
-				Execs:        rt.Stats[i].Execs,
-				LowFatFails:  rt.Stats[i].LowFatFails,
-				RedzoneFails: rt.Stats[i].RedzoneFails,
-			})
-		}
-		sort.Slice(res.Checks, func(i, j int) bool {
-			return res.Checks[i].Execs > res.Checks[j].Execs
-		})
+		res.addSiteStats(opt.Metrics, rt)
 	}
 	return res, err
 }
@@ -357,11 +341,33 @@ func RunLinked(main *Binary, libs []*Binary, opt RunOptions) (*Result, error) {
 	}
 	v, rts, err := rtlib.RunLinked(main, libs, opt)
 	res := newResult(v, &opt, append([]*Binary{main}, libs...)...)
+	res.addSiteStats(opt.Metrics, rts...)
+	return res, err
+}
+
+// addSiteStats sets the coverage and per-site statistics of a hardened
+// run from the check runtimes of its modules, and publishes the site
+// stats into reg.
+func (res *Result) addSiteStats(reg *telemetry.Registry, rts ...*rtlib.Runtime) {
 	res.Coverage = rtlib.Coverage(rts...)
 	for _, rt := range rts {
-		rt.PublishSiteStats(opt.Metrics)
+		rt.PublishSiteStats(reg)
+		for i := range rt.Checks {
+			c := &rt.Checks[i]
+			res.Checks = append(res.Checks, CheckStat{
+				PC:           c.PC,
+				Operand:      c.Operand.String(),
+				Mode:         c.Mode.String(),
+				Merged:       int(c.Merged),
+				Execs:        rt.Stats[i].Execs,
+				LowFatFails:  rt.Stats[i].LowFatFails,
+				RedzoneFails: rt.Stats[i].RedzoneFails,
+			})
+		}
 	}
-	return res, err
+	sort.Slice(res.Checks, func(i, j int) bool {
+		return res.Checks[i].Execs > res.Checks[j].Execs
+	})
 }
 
 // newResult reports a finished VM (nil leaves the result empty),

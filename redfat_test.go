@@ -177,6 +177,17 @@ func TestRunLinkedAPI(t *testing.T) {
 	if res.Coverage == 0 {
 		t.Error("linked run reported zero coverage")
 	}
+	// Both modules' check runtimes report their sites: main's store and
+	// lib_get's load, each executed once.
+	want := map[uint64]string{0x400011: "(%rbx)", 0x5000000: "(%rdi)"}
+	if len(res.Checks) != len(want) {
+		t.Fatalf("linked run reported %d checks, want %d: %+v", len(res.Checks), len(want), res.Checks)
+	}
+	for _, c := range res.Checks {
+		if want[c.PC] != c.Operand || c.Execs != 1 {
+			t.Errorf("check %#x %s executed %d times, want one of %v executed once", c.PC, c.Operand, c.Execs, want)
+		}
+	}
 	if _, err := redfat.RunLinked(hardMain, nil, redfat.RunOptions{Memcheck: true}); err == nil {
 		t.Error("Memcheck linked run accepted")
 	}
