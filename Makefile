@@ -39,13 +39,14 @@ rfvet:
 
 # inline-check guards the inlining the hot paths depend on: the flight
 # recorder's Record and RecordExec, which the VM calls for every event,
-# and lowfat.Base, which every check computes, must stay within the
-# compiler's inlining budget. Past it, each becomes a call that costs
-# more than its body, and no test would notice. `go build
+# lowfat.Base, which every check computes, and guest memory's TLB hit
+# probes tlbRead and tlbWrite, which every load and store makes, must stay
+# within the compiler's inlining budget. Past it, each becomes a call that
+# costs more than its body, and no test would notice. `go build
 # -gcflags=-m=2` prints each cost.
 inline-check:
-	@inlined=$$($(GO) build -gcflags=-m ./internal/obs ./internal/lowfat 2>&1 | sed -n 's/^.*: can inline //p'); \
-	for fn in '(*Flight).Record' '(*Flight).RecordExec' Base; do \
+	@inlined=$$($(GO) build -gcflags=-m ./internal/obs ./internal/lowfat ./internal/mem 2>&1 | sed -n 's/^.*: can inline //p'); \
+	for fn in '(*Flight).Record' '(*Flight).RecordExec' Base '(*Memory).tlbRead' '(*Memory).tlbWrite'; do \
 		if ! printf '%s\n' "$$inlined" | grep -qFx "$$fn"; then \
 			echo "inline-check: $$fn is no longer inlinable"; exit 1; \
 		fi; \

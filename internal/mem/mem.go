@@ -185,9 +185,9 @@ type Memory struct {
 	last    *pageTable
 
 	// The software TLB: direct-mapped, one way per access kind.
-	tlbRead  [TLBSize]tlbEntry
-	tlbWrite [TLBSize]tlbEntry
-	tlbExec  [TLBSize]tlbEntry
+	readWay  [TLBSize]tlbEntry
+	writeWay [TLBSize]tlbEntry
+	execWay  [TLBSize]tlbEntry
 
 	// NoTLB disables TLB fills (every probe misses and walks the page
 	// tables). It is the reference path the TLB tests and the cache-free
@@ -284,10 +284,10 @@ func (m *Memory) TLB() TLBStats { return TLBStats{Hits: m.tlbHits, Misses: m.tlb
 
 // flushTLB empties every way.
 func (m *Memory) flushTLB() {
-	for i := range m.tlbRead {
-		m.tlbRead[i] = tlbEntry{tag: invalidTag}
-		m.tlbWrite[i] = tlbEntry{tag: invalidTag}
-		m.tlbExec[i] = tlbEntry{tag: invalidTag}
+	for i := range m.readWay {
+		m.readWay[i] = tlbEntry{tag: invalidTag}
+		m.writeWay[i] = tlbEntry{tag: invalidTag}
+		m.execWay[i] = tlbEntry{tag: invalidTag}
 	}
 }
 
@@ -302,14 +302,14 @@ func (m *Memory) invalidate(first, last uint64) {
 	}
 	for idx := first; ; idx++ {
 		slot := idx & tlbMask
-		if m.tlbRead[slot].tag == idx {
-			m.tlbRead[slot] = tlbEntry{tag: invalidTag}
+		if m.readWay[slot].tag == idx {
+			m.readWay[slot] = tlbEntry{tag: invalidTag}
 		}
-		if m.tlbWrite[slot].tag == idx {
-			m.tlbWrite[slot] = tlbEntry{tag: invalidTag}
+		if m.writeWay[slot].tag == idx {
+			m.writeWay[slot] = tlbEntry{tag: invalidTag}
 		}
-		if m.tlbExec[slot].tag == idx {
-			m.tlbExec[slot] = tlbEntry{tag: invalidTag}
+		if m.execWay[slot].tag == idx {
+			m.execWay[slot] = tlbEntry{tag: invalidTag}
 		}
 		if idx == last {
 			break
@@ -329,19 +329,41 @@ func (t *pageTable) frame(idx uint64) *page {
 	return &zeroFrame
 }
 
+// tlbRead probes the read way for page idx: its frame on a hit, nil on a
+// miss (an installed entry never holds a nil frame). It is the hot path —
+// one compare, one indexed load — and stays within the inlining budget,
+// so Load and readPage pay no call on a hit; make inline-check guards it.
+func (m *Memory) tlbRead(idx uint64) *page {
+	e := &m.readWay[idx&tlbMask]
+	if e.tag != idx {
+		return nil
+	}
+	m.tlbHits++
+	return e.page
+}
+
+// tlbWrite probes the write way for page idx, like tlbRead.
+func (m *Memory) tlbWrite(idx uint64) *page {
+	e := &m.writeWay[idx&tlbMask]
+	if e.tag != idx {
+		return nil
+	}
+	m.tlbHits++
+	return e.page
+}
+
 // readPage resolves the page containing addr for a read access, or nil if
-// the access would fault. The TLB probe is the hot path: one compare, one
-// indexed load.
+// the access would fault.
 func (m *Memory) readPage(addr uint64) *page {
 	idx := addr >> PageShift
-	e := &m.tlbRead[idx&tlbMask]
-	if e.tag == idx {
-		m.tlbHits++
-		return e.page
+	if p := m.tlbRead(idx); p != nil {
+		return p
 	}
 	return m.readPageSlow(idx)
 }
 
+// readPageSlow is the read miss path: it walks the page tables and fills
+// the read way.
 func (m *Memory) readPageSlow(idx uint64) *page {
 	m.tlbMisses++
 	t := m.table(idx)
@@ -350,7 +372,7 @@ func (m *Memory) readPageSlow(idx uint64) *page {
 	}
 	f := t.frame(idx)
 	if !m.NoTLB {
-		m.tlbRead[idx&tlbMask] = tlbEntry{tag: idx, page: f}
+		m.readWay[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
 	return f
 }
@@ -358,14 +380,15 @@ func (m *Memory) readPageSlow(idx uint64) *page {
 // writePage resolves the page containing addr for a write access, or nil.
 func (m *Memory) writePage(addr uint64) *page {
 	idx := addr >> PageShift
-	e := &m.tlbWrite[idx&tlbMask]
-	if e.tag == idx {
-		m.tlbHits++
-		return e.page
+	if p := m.tlbWrite(idx); p != nil {
+		return p
 	}
 	return m.writePageSlow(idx)
 }
 
+// writePageSlow is the write miss path: it walks the page tables,
+// materializes the page's frame on its first write and fills the write
+// way.
 func (m *Memory) writePageSlow(idx uint64) *page {
 	m.tlbMisses++
 	t := m.table(idx)
@@ -385,15 +408,15 @@ func (m *Memory) writePageSlow(idx uint64) *page {
 		// zeroFrame; drop those entries so future reads see the
 		// materialized frame.
 		slot := idx & tlbMask
-		if m.tlbRead[slot].tag == idx {
-			m.tlbRead[slot] = tlbEntry{tag: invalidTag}
+		if m.readWay[slot].tag == idx {
+			m.readWay[slot] = tlbEntry{tag: invalidTag}
 		}
-		if m.tlbExec[slot].tag == idx {
-			m.tlbExec[slot] = tlbEntry{tag: invalidTag}
+		if m.execWay[slot].tag == idx {
+			m.execWay[slot] = tlbEntry{tag: invalidTag}
 		}
 	}
 	if !m.NoTLB {
-		m.tlbWrite[idx&tlbMask] = tlbEntry{tag: idx, page: f}
+		m.writeWay[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
 	return f
 }
@@ -401,7 +424,7 @@ func (m *Memory) writePageSlow(idx uint64) *page {
 // execPage resolves the page containing addr for instruction fetch, or nil.
 func (m *Memory) execPage(addr uint64) *page {
 	idx := addr >> PageShift
-	e := &m.tlbExec[idx&tlbMask]
+	e := &m.execWay[idx&tlbMask]
 	if e.tag == idx {
 		m.tlbHits++
 		return e.page
@@ -417,7 +440,7 @@ func (m *Memory) execPageSlow(idx uint64) *page {
 	}
 	f := t.frame(idx)
 	if !m.NoTLB {
-		m.tlbExec[idx&tlbMask] = tlbEntry{tag: idx, page: f}
+		m.execWay[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
 	return f
 }
@@ -506,9 +529,12 @@ func (m *Memory) MappedPages() uint64 { return m.mapped }
 // Load reads a little-endian integer of the given width (1, 2, 4 or 8
 // bytes) from addr.
 func (m *Memory) Load(addr uint64, width uint16) (uint64, error) {
-	p := m.readPage(addr)
+	idx := addr >> PageShift
+	p := m.tlbRead(idx)
 	if p == nil {
-		return 0, &Fault{Addr: addr}
+		if p = m.readPageSlow(idx); p == nil {
+			return 0, &Fault{Addr: addr}
+		}
 	}
 	off := addr & pageMask
 	if off+uint64(width) <= PageSize {
@@ -558,9 +584,12 @@ func (m *Memory) loadCross(p *page, addr uint64, width uint16) (uint64, error) {
 
 // Store writes a little-endian integer of the given width to addr.
 func (m *Memory) Store(addr uint64, width uint16, val uint64) error {
-	p := m.writePage(addr)
+	idx := addr >> PageShift
+	p := m.tlbWrite(idx)
 	if p == nil {
-		return &Fault{Addr: addr, Write: true}
+		if p = m.writePageSlow(idx); p == nil {
+			return &Fault{Addr: addr, Write: true}
+		}
 	}
 	off := addr & pageMask
 	if off+uint64(width) <= PageSize {

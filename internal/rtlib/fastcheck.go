@@ -3,7 +3,10 @@ package rtlib
 // The check fast path: per-site constants the real RedFat specializes
 // into trampoline assembly at rewrite time are precomputed here once, at
 // Harden/load time (NewRuntime), instead of being re-derived on every
-// check execution. The handle hot path then reduces to: rebuild the
+// check execution. Each site's plan is bound to its site index and Stats
+// entry, and its check method (runtime.go) is the site's one compiled
+// check: the RTCALL binding calls it by index and a fused superblock
+// step holds it directly. The hot path then reduces to: rebuild the
 // access range from at most two register reads plus a baked-in static
 // offset, look up the cycle cost in a four-entry table, and run the
 // merged comparisons against precomputed bounds constants.
@@ -19,6 +22,7 @@ import (
 )
 
 // checkFast is the precomputed execution plan of one instrumentation site.
+// The one-byte fields sit together so the plan packs into 88 bytes.
 type checkFast struct {
 	// staticOff is the constant part of the access offset: the operand
 	// displacement, plus the baked-in next-instruction address for
@@ -30,26 +34,33 @@ type checkFast struct {
 	// or RIP-relative addressing).
 	baseReg isa.Reg
 
-	// indexReg/scale fold the scaled-index contribution (RegNone = none).
+	// indexReg and scale fold the scaled-index contribution (RegNone =
+	// none).
 	indexReg isa.Reg
-	scale    uint64
 
 	seg isa.Seg // segment-base register selector (SegNone common case)
-
-	length uint64 // access span length, widened once
 
 	tryLowFat bool // Full/Profile: attempt base(ptr) before base(LB)
 	sizeCheck bool // metadata hardening enabled (!NoSizeCheck)
 	profile   bool // ModeProfile: record verdicts, never abort
 
+	// oobKind is the error kind reported on a bounds violation
+	// (read/write folded from Check.Write).
+	oobKind vm.MemErrorKind
+
+	// rt, site and stat bind the plan to its runtime (heap, telemetry,
+	// site record), its site index and its SiteStat entry.
+	site uint32
+	rt   *Runtime
+	stat *SiteStat
+
+	scale  uint64 // indexReg's scale factor
+	length uint64 // access span length, widened once
+
 	// costs is the charged-cycle table indexed by fatIdx: the check cost
 	// is a pure function of (site constants, fat, fallbackFat), so all
 	// reachable combinations are folded at load time.
 	costs [4]uint64
-
-	// oobKind is the error kind reported on a bounds violation
-	// (read/write folded from Check.Write).
-	oobKind vm.MemErrorKind
 }
 
 // fatIdx packs the dynamic (fat, fallbackFat) outcome into a costs index.
@@ -95,13 +106,15 @@ func compileCheck(c *Check) checkFast {
 	return cf
 }
 
-// compileChecks builds the fast-path table for a whole site table.
-func compileChecks(checks []Check) []checkFast {
-	fast := make([]checkFast, len(checks))
-	for i := range checks {
-		fast[i] = compileCheck(&checks[i])
+// compileChecks builds the fast-path table for rt's whole site table,
+// binding each plan to its site.
+func (rt *Runtime) compileChecks() {
+	rt.fast = make([]checkFast, len(rt.Checks))
+	for i := range rt.Checks {
+		cf := &rt.fast[i]
+		*cf = compileCheck(&rt.Checks[i])
+		cf.rt, cf.site, cf.stat = rt, uint32(i), &rt.Stats[i]
 	}
-	return fast
 }
 
 // accessRange rebuilds (ptr, lb, ub) for one execution of the site: the

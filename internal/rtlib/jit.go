@@ -3,11 +3,12 @@ package rtlib
 // Fused check plans for the VM's superblock tier.
 //
 // The interpreter reaches a check through the RTCALL binding (Bindings →
-// handle). The superblock compiler instead asks VM.InlineCheck for a
-// plan of the site so the check can stay on-trace as a fused closure:
-// MaxCost feeds the trace's worst-case budget guard and Exec is handle
-// itself, so a fused check runs the full Fig. 4 check exactly as the
-// trampoline path does. Guest cycle accounting and verdicts are
+// handle, which indexes the site's plan). The superblock compiler instead
+// asks VM.InlineCheck for a plan of the site so the check can stay
+// on-trace as a fused closure: MaxCost feeds the trace's worst-case
+// budget guard and Exec is the site's compiled check itself, the method
+// handle calls, so a fused check runs the full Fig. 4 check exactly as
+// the trampoline path does. Guest cycle accounting and verdicts are
 // bit-identical; only host-side dispatch differs.
 
 import (
@@ -17,8 +18,9 @@ import (
 
 // jitPlan builds the fusable plan for one site.
 func (rt *Runtime) jitPlan(arg uint32) *vm.JITCheck {
-	p := &vm.JITCheck{Exec: rt.handle}
-	for _, cost := range rt.fast[arg].costs {
+	cf := &rt.fast[arg]
+	p := &vm.JITCheck{Exec: cf.check}
+	for _, cost := range cf.costs {
 		if cost > p.MaxCost {
 			p.MaxCost = cost
 		}

@@ -97,12 +97,13 @@ func NewRuntime(bin *relf.Binary, h *redzone.Heap) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runtime{
+	rt := &Runtime{
 		Checks: checks,
 		Heap:   h,
 		Stats:  make([]SiteStat, len(checks)),
-		fast:   compileChecks(checks),
-	}, nil
+	}
+	rt.compileChecks()
+	return rt, nil
 }
 
 // Bindings returns the host binding for the check routine.
@@ -110,16 +111,23 @@ func (rt *Runtime) Bindings() vm.Bindings {
 	return vm.Bindings{CheckImport: rt.handle}
 }
 
-// handle is the instrumented check of paper Fig. 4, executed when a
-// trampoline's RTCALL fires or a fused superblock check runs. arg is the
-// site index.
+// handle is the RTCALL binding of the check routine, executed when a
+// trampoline's RTCALL fires: arg is the site index, and the site's
+// compiled check does the work.
 func (rt *Runtime) handle(v *vm.VM, arg uint32) error {
-	if int(arg) >= len(rt.Checks) {
+	if int(arg) >= len(rt.fast) {
 		return &vm.MemError{Kind: vm.ErrCorruptMeta, PC: v.RIP,
 			Note: "check with invalid site index"}
 	}
-	cf := &rt.fast[arg]
-	rt.Stats[arg].Execs++
+	return rt.fast[arg].check(v)
+}
+
+// check is the instrumented check of paper Fig. 4 for this site: the one
+// check body, run by the RTCALL binding (handle) and held directly by a
+// fused superblock step.
+func (cf *checkFast) check(v *vm.VM) error {
+	rt := cf.rt
+	cf.stat.Execs++
 	if rt.tel != nil {
 		rt.tel.execs.Inc()
 	}
@@ -145,7 +153,7 @@ func (rt *Runtime) handle(v *vm.VM, arg uint32) error {
 	}
 	v.Cycles += cf.costs[fatIdx(fat, fallbackFat)]
 	if base == 0 {
-		rt.Stats[arg].NonFat++
+		cf.stat.NonFat++
 		if rt.tel != nil {
 			rt.tel.nonfat.Inc()
 		}
@@ -181,17 +189,18 @@ func (rt *Runtime) handle(v *vm.VM, arg uint32) error {
 		kind, bad = cf.oobKind, true
 	}
 
-	return rt.verdict(v, arg, kind, bad, fat, base, size, lb)
+	return cf.verdict(v, kind, bad, fat, base, size, lb)
 }
 
-// verdict accounts one check outcome of site arg — per-site stats,
+// verdict accounts one check outcome of the site — per-site stats,
 // telemetry, the flight event — and reports a failure unless the site
 // only profiles. A violation found via base(ptr) (fat) is the LowFat
 // component's, one found via the fallback base(LB) is the redzone
 // component's. The split feeds both the allow-list (only LowFat
 // failures disqualify a site) and the exported site stats.
-func (rt *Runtime) verdict(v *vm.VM, arg uint32, kind vm.MemErrorKind, bad, fat bool, base, size, lb uint64) error {
-	c := &rt.Checks[arg]
+func (cf *checkFast) verdict(v *vm.VM, kind vm.MemErrorKind, bad, fat bool, base, size, lb uint64) error {
+	rt := cf.rt
+	c := &rt.Checks[cf.site]
 	if !bad {
 		if rt.tel != nil {
 			rt.tel.passes.Inc()
@@ -202,17 +211,17 @@ func (rt *Runtime) verdict(v *vm.VM, arg uint32, kind vm.MemErrorKind, bad, fat 
 	component := "redzone"
 	if fat {
 		component = "lowfat"
-		rt.Stats[arg].LowFatFails++
+		cf.stat.LowFatFails++
 		if rt.tel != nil {
 			rt.tel.lowfatFail.Inc()
 		}
 	} else {
-		rt.Stats[arg].RedzoneFails++
+		cf.stat.RedzoneFails++
 		if rt.tel != nil {
 			rt.tel.redzoneFail.Inc()
 		}
 	}
-	if rt.fast[arg].profile {
+	if cf.profile {
 		// Profiling counts the failure and never reports it, so the
 		// failure event is recorded here instead of by Report.
 		v.Flight.RecordExec(obs.EvCheckFail, uint8(kind), c.PC, lb, 0)
@@ -222,7 +231,7 @@ func (rt *Runtime) verdict(v *vm.VM, arg uint32, kind vm.MemErrorKind, bad, fat 
 		Kind:      kind,
 		Addr:      lb,
 		PC:        c.PC,
-		Site:      arg,
+		Site:      cf.site,
 		Component: component,
 		Note:      rt.describe(c, base, size, lb),
 	})

@@ -8,24 +8,30 @@ import (
 	"redfat/internal/telemetry"
 )
 
-// TestMergeAddsValues checks counter/gauge addition and the creation of
-// metrics that exist only in the source registry.
+// TestMergeAddsValues checks counter addition, the gauge maximum (from
+// either side) and the creation of metrics that exist only in the source
+// registry.
 func TestMergeAddsValues(t *testing.T) {
 	dst := telemetry.New()
 	dst.Counter("shared.c").Add(10)
 	dst.Gauge("shared.g").Set(5)
+	dst.Gauge("rising.g").Set(2)
 
 	src := telemetry.New()
 	src.Counter("shared.c").Add(7)
 	src.Gauge("shared.g").Set(3)
+	src.Gauge("rising.g").Set(9)
 	src.Counter("only.src").Add(2)
 
 	dst.Merge(src)
 	if got := dst.CounterValue("shared.c"); got != 17 {
 		t.Errorf("shared.c = %d, want 17", got)
 	}
-	if got := dst.GaugeValue("shared.g"); got != 8 {
-		t.Errorf("shared.g = %d, want 8", got)
+	if got := dst.GaugeValue("shared.g"); got != 5 {
+		t.Errorf("shared.g = %d, want 5", got)
+	}
+	if got := dst.GaugeValue("rising.g"); got != 9 {
+		t.Errorf("rising.g = %d, want 9", got)
 	}
 	if got := dst.CounterValue("only.src"); got != 2 {
 		t.Errorf("only.src = %d, want 2", got)

@@ -238,12 +238,14 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 	return h
 }
 
-// Merge folds the metrics of other into r: counters and gauges add their
-// values, histograms add bucket-wise when their bounds agree (same-name
-// histograms created through the same code path always do); observations
-// of a histogram whose bounds differ are folded into the overflow bucket,
-// with count and sum still exact. Metrics that exist only in other are
-// created in r. Merge is the single-owner aggregation step for parallel
+// Merge folds the metrics of other into r: counters add their values, a
+// gauge keeps the maximum of the two (the highest level any merged unit
+// reached: a level summed over units is a value no run had, and the
+// maximum does not depend on merge order), histograms add bucket-wise
+// when their bounds agree (same-name histograms created through the same
+// code path always do); observations of a histogram whose bounds differ
+// are folded into the overflow bucket, with count and sum still exact.
+// Metrics that exist only in other are created in r. Merge is the single-owner aggregation step for parallel
 // runs: it must be called after the goroutines owning the source
 // registries have quiesced, from one goroutine. A nil r or other is a
 // no-op.
@@ -255,7 +257,8 @@ func (r *Registry) Merge(other *Registry) {
 		r.Counter(name).Add(c.v)
 	}
 	for name, g := range other.gauges {
-		r.Gauge(name).Add(g.v)
+		dst := r.Gauge(name)
+		dst.v = max(dst.v, g.v)
 	}
 	for name, h := range other.hists {
 		dst := r.Histogram(name, h.bounds)

@@ -80,9 +80,9 @@ type JITCheck struct {
 	// maximum over the site's cost table), for the budget guard.
 	MaxCost uint64
 
-	// Exec is the site's check routine: the host function the RTCALL
-	// binding runs, called with the site index.
-	Exec HostFunc
+	// Exec is the site's compiled check: the routine the RTCALL binding
+	// runs for this site, with the site already bound.
+	Exec func(v *VM) error
 }
 
 // ExitKind classifies how control leaves a compiled trace.
@@ -227,9 +227,9 @@ type jctx struct {
 	err    error
 }
 
-// jstep executes one compiled instruction against the deferred context.
-// It returns 0 to continue to the next step, or the 1-based index of the
-// taken exit.
+// jstep executes one compiled instruction (or a fused CMP+Jcc pair)
+// against the deferred context. It returns cont (0) to continue with the
+// next closure, or the 1-based index of the taken exit.
 type jstep func(j *jctx) int
 
 // stepTel is the telemetry delta of one step (or of a partial, faulting
@@ -284,8 +284,9 @@ type traceExit struct {
 type trace struct {
 	entryPC uint64
 	maxCost uint64
-	steps   []jstep
-	meta    []stepTel // continue-path telemetry per step
+	steps   []jstep    // one closure per step that does anything at run time
+	last    *traceExit // the last step's continue exit: taken when every closure continues
+	meta    []stepTel  // continue-path telemetry per step
 	exits   []traceExit
 	ctx     jctx // reused across entries (one VM, one goroutine)
 	info    *TraceInfo
@@ -389,7 +390,7 @@ func (v *VM) compileTrace(b *block) {
 	}
 	b.trace = t
 	v.traces = append(v.traces, t)
-	v.Flight.Record(obs.EvJITCompile, 0, t.entryPC, uint64(len(t.steps)))
+	v.Flight.Record(obs.EvJITCompile, 0, t.entryPC, uint64(len(t.info.Steps)))
 	if v.tel != nil {
 		v.tel.jitCompiles.Inc()
 		v.tel.jitCompileNS.Observe(uint64(time.Since(start).Nanoseconds()))
@@ -409,44 +410,46 @@ func (v *VM) noteBudgetDeopt(t *trace) {
 	v.Flight.Record(obs.EvDeopt, uint8(DeoptBudget), v.RIP, t.entryPC)
 }
 
-// runTrace executes t until control leaves it. It returns (nil, nil)
-// when entry is refused — the remaining cycle budget cannot absorb a
-// worst-case iteration — in which case no state was touched and the
-// caller interprets the block. On an exit it returns the exit record
+// traceFits is the budget guard: a trace is entered, and its back edge
+// taken, only when a worst-case iteration fits in the remaining budget.
+func (v *VM) traceFits(t *trace) bool {
+	return v.MaxCycles == 0 || (v.Cycles <= v.MaxCycles && v.MaxCycles-v.Cycles >= t.maxCost)
+}
+
+// runTrace executes t until control leaves the compiled tier. It returns
+// (nil, nil) when entry is refused — the remaining cycle budget cannot
+// absorb a worst-case iteration — in which case no state was touched and
+// the caller interprets the block. On an exit it returns the exit record
 // with the VM state fully materialized; err carries the fault of an
 // ExitFault.
+//
+// Trace linking: when an exit's cached successor block already roots a
+// trace that the budget guard admits, runTrace enters it directly,
+// recording exactly what the round trip through runBlocks would (the
+// deopt, then the trace entry). A cache miss, a cold successor or a
+// refusal returns the exit to runBlocks.
 func (v *VM) runTrace(t *trace) (*traceExit, error) {
-	if v.MaxCycles != 0 && (v.Cycles > v.MaxCycles || v.MaxCycles-v.Cycles < t.maxCost) {
+	if !v.traceFits(t) {
 		v.noteBudgetDeopt(t)
 		return nil, nil // budget too tight: abort must fire at the exact inst
 	}
-	v.Flight.Record(obs.EvTraceEnter, 0, t.entryPC, 0)
-	j := &t.ctx
 	for {
-		t.entries++
-		if v.tel != nil {
-			v.tel.jitEnters.Inc()
-		}
+		v.Flight.Record(obs.EvTraceEnter, 0, t.entryPC, 0)
+		j := &t.ctx
 		j.flags = v.Flags
 		j.err = nil
-		var id int
-		for _, s := range t.steps {
-			if id = s(j); id != 0 {
-				break
-			}
+		e := v.iterate(t, j)
+		if e.kind == ExitLoop { // curtailed by the budget guard
+			return e, nil
 		}
-		e := &t.exits[id-1]
-		// The single spill: deferred flags, RIP, retired count and the
-		// statically-known cycle total materialize here. Dynamic cycles
-		// (check costs) were already charged by their closures.
+		// The single spill: deferred flags and RIP materialize here;
+		// cycles and retired instructions did in iterate.
 		v.Flags = j.flags
 		if e.dynamic {
 			v.RIP = j.dynRIP
 		} else {
 			v.RIP = e.rip
 		}
-		v.Cycles += e.cycles
-		v.Insts += e.retired
 		if e.deopt {
 			t.deopts[e.reason]++
 			v.Flight.Record(obs.EvDeopt, uint8(e.reason), v.RIP, t.entryPC)
@@ -457,14 +460,45 @@ func (v *VM) runTrace(t *trace) (*traceExit, error) {
 		if j.err != nil {
 			return e, j.err
 		}
-		if e.kind != ExitLoop {
+		n := e.next
+		if v.Halted || n == nil || n.trace == nil || e.nextPC != v.RIP || !v.traceFits(n.trace) {
 			return e, nil
 		}
-		// Back edge: state is fully materialized at the loop boundary,
-		// so re-check the budget guard before the next iteration.
-		if v.MaxCycles != 0 && v.MaxCycles-v.Cycles < t.maxCost {
+		t = n.trace
+	}
+}
+
+// iterate runs t's closures until an exit other than the back edge, and
+// charges the static cycles and retired instructions of every exit taken.
+// The back edge keeps flags and RIP deferred in j; it spills them only
+// when the budget guard curtails the loop, and then returns that exit.
+func (v *VM) iterate(t *trace, j *jctx) *traceExit {
+	for {
+		t.entries++
+		if v.tel != nil {
+			v.tel.jitEnters.Inc()
+		}
+		e := t.last
+		for _, s := range t.steps {
+			if id := s(j); id != cont {
+				e = &t.exits[id-1]
+				break
+			}
+		}
+		// Dynamic cycles (check costs) were already charged by their
+		// closures.
+		v.Cycles += e.cycles
+		v.Insts += e.retired
+		if e.kind != ExitLoop {
+			return e
+		}
+		if v.tel != nil {
+			v.applyTraceTel(t, e)
+		}
+		if !v.traceFits(t) {
+			v.Flags, v.RIP = j.flags, e.rip
 			v.noteBudgetDeopt(t)
-			return e, nil
+			return e
 		}
 	}
 }

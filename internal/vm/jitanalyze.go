@@ -36,7 +36,7 @@ import "redfat/internal/isa"
 type stepAux struct {
 	plan    *JITCheck // resolved plan of a fused check step
 	exits   []int     // 1-based exit ids of this step, in chronological order
-	contID  int       // terminal exit id returned on the last step's continue path
+	contID  int       // terminal exit id of the last step's continue path
 	tel     stepTel   // counters the interpreter bumps on the continue path
 	onTaken bool      // conditional branch predicted taken
 }

@@ -9,6 +9,16 @@ package vm
 // helpers (aluApply, unaryApply, shiftApply, divApply) wherever a
 // closure is not a specialized register-form fast path.
 //
+// Steps whose every effect is static emit no closure at all: an
+// unconditional relative jump, a NOP, a TRAP (its patch target is the
+// step's static successor), a CMP or TEST whose flags are dead, and a
+// shift by an immediate zero. Their cycles, retired count and counters
+// are already in the exit records. A closure returns cont (0) to go on
+// to the next closure; when the last one continues, the runner takes the
+// last step's continue exit (trace.last). A 64-bit register CMP directly
+// followed by its conditional branch compiles to one closure, and a MOV
+// load or store through a base register adds its address inline.
+//
 // The closures deliberately bypass v.load/v.store/v.branchTo: those
 // helpers charge cycles and bump telemetry per event, which the trace
 // accounts statically per exit instead, from the costs and counter
@@ -19,6 +29,9 @@ package vm
 // behaviour-preserving.
 
 import "redfat/internal/isa"
+
+// cont is what a step closure returns to continue with the next one.
+const cont = 0
 
 // emitEA compiles an effective-address computation, folding the
 // displacement (and the static next-RIP of RIP-relative operands) into
@@ -61,7 +74,7 @@ func emitEA(m isa.Mem, next uint64) func(v *VM) uint64 {
 
 // emitALURR compiles a register-register ALU op (always 64-bit, like
 // aluRegFast). MOVZX/MOVSX degenerate to plain moves at width 8.
-func emitALURR(v *VM, op isa.Op, dst, src isa.Reg, elide bool, cont int) jstep {
+func emitALURR(v *VM, op isa.Op, dst, src isa.Reg, elide bool) jstep {
 	switch op {
 	case isa.MOV, isa.MOVABS, isa.MOVZX, isa.MOVSX:
 		return func(j *jctx) int { v.Regs[dst] = v.Regs[src]; return cont }
@@ -88,9 +101,6 @@ func emitALURR(v *VM, op isa.Op, dst, src isa.Reg, elide bool, cont int) jstep {
 			return cont
 		}
 	case isa.CMP:
-		if elide {
-			return func(j *jctx) int { return cont }
-		}
 		return func(j *jctx) int {
 			a, b := v.Regs[dst], v.Regs[src]
 			j.flags = subFlags(a, b, a-b, 8)
@@ -127,9 +137,6 @@ func emitALURR(v *VM, op isa.Op, dst, src isa.Reg, elide bool, cont int) jstep {
 			return cont
 		}
 	case isa.TEST:
-		if elide {
-			return func(j *jctx) int { return cont }
-		}
 		return func(j *jctx) int {
 			j.flags = logicFlags(v.Regs[dst]&v.Regs[src], 8)
 			return cont
@@ -152,7 +159,7 @@ func emitALURR(v *VM, op isa.Op, dst, src isa.Reg, elide bool, cont int) jstep {
 }
 
 // emitALURI compiles a register-immediate ALU op (always 64-bit).
-func emitALURI(v *VM, op isa.Op, dst isa.Reg, imm uint64, elide bool, cont int) jstep {
+func emitALURI(v *VM, op isa.Op, dst isa.Reg, imm uint64, elide bool) jstep {
 	switch op {
 	case isa.MOV, isa.MOVABS, isa.MOVZX, isa.MOVSX:
 		return func(j *jctx) int { v.Regs[dst] = imm; return cont }
@@ -179,9 +186,6 @@ func emitALURI(v *VM, op isa.Op, dst isa.Reg, imm uint64, elide bool, cont int) 
 			return cont
 		}
 	case isa.CMP:
-		if elide {
-			return func(j *jctx) int { return cont }
-		}
 		return func(j *jctx) int {
 			a := v.Regs[dst]
 			j.flags = subFlags(a, imm, a-imm, 8)
@@ -218,9 +222,6 @@ func emitALURI(v *VM, op isa.Op, dst isa.Reg, imm uint64, elide bool, cont int) 
 			return cont
 		}
 	case isa.TEST:
-		if elide {
-			return func(j *jctx) int { return cont }
-		}
 		return func(j *jctx) int {
 			j.flags = logicFlags(v.Regs[dst]&imm, 8)
 			return cont
@@ -251,13 +252,9 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 	ax := &aux[i]
 	pc := st.PC
 	next := pc + uint64(in.Len)
-	cont := ax.contID
 	elide := st.FlagsElided
 
 	switch in.Op {
-	case isa.NOP:
-		return func(j *jctx) int { return cont }
-
 	case isa.CQO:
 		return func(j *jctx) int {
 			v.Regs[isa.RDX] = uint64(int64(v.Regs[isa.RAX]) >> 63)
@@ -286,14 +283,36 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 		}
 		switch in.Form {
 		case isa.FRR:
-			return emitALURR(v, op, in.Reg, in.Reg2, elide, cont)
+			return emitALURR(v, op, in.Reg, in.Reg2, elide)
 		case isa.FRI:
-			return emitALURI(v, op, in.Reg, uint64(in.Imm), elide, cont)
+			return emitALURI(v, op, in.Reg, uint64(in.Imm), elide)
 		case isa.FRM:
-			ea := emitEA(in.Mem, next)
 			dst := in.Reg
 			f1 := ax.exits[0]
 			if op == isa.MOV || op == isa.MOVZX {
+				if base, idx, scale, off, ok := foldEA(in.Mem); ok {
+					if idx == isa.RegNone {
+						return func(j *jctx) int {
+							b, err := v.Mem.Load(v.Regs[base]+off, w)
+							if err != nil {
+								j.err = err
+								return f1
+							}
+							v.Regs[dst] = b
+							return cont
+						}
+					}
+					return func(j *jctx) int {
+						b, err := v.Mem.Load(v.Regs[base]+v.Regs[idx]*scale+off, w)
+						if err != nil {
+							j.err = err
+							return f1
+						}
+						v.Regs[dst] = b
+						return cont
+					}
+				}
+				ea := emitEA(in.Mem, next)
 				return func(j *jctx) int {
 					b, err := v.Mem.Load(ea(v), w)
 					if err != nil {
@@ -304,6 +323,7 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 					return cont
 				}
 			}
+			ea := emitEA(in.Mem, next)
 			wr := op != isa.CMP && op != isa.TEST
 			return func(j *jctx) int {
 				b, err := v.Mem.Load(ea(v), w)
@@ -321,11 +341,47 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 				return cont
 			}
 		case isa.FMR, isa.FMI:
-			ea := emitEA(in.Mem, next)
 			f1 := ax.exits[0]
 			src := in.Reg
 			imm := uint64(in.Imm)
 			isImm := in.Form == isa.FMI
+			if base, idx, scale, off, ok := foldEA(in.Mem); ok && op == isa.MOV {
+				if idx == isa.RegNone {
+					if isImm {
+						return func(j *jctx) int {
+							if err := v.Mem.Store(v.Regs[base]+off, w, imm); err != nil {
+								j.err = err
+								return f1
+							}
+							return cont
+						}
+					}
+					return func(j *jctx) int {
+						if err := v.Mem.Store(v.Regs[base]+off, w, v.Regs[src]); err != nil {
+							j.err = err
+							return f1
+						}
+						return cont
+					}
+				}
+				if isImm {
+					return func(j *jctx) int {
+						if err := v.Mem.Store(v.Regs[base]+v.Regs[idx]*scale+off, w, imm); err != nil {
+							j.err = err
+							return f1
+						}
+						return cont
+					}
+				}
+				return func(j *jctx) int {
+					if err := v.Mem.Store(v.Regs[base]+v.Regs[idx]*scale+off, w, v.Regs[src]); err != nil {
+						j.err = err
+						return f1
+					}
+					return cont
+				}
+			}
+			ea := emitEA(in.Mem, next)
 			switch op {
 			case isa.MOV:
 				if isImm {
@@ -510,10 +566,7 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 		op := in.Op
 		reg := in.Reg
 		if in.Form == isa.FRI {
-			count := uint64(in.Imm) & 63
-			if count == 0 {
-				return func(j *jctx) int { return cont }
-			}
+			count := uint64(in.Imm) & 63 // never 0: that shift is a no-op step
 			switch op {
 			case isa.SHL:
 				hi := uint64(1) << (64 - count)
@@ -587,14 +640,8 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 			return halt
 		}
 
-	case isa.TRAP:
-		// Patch target and cost are static; the dispatch is a no-op here.
-		return func(j *jctx) int { return cont }
-
 	case isa.JMP:
 		switch in.Form {
-		case isa.FRel8, isa.FRel32:
-			return func(j *jctx) int { return cont }
 		case isa.FR:
 			reg := in.Reg
 			dyn := ax.exits[0]
@@ -682,12 +729,12 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 		if plan == nil || c == nil {
 			return nil
 		}
-		exec, arg := plan.Exec, c.Arg
+		exec := plan.Exec
 		f1 := ax.exits[0]
 		return func(j *jctx) int {
 			v.RIP = next // handlers attribute errors to the resume RIP
 			before := v.Cycles
-			err := exec(v, arg)
+			err := exec(v)
 			if v.tel != nil {
 				cost := v.Cycles - before
 				v.tel.rtcalls.Inc()
@@ -705,22 +752,67 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 		if !in.Op.IsCondJump() {
 			return nil
 		}
-		op := in.Op
-		side := ax.exits[0]
-		if ax.onTaken {
-			return func(j *jctx) int {
-				if j.flags.cond(op) {
-					return cont
-				}
-				return side
-			}
-		}
+		op, side, taken := in.Op, ax.exits[0], ax.onTaken
 		return func(j *jctx) int {
-			if j.flags.cond(op) {
-				return side
+			if j.flags.cond(op) == taken {
+				return cont
 			}
+			return side
+		}
+	}
+}
+
+// noOpStep reports whether a step compiles to no closure: everything it
+// does is static and already folded into the exit records.
+func noOpStep(st *TraceStep) bool {
+	in := &st.Inst
+	switch in.Op {
+	case isa.NOP, isa.TRAP:
+		return true
+	case isa.JMP:
+		return in.Form == isa.FRel8 || in.Form == isa.FRel32
+	case isa.CMP, isa.TEST:
+		return st.FlagsElided && (in.Form == isa.FRR || in.Form == isa.FRI)
+	case isa.SHL, isa.SHR, isa.SAR:
+		return in.Form == isa.FRI && uint64(in.Imm)&63 == 0
+	}
+	return false
+}
+
+// foldEA splits a memory operand that addresses through a base register
+// with no segment into its parts, so a MOV closure adds them inline
+// instead of calling an emitEA closure. ok is false for any other shape.
+func foldEA(m isa.Mem) (base, idx isa.Reg, scale, off uint64, ok bool) {
+	if m.Base == isa.RegNone || m.Base == isa.RIP || m.Seg != isa.SegNone {
+		return 0, 0, 0, 0, false
+	}
+	return m.Base, m.Index, uint64(m.Scale), uint64(int64(m.Disp)), true
+}
+
+// emitCmpJcc compiles a 64-bit register CMP whose flags are live and the
+// conditional branch right after it into one closure: it sets the flags,
+// then branches. jcc is the branch's aux record.
+func emitCmpJcc(v *VM, cmp, br *isa.Inst, jcc *stepAux) jstep {
+	op, dst, side, taken := br.Op, cmp.Reg, jcc.exits[0], jcc.onTaken
+	if cmp.Form == isa.FRR {
+		src := cmp.Reg2
+		return func(j *jctx) int {
+			a, b := v.Regs[dst], v.Regs[src]
+			j.flags = subFlags(a, b, a-b, 8)
+			if j.flags.cond(op) == taken {
+				return cont
+			}
+			return side
+		}
+	}
+	imm := uint64(cmp.Imm)
+	return func(j *jctx) int {
+		a := v.Regs[dst]
+		j.flags = subFlags(a, imm, a-imm, 8)
+		if j.flags.cond(op) == taken {
 			return cont
 		}
+		return side
 	}
 }
 
@@ -800,13 +892,22 @@ func (v *VM) emitTrace(tb *traceBuilder) *trace {
 			t.exits[i].batch = buildBatch(t, &t.exits[i])
 		}
 	}
-	t.steps = make([]jstep, len(info.Steps))
-	for i := range info.Steps {
-		s := v.emitStep(info, aux, i)
-		if s == nil {
+	t.steps = make([]jstep, 0, len(info.Steps))
+	for i := 0; i < len(info.Steps); i++ {
+		st := &info.Steps[i]
+		if noOpStep(st) {
+			continue
+		}
+		var s jstep
+		if in := &st.Inst; in.Op == isa.CMP && (in.Form == isa.FRR || in.Form == isa.FRI) &&
+			!st.FlagsElided && i+1 < len(info.Steps) && info.Steps[i+1].Inst.Op.IsCondJump() {
+			i++
+			s = emitCmpJcc(v, in, &info.Steps[i].Inst, &aux[i])
+		} else if s = v.emitStep(info, aux, i); s == nil {
 			return nil
 		}
-		t.steps[i] = s
+		t.steps = append(t.steps, s)
 	}
+	t.last = &t.exits[aux[len(aux)-1].contID-1]
 	return t
 }
