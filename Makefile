@@ -98,18 +98,18 @@ fuzz:
 
 # perf-smoke runs the host fast-path guards in isolation: the
 # software-TLB access path must not be slower than the raw page-table walk,
-# the superblock tier must beat the block interpreter by ≥20%, and the
-# always-on flight recorder must stay within 3% of a bare hot loop
-# (relative wall-clock comparisons: the TLB and JIT guards retry, the
-# flight guard takes the median of alternating pairs), and the span-checked
+# and the superblock tier must beat the block interpreter by ≥20%
+# (relative wall-clock comparisons that retry), and the span-checked
 # memcpy intrinsic must beat the per-access-checked guest loop by ≥5x in
-# deterministic guest cycles. The three wall-clock guards are compiled
+# deterministic guest cycles. The two wall-clock guards are compiled
 # only under the perfsmoke build tag this target sets, so a loaded host
 # cannot fail `make test` / `make check`; the deterministic guest-cycle
-# guard (TestPerfSmokeLibcSpan) runs there too.
+# guard (TestPerfSmokeLibcSpan) runs there too. The flight recorder's
+# hot-path cost is guarded by counts in `make test`: no events per
+# iteration of a compiled loop, no allocation into a full ring.
 perf-smoke:
 	$(GO) test -tags perfsmoke -run TestPerfSmokeTLB -v ./internal/mem/
-	$(GO) test -tags perfsmoke -run 'TestPerfSmokeJIT|TestPerfSmokeFlight' -v ./internal/vm/
+	$(GO) test -tags perfsmoke -run TestPerfSmokeJIT -v ./internal/vm/
 	$(GO) test -run TestPerfSmokeLibcSpan -v ./internal/bench/
 
 # trace-smoke drives the forensics/profiling CLI flags end to end and

@@ -16,6 +16,7 @@
 package redfat_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -23,6 +24,7 @@ import (
 	"redfat/internal/bench"
 	"redfat/internal/juliet"
 	"redfat/internal/kraken"
+	"redfat/internal/vm"
 	"redfat/internal/workload"
 )
 
@@ -351,10 +353,14 @@ func BenchmarkMemcheckRun(b *testing.B) {
 }
 
 // BenchmarkRunSetup measures runs short enough that their set-up
-// dominates, as in Table 2: one Juliet good variant (about 20 guest
-// instructions) under RedFat and under Memcheck, each run with a fresh
-// flight recorder attached, as rfvm and perfbench attach one. Its B/op
-// is a run's Go set-up allocation, which TestRunSetupAllocBudget bounds.
+// dominates: as in Table 2, one Juliet good variant (about 20 guest
+// instructions) under RedFat and under Memcheck, and one-cycle runs of
+// the 20,000-filler Chrome-like image, baseline and hardened write-only
+// as in §7.3. Each run has a fresh flight recorder attached, as rfvm and
+// perfbench attach one. Its B/op is a run's Go set-up allocation, which
+// TestRunSetupAllocBudget and TestChromeRunSetupAllocBudget bound; the
+// hardened Chrome run's also holds the Result's CheckStat for each of its
+// 15,018 sites.
 func BenchmarkRunSetup(b *testing.B) {
 	c := juliet.JulietCases()[0]
 	bin, err := c.BuildGood()
@@ -365,7 +371,17 @@ func BenchmarkRunSetup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	input := juliet.GoodInput(c)
+	chrome, err := buildChrome(20000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := redfat.Defaults()
+	opt.CheckReads = false
+	chromeHard, _, err := redfat.Harden(chrome, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	input, kraken := juliet.GoodInput(c), []uint64{0, 5000}
 	for _, r := range []struct {
 		name string
 		bin  *redfat.Binary
@@ -373,13 +389,16 @@ func BenchmarkRunSetup(b *testing.B) {
 	}{
 		{"redfat", hard, redfat.RunOptions{Input: input, Abort: true, Hardened: true}},
 		{"memcheck", bin, redfat.RunOptions{Input: input, Abort: true, Memcheck: true}},
+		{"chrome-baseline", chrome, redfat.RunOptions{Input: kraken, MaxCycles: 1}},
+		{"chrome-redfat", chromeHard, redfat.RunOptions{Input: kraken, MaxCycles: 1, Hardened: true}},
 	} {
 		b.Run(r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				opts := r.opts
 				opts.Flight = redfat.NewFlight(0)
-				if _, err := redfat.Run(r.bin, opts); err != nil {
+				var limit *vm.CycleLimitError
+				if _, err := redfat.Run(r.bin, opts); err != nil && !errors.As(err, &limit) {
 					b.Fatal(err)
 				}
 			}

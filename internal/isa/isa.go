@@ -329,18 +329,18 @@ func (f Form) String() string {
 	return fmt.Sprintf("form(%d)", uint8(f))
 }
 
-// Inst is a decoded (or not-yet-encoded) RF64 instruction.
+// Inst is a decoded (or not-yet-encoded) RF64 instruction. The one-byte
+// fields sit together, ahead of Mem, so an Inst packs into 32 bytes:
+// every cached block and every disassembly holds one per instruction.
 type Inst struct {
 	Op   Op
 	Form Form
 	Size uint8 // memory access width in bytes (1, 2, 4, 8); 8 if N/A
 	Reg  Reg   // register operand (dst for loads, src for stores)
 	Reg2 Reg   // second register operand (src for FRR)
+	Len  uint8 // encoded length in bytes; set by Decode and by Encode
 	Mem  Mem   // memory operand (valid for FM/FRM/FMR/FMI)
 	Imm  int64 // immediate or branch displacement
-
-	// Len is the encoded length in bytes. Set by Decode and by Encode.
-	Len uint8
 }
 
 // HasMem reports whether the instruction has a memory operand.

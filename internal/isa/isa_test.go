@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func roundTrip(t *testing.T, in Inst) Inst {
@@ -500,5 +501,14 @@ func TestOpNames(t *testing.T) {
 		if !ok || got != op {
 			t.Errorf("OpFromName(%q) = %v, %v", op.String(), got, ok)
 		}
+	}
+}
+
+// TestInstPacksInto32Bytes holds Inst's layout: a field added after Mem,
+// or a one-byte field moved away from the others, pads it past 32 bytes,
+// and every cached block and disassembly pays for that per instruction.
+func TestInstPacksInto32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want 32", got)
 	}
 }

@@ -1,10 +1,13 @@
 package juliet_test
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"redfat/internal/juliet"
+	"redfat/internal/kraken"
 	"redfat/internal/memcheck"
 	"redfat/internal/obs"
 	"redfat/internal/redfat"
@@ -142,30 +145,104 @@ func TestRunSetupAllocBudget(t *testing.T) {
 	}
 	for _, r := range []struct {
 		name string
-		run  func() (*vm.VM, error)
+		run  func() error
 	}{
-		{"baseline", func() (*vm.VM, error) { return rtlib.RunBaseline(bin, config()) }},
-		{"hardened", func() (*vm.VM, error) {
-			v, _, err := rtlib.RunHardened(hard, config())
-			return v, err
-		}},
-		{"memcheck", func() (*vm.VM, error) { return memcheck.Run(bin, config()) }},
+		{"baseline", func() error { _, err := rtlib.RunBaseline(bin, config()); return err }},
+		{"hardened", func() error { _, _, err := rtlib.RunHardened(hard, config()); return err }},
+		{"memcheck", func() error { _, err := memcheck.Run(bin, config()); return err }},
 	} {
-		if _, err := r.run(); err != nil { // warm up package-level state
-			t.Fatalf("%s: %v", r.name, err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			if _, err := r.run(); err != nil {
-				t.Fatalf("%s: %v", r.name, err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		perRun := allocPerRun(t, r.name, runs, r.run)
 		t.Logf("%s: %d KiB per run", r.name, perRun>>10)
 		if perRun > budget {
 			t.Errorf("%s run allocates %d KiB, budget %d KiB", r.name, perRun>>10, budget>>10)
 		}
+	}
+}
+
+// allocPerRun returns the Go memory one call of run allocates, averaged
+// over runs calls that follow one warm-up call.
+func allocPerRun(t *testing.T, name string, runs int, run func() error) uint64 {
+	t.Helper()
+	if err := run(); err != nil { // warm up package-level state
+		t.Fatalf("%s: %v", name, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestChromeRunSetupAllocBudget holds a run's set-up cost to what the run
+// touches rather than to the size of the image it loads. It makes
+// one-cycle runs, each with a fresh flight recorder, on the Chrome-like
+// image at 2,000 and at 20,000 fillers, hardened write-only as in §7.3.
+// Image pages are filled on first touch and check plans compiled on first
+// execution, so the baseline set-up must match at both sizes within
+// 8 KiB, and the hardened set-up may grow by at most 96 B per added check
+// site: the site's Checks record, SiteStat and plan slot, which Runtime
+// exports per site.
+func TestChromeRunSetupAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hardens the 20,000-filler image")
+	}
+	const (
+		runs       = 10
+		baseSlack  = 8 << 10
+		perSiteMax = 96
+	)
+	type image struct {
+		sites      int
+		base, hard uint64 // set-up bytes per run
+	}
+	var imgs []image
+	for _, fillers := range []int{2000, 20000} {
+		bin, err := kraken.Build(fillers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := redfat.Defaults()
+		opt.CheckReads = false
+		hard, _, err := redfat.Harden(bin, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites, err := rtlib.SitesFrom(hard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		config := rtlib.RunConfig{Input: []uint64{0, 5000}, MaxCycles: 1}
+		oneCycle := func(_ *vm.VM, err error) error {
+			var budget *vm.CycleLimitError
+			if !errors.As(err, &budget) {
+				return fmt.Errorf("one-cycle run ended with %v, want a cycle-limit abort", err)
+			}
+			return nil
+		}
+		img := image{sites: len(sites)}
+		img.base = allocPerRun(t, "baseline", runs, func() error {
+			config.Flight = obs.NewFlight(0)
+			return oneCycle(rtlib.RunBaseline(bin, config))
+		})
+		img.hard = allocPerRun(t, "hardened", runs, func() error {
+			config.Flight = obs.NewFlight(0)
+			v, _, err := rtlib.RunHardened(hard, config)
+			return oneCycle(v, err)
+		})
+		t.Logf("%d fillers, %d sites: baseline %d KiB, hardened %d KiB per run",
+			fillers, img.sites, img.base>>10, img.hard>>10)
+		imgs = append(imgs, img)
+	}
+	small, large := imgs[0], imgs[1]
+	if d := int64(large.base) - int64(small.base); d > baseSlack || d < -baseSlack {
+		t.Errorf("baseline set-up moves by %d B from 2,000 to 20,000 fillers, budget ±%d B", d, baseSlack)
+	}
+	if d, n := int64(large.hard)-int64(small.hard), int64(large.sites-small.sites); d > perSiteMax*n {
+		t.Errorf("hardened set-up grows by %d B over %d added sites (%.1f B/site), budget %d B/site",
+			d, n, float64(d)/float64(n), perSiteMax)
 	}
 }

@@ -103,6 +103,10 @@ func (r refMemory) WriteAt(addr uint64, buf []byte) error {
 	return nil
 }
 
+// Back writes data eagerly: the bytes a page reads are its backing's from
+// the moment it is backed.
+func (r refMemory) Back(addr uint64, data []byte) error { return r.WriteAt(addr, data) }
+
 func (r refMemory) Fetch(addr uint64, buf []byte) int {
 	for i := range buf {
 		a := addr + uint64(i)
@@ -174,30 +178,32 @@ type memOps interface {
 	Store(addr uint64, width uint16, val uint64) error
 	ReadAt(addr uint64, buf []byte) error
 	WriteAt(addr uint64, buf []byte) error
+	Back(addr uint64, data []byte) error
 	Fetch(addr uint64, buf []byte) int
 }
 
 // FuzzMemoryOps decodes its input into a sequence of Map, Unmap, Protect,
-// Load, Store, ReadAt, WriteAt and Fetch operations and runs it against
-// Memory with the TLB on, Memory with NoTLB, and refMemory. Every result
-// (value, fault, copied bytes) and the mapping state around the touched
-// address must agree after each operation. Permissions cover all eight
-// values, including 0 (mapped but inaccessible).
+// Load, Store, ReadAt, WriteAt, Fetch and Back operations and runs it
+// against Memory with the TLB on, Memory with NoTLB, and refMemory, which
+// writes backed bytes eagerly. Every result (value, fault, copied bytes)
+// and the mapping state around the touched address must agree after each
+// operation. Permissions cover all eight values, including 0 (mapped but
+// inaccessible).
 //
 // Each operation is an opcode byte, a window byte and a 16-bit offset,
 // then its operands: Map and Protect a 16-bit size and a permission byte,
 // Unmap a 16-bit size, Load a width byte, Store a width byte and a 64-bit
-// value, ReadAt a 16-bit length, WriteAt a 16-bit length and a pattern
-// byte, Fetch a length byte. Decoding stops at the end of the input or
-// after maxFuzzOps operations, which bounds the cost of one input and so
-// of minimizing one.
+// value, ReadAt a 16-bit length, WriteAt and Back a 16-bit length and a
+// pattern byte, Fetch a length byte. Decoding stops at the end of the
+// input or after maxFuzzOps operations, which bounds the cost of one
+// input and so of minimizing one.
 func FuzzMemoryOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tlb, walk, ref := New(), New(), refMemory{}
 		walk.NoTLB = true
 		d := &opReader{b: data, ok: true}
 		for step := 0; step < maxFuzzOps; step++ {
-			op, addr := d.u8()%8, d.addr()
+			op, addr := d.u8()%9, d.addr()
 			var desc string
 			var apply func(m memOps) string
 			switch op {
@@ -233,15 +239,19 @@ func FuzzMemoryOps(f *testing.F) {
 					err := m.ReadAt(addr, buf)
 					return fmt.Sprint(err) + " " + string(buf)
 				}
-			case 6:
+			case 6, 8:
 				n, pat := int(d.u16())%(2*PageSize+1), d.u8()
-				desc = fmt.Sprintf("WriteAt(%#x, %d)", addr, n)
+				write, name := memOps.WriteAt, "WriteAt"
+				if op == 8 {
+					write, name = memOps.Back, "Back"
+				}
+				desc = fmt.Sprintf("%s(%#x, %d)", name, addr, n)
 				apply = func(m memOps) string {
-					buf := make([]byte, n)
+					buf := make([]byte, n) // a backing keeps buf: one per memory
 					for i := range buf {
 						buf[i] = pat + byte(i)
 					}
-					return fmt.Sprint(m.WriteAt(addr, buf))
+					return fmt.Sprint(write(m, addr, buf))
 				}
 			case 7:
 				n := int(d.u8() % 32)

@@ -23,6 +23,16 @@
 // are served from one shared zero frame. Frames are never recycled: Unmap
 // drops the page's frame, so every frame handed out is demand-zero.
 //
+// # Backed pages
+//
+// A loader does not copy an image into frames: Back records the image's
+// bytes as the backing of the pages they cover, and a backed page gets its
+// frame on its first read, fetch or write, filled from the backing with
+// the rest of the page zero. So a run pays for the image pages it touches,
+// not for the image. The backing aliases the caller's bytes, which must
+// not change while the Memory is live. Unmap drops a page's backing along
+// with its frame.
+//
 // All simulated program memory lives in these explicitly managed frames, so
 // the Go garbage collector never interacts with simulated pointers.
 //
@@ -134,16 +144,45 @@ const (
 
 // pageMapped marks a page as mapped in its table's permission byte, next
 // to the Perm bits, so a page mapped with no permissions stays mapped.
-const pageMapped Perm = 1 << 7
+// pageBacked marks a page with no frame yet whose content is a Back
+// record's bytes (Memory.backs).
+const (
+	pageMapped Perm = 1 << 7
+	pageBacked Perm = 1 << 6
+)
 
 // pageTable maps one 2 MiB-aligned run of pages. perm is pointer-free, so
 // mapping costs the garbage collector nothing. A line of frame pointers is
-// nil until one of its linePages pages is first written, and a frame is
-// nil until its page is first written; reads and fetches of an unwritten
-// page are served from the shared zeroFrame, so pages are demand-zero.
+// nil until one of its linePages pages first gets a frame, and a frame is
+// nil until its page is first written, or first touched if it is backed;
+// reads and fetches of any other page are served from the shared
+// zeroFrame, so pages are demand-zero.
 type pageTable struct {
-	perm  [tablePages]Perm // pageMapped | permissions, 0 when unmapped
+	perm  [tablePages]Perm // pageMapped | pageBacked | permissions, 0 when unmapped
 	lines [tablePages / linePages]*[linePages]*page
+}
+
+// backing is the bytes one Back call left for pages to be filled from:
+// data is the content of [addr, addr+len(data)).
+type backing struct {
+	addr uint64
+	data []byte
+}
+
+// fill copies the part of b that falls on the page at base into frame f,
+// reporting whether b covers that page. Offsets are taken relative to
+// b.addr with wrapping arithmetic, so a range that ends at the top of the
+// address space cannot overflow.
+func (b *backing) fill(f *page, base uint64) bool {
+	switch {
+	case b.addr-base < PageSize: // b starts on this page
+		copy(f.data[b.addr-base:], b.data)
+	case base-b.addr < uint64(len(b.data)):
+		copy(f.data[:], b.data[base-b.addr:])
+	default:
+		return false
+	}
+	return true
 }
 
 // zeroFrame backs every mapped-but-never-written page. It is shared
@@ -218,6 +257,10 @@ type Memory struct {
 	// still demand-zero.
 	slab     []page
 	slabSize int
+
+	// backs holds every Back record that left a page backed, oldest
+	// first (see materialize).
+	backs []*backing
 }
 
 // Slab geometry: the first slab holds minSlabPages frames (16 KiB of
@@ -317,16 +360,64 @@ func (m *Memory) invalidate(first, last uint64) {
 	}
 }
 
-// frame returns the frame backing page idx of table t for a read or
-// fetch: the private frame once the page has been written, else the
-// shared zeroFrame.
-func (t *pageTable) frame(idx uint64) *page {
-	if l := t.lines[(idx&tableMask)>>lineShift]; l != nil {
-		if f := l[idx&lineMask]; f != nil {
-			return f
-		}
+// frame returns the frame of page idx of table t for a read or fetch: the
+// private frame once the page has one, a new one filled from the page's
+// backing on its first touch, else the shared zeroFrame.
+func (m *Memory) frame(t *pageTable, idx uint64) *page {
+	if f := t.privateFrame(idx); f != nil {
+		return f
+	}
+	if t.perm[idx&tableMask]&pageBacked != 0 {
+		return m.materialize(t, idx)
 	}
 	return &zeroFrame
+}
+
+// privateFrame returns page idx's own frame, or nil while it has none.
+func (t *pageTable) privateFrame(idx uint64) *page {
+	if l := t.lines[(idx&tableMask)>>lineShift]; l != nil {
+		return l[idx&lineMask]
+	}
+	return nil
+}
+
+// materialize gives page idx of table t, which has no frame, its private
+// frame: zero, or filled from its backing if the page is backed. A backed
+// page's backing is the latest Back record that covers it: a later Back
+// over a backed page copies into its frame instead of leaving a record,
+// and Unmap clears pageBacked. The read and exec ways may alias the page
+// to the shared zeroFrame; their entries are dropped so later accesses
+// see the frame.
+func (m *Memory) materialize(t *pageTable, idx uint64) *page {
+	l := t.lines[(idx&tableMask)>>lineShift]
+	if l == nil {
+		l = new([linePages]*page)
+		t.lines[(idx&tableMask)>>lineShift] = l
+	}
+	f := m.newPage()
+	l[idx&lineMask] = f
+	if t.perm[idx&tableMask]&pageBacked != 0 {
+		t.perm[idx&tableMask] &^= pageBacked
+		for i := len(m.backs) - 1; i >= 0; i-- {
+			if m.backs[i].fill(f, idx<<PageShift) {
+				break
+			}
+		}
+	}
+	m.dropZeroAlias(idx)
+	return f
+}
+
+// dropZeroAlias evicts page idx from the read and exec ways, which may
+// still hold it as the shared zeroFrame.
+func (m *Memory) dropZeroAlias(idx uint64) {
+	slot := idx & tlbMask
+	if m.readWay[slot].tag == idx {
+		m.readWay[slot] = tlbEntry{tag: invalidTag}
+	}
+	if m.execWay[slot].tag == idx {
+		m.execWay[slot] = tlbEntry{tag: invalidTag}
+	}
 }
 
 // tlbRead probes the read way for page idx: its frame on a hit, nil on a
@@ -370,7 +461,7 @@ func (m *Memory) readPageSlow(idx uint64) *page {
 	if t == nil || t.perm[idx&tableMask]&PermRead == 0 {
 		return nil
 	}
-	f := t.frame(idx)
+	f := m.frame(t, idx)
 	if !m.NoTLB {
 		m.readWay[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
@@ -395,25 +486,9 @@ func (m *Memory) writePageSlow(idx uint64) *page {
 	if t == nil || t.perm[idx&tableMask]&PermWrite == 0 {
 		return nil
 	}
-	l := t.lines[(idx&tableMask)>>lineShift]
-	if l == nil {
-		l = new([linePages]*page)
-		t.lines[(idx&tableMask)>>lineShift] = l
-	}
-	f := l[idx&lineMask]
+	f := t.privateFrame(idx)
 	if f == nil {
-		f = m.newPage()
-		l[idx&lineMask] = f
-		// The read and exec ways may alias this page to the shared
-		// zeroFrame; drop those entries so future reads see the
-		// materialized frame.
-		slot := idx & tlbMask
-		if m.readWay[slot].tag == idx {
-			m.readWay[slot] = tlbEntry{tag: invalidTag}
-		}
-		if m.execWay[slot].tag == idx {
-			m.execWay[slot] = tlbEntry{tag: invalidTag}
-		}
+		f = m.materialize(t, idx)
 	}
 	if !m.NoTLB {
 		m.writeWay[idx&tlbMask] = tlbEntry{tag: idx, page: f}
@@ -438,7 +513,7 @@ func (m *Memory) execPageSlow(idx uint64) *page {
 	if t == nil || t.perm[idx&tableMask]&PermExec == 0 {
 		return nil
 	}
-	f := t.frame(idx)
+	f := m.frame(t, idx)
 	if !m.NoTLB {
 		m.execWay[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
@@ -460,14 +535,14 @@ func (m *Memory) Map(addr, size uint64, perm Perm) {
 			if t.perm[i]&pageMapped == 0 {
 				m.mapped++
 			}
-			t.perm[i] = pageMapped | perm
+			t.perm[i] = t.perm[i]&pageBacked | pageMapped | perm
 		}
 	})
 	m.invalidate(first, last) // permissions changed
 }
 
 // Unmap removes the pages covering [addr, addr+size) and drops their
-// frames, so a page mapped again reads as zero.
+// frames and backings, so a page mapped again reads as zero.
 func (m *Memory) Unmap(addr, size uint64) {
 	if size == 0 {
 		return
@@ -499,7 +574,7 @@ func (m *Memory) Protect(addr, size uint64, perm Perm) {
 	m.eachTable(first, last, false, func(t *pageTable, lo, hi uint64) {
 		for i := lo; i <= hi; i++ {
 			if t.perm[i]&pageMapped != 0 {
-				t.perm[i] = pageMapped | perm
+				t.perm[i] = t.perm[i]&pageBacked | pageMapped | perm
 			}
 		}
 	})
@@ -518,7 +593,7 @@ func (m *Memory) Mapped(addr uint64) bool {
 func (m *Memory) PermAt(addr uint64) Perm {
 	idx := addr >> PageShift
 	if t := m.table(idx); t != nil {
-		return t.perm[idx&tableMask] &^ pageMapped
+		return t.perm[idx&tableMask] &^ (pageMapped | pageBacked)
 	}
 	return 0
 }
@@ -686,6 +761,44 @@ func (m *Memory) WriteAt(addr uint64, buf []byte) error {
 		addr += uint64(n)
 	}
 	return nil
+}
+
+// Back sets [addr, addr+len(data)) to data as WriteAt does, with the same
+// permission checks and the same fault, but copies only into pages that
+// already have a frame or a backing. Every other page records data as its
+// backing and is filled from it on its first touch, so data must not
+// change while the Memory is live. Back probes no TLB way.
+func (m *Memory) Back(addr uint64, data []byte) error {
+	var err error
+	recorded := false
+	off := uint64(0)
+	for ; off < uint64(len(data)); off += PageSize - (addr+off)&pageMask {
+		a := addr + off
+		idx := a >> PageShift
+		t := m.table(idx)
+		if t == nil || t.perm[idx&tableMask]&PermWrite == 0 {
+			err = &Fault{Addr: a, Write: true}
+			break
+		}
+		f := t.privateFrame(idx)
+		if f == nil && t.perm[idx&tableMask]&pageBacked != 0 {
+			f = m.materialize(t, idx)
+		}
+		if f != nil {
+			copy(f.data[a&pageMask:], data[off:])
+			continue
+		}
+		t.perm[idx&tableMask] |= pageBacked
+		recorded = true
+		m.dropZeroAlias(idx) // a read or fetch may have cached the zeroFrame
+	}
+	if recorded {
+		// Appended after the loop, so materializing a page backed earlier
+		// finds that page's own record; cut at a fault, so it covers only
+		// the pages it was applied to.
+		m.backs = append(m.backs, &backing{addr: addr, data: data[:min(off, uint64(len(data)))]})
+	}
+	return err
 }
 
 // Fetch reads up to n instruction bytes at addr from executable pages into

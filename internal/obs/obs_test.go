@@ -161,6 +161,26 @@ func TestFlightGrowsLikePreallocatedRing(t *testing.T) {
 	}
 }
 
+// TestFlightFullRingRecordsWithoutAllocating is the recorder's hot-path
+// cost guard, counted rather than timed: once the ring has reached its
+// capacity, Record and RecordExec (at execution grain, where it writes)
+// allocate nothing.
+func TestFlightFullRingRecordsWithoutAllocating(t *testing.T) {
+	const capacity = 64
+	f := NewFlight(capacity)
+	f.Execution = true
+	for i := 0; i < capacity; i++ {
+		f.Record(EvBlockEntry, 0, uint64(i), 1)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		f.Record(EvTraceEnter, 0, 0x1000, 0)
+		f.RecordExec(EvInst, 1, 0x1004, 0, 8)
+	})
+	if allocs != 0 {
+		t.Errorf("Record and RecordExec into a full ring allocate %.1f times per call pair, want 0", allocs)
+	}
+}
+
 func TestFlightDumpAppliesLabeler(t *testing.T) {
 	f := NewFlight(8)
 	f.SetLabeler(func(kind EventKind, reason uint8, pc uint64) string {

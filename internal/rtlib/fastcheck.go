@@ -1,12 +1,13 @@
 package rtlib
 
 // The check fast path: per-site constants the real RedFat specializes
-// into trampoline assembly at rewrite time are precomputed here once, at
-// Harden/load time (NewRuntime), instead of being re-derived on every
-// check execution. Each site's plan is bound to its site index and Stats
-// entry, and its check method (runtime.go) is the site's one compiled
-// check: the RTCALL binding calls it by index and a fused superblock
-// step holds it directly. The hot path then reduces to: rebuild the
+// into trampoline assembly at rewrite time are precomputed here once per
+// site, on the site's first execution (plan), instead of being re-derived
+// on every check execution; a run compiles only the sites it reaches.
+// Each site's plan is bound to its site index and Stats entry, and its
+// check method (runtime.go) is the site's one compiled check: the RTCALL
+// binding calls it by index and a fused superblock step holds it
+// directly. The hot path then reduces to: rebuild the
 // access range from at most two register reads plus a baked-in static
 // offset, look up the cycle cost in a four-entry table, and run the
 // merged comparisons against precomputed bounds constants.
@@ -59,7 +60,7 @@ type checkFast struct {
 
 	// costs is the charged-cycle table indexed by fatIdx: the check cost
 	// is a pure function of (site constants, fat, fallbackFat), so all
-	// reachable combinations are folded at load time.
+	// reachable combinations are folded when the plan is compiled.
 	costs [4]uint64
 }
 
@@ -106,20 +107,22 @@ func compileCheck(c *Check) checkFast {
 	return cf
 }
 
-// compileChecks builds the fast-path table for rt's whole site table,
-// binding each plan to its site.
-func (rt *Runtime) compileChecks() {
-	rt.fast = make([]checkFast, len(rt.Checks))
-	for i := range rt.Checks {
-		cf := &rt.fast[i]
-		*cf = compileCheck(&rt.Checks[i])
-		cf.rt, cf.site, cf.stat = rt, uint32(i), &rt.Stats[i]
+// plan returns site i's compiled check, compiling it on first use and
+// binding it to the site. i must index rt.Checks.
+func (rt *Runtime) plan(i uint32) *checkFast {
+	cf := rt.fast[i]
+	if cf == nil {
+		c := compileCheck(&rt.Checks[i])
+		c.rt, c.site, c.stat = rt, i, &rt.Stats[i]
+		cf = &c
+		rt.fast[i] = cf
 	}
+	return cf
 }
 
 // accessRange rebuilds (ptr, lb, ub) for one execution of the site: the
 // dynamic part is at most two register reads; everything else was folded
-// into staticOff at load time.
+// into staticOff when the plan was compiled.
 func (cf *checkFast) accessRange(v *vm.VM) (ptr, lb, ub uint64) {
 	i := cf.staticOff
 	if cf.baseReg != isa.RegNone {

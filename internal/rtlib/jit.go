@@ -18,7 +18,7 @@ import (
 
 // jitPlan builds the fusable plan for one site.
 func (rt *Runtime) jitPlan(arg uint32) *vm.JITCheck {
-	cf := &rt.fast[arg]
+	cf := rt.plan(arg)
 	p := &vm.JITCheck{Exec: cf.check}
 	for _, cost := range cf.costs {
 		if cost > p.MaxCost {

@@ -34,10 +34,11 @@ type Runtime struct {
 	Heap   *redzone.Heap
 	Stats  []SiteStat
 
-	// fast holds the per-site precomputed execution plans, Checks-parallel
-	// (the load-time specialization the real RedFat bakes into trampoline
-	// code at rewrite time).
-	fast []checkFast
+	// fast holds the per-site compiled checks, Checks-parallel (the
+	// specialization the real RedFat bakes into trampoline code at
+	// rewrite time). A site's slot stays nil until the site first
+	// executes, so a run pays for the sites it reaches (plan).
+	fast []*checkFast
 
 	tel *checkMetrics
 }
@@ -97,13 +98,12 @@ func NewRuntime(bin *relf.Binary, h *redzone.Heap) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{
+	return &Runtime{
 		Checks: checks,
 		Heap:   h,
 		Stats:  make([]SiteStat, len(checks)),
-	}
-	rt.compileChecks()
-	return rt, nil
+		fast:   make([]*checkFast, len(checks)),
+	}, nil
 }
 
 // Bindings returns the host binding for the check routine.
@@ -119,7 +119,7 @@ func (rt *Runtime) handle(v *vm.VM, arg uint32) error {
 		return &vm.MemError{Kind: vm.ErrCorruptMeta, PC: v.RIP,
 			Note: "check with invalid site index"}
 	}
-	return rt.fast[arg].check(v)
+	return rt.plan(arg).check(v)
 }
 
 // check is the instrumented check of paper Fig. 4 for this site: the one

@@ -101,7 +101,9 @@ func TestSuperblockCertifierCorpora(t *testing.T) {
 	if testing.Short() {
 		n = 1
 	}
-	for _, bm := range benches[:n] {
+	// The switch-dense corpus is marker-built: its dispatch targets open
+	// with an lpad, so its traces hold lpad steps.
+	for _, bm := range append(benches[:n:n], workload.SwitchDense()...) {
 		bm := bm
 		runs = append(runs, testRun{bm.Name, func() (*vm.VM, error) {
 			bin, err := bm.Build()

@@ -149,14 +149,15 @@ func (v *VM) blockAt(pc uint64) (*block, error) {
 // buildBlock decodes the straight-line run beginning at start. Fetch or
 // decode failures after the first instruction end the block early rather
 // than erroring: execution that actually falls through to the bad address
-// reports the fault there, exactly as Step would.
+// reports the fault there, exactly as Step would. The run is decoded into
+// the VM's scratch slice and copied once into an exact-length insts.
 func (v *VM) buildBlock(start uint64) (*block, error) {
-	b := &block{}
+	insts := v.blockBuf[:0]
 	pc := start
-	for len(b.insts) < maxBlockInsts {
+	for len(insts) < maxBlockInsts {
 		in, err := v.decodeAt(pc)
 		if err != nil {
-			if len(b.insts) == 0 {
+			if len(insts) == 0 {
 				return nil, err
 			}
 			break
@@ -164,14 +165,14 @@ func (v *VM) buildBlock(start uint64) (*block, error) {
 		if v.tel != nil {
 			v.tel.icacheMiss.Inc()
 		}
-		b.insts = append(b.insts, blockInst{pc: pc, in: in})
+		insts = append(insts, blockInst{pc: pc, in: in})
 		pc += uint64(in.Len)
 		if endsBlock(in.Op) {
 			break
 		}
 	}
-	b.fallPC = pc
-	return b, nil
+	v.blockBuf = insts
+	return &block{insts: append([]blockInst(nil), insts...), fallPC: pc}, nil
 }
 
 // runBlocks is Run's dispatch loop: execute straight-line through cached

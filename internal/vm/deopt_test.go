@@ -345,3 +345,40 @@ func TestFlightIdentityMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestFlightRecordsNoPerIterationEvents is the flight recorder's hot-path
+// guard on the VM side, counted rather than timed: at default grain a
+// compiled loop records nothing per iteration, so the benchmark hot loop
+// records as many events at 200,000 iterations as at 100,000 (the
+// load-time TLB flushes, block entries, the compile, and the trace's one
+// entry and its exit), while it retires about twice the instructions.
+func TestFlightRecordsNoPerIterationEvents(t *testing.T) {
+	var events, insts [2]uint64
+	for i, iters := range []int64{100_000, 200_000} {
+		flight := obs.NewFlight(0)
+		insts[i] = benchRunFlight(t, buildBench(t, benchHotLoop(iters)), flight)
+		events[i] = flight.Total()
+	}
+	if events[0] != events[1] || insts[1] < 2*insts[0]-10 {
+		t.Errorf("hot loop at 100k/200k iterations: %d/%d events, %d/%d instructions; want equal events, twice the instructions",
+			events[0], events[1], insts[0], insts[1])
+	}
+	t.Logf("%d events per run", events[0])
+}
+
+// benchRunFlight is benchRun with a flight recorder attached.
+func benchRunFlight(tb testing.TB, bin *relf.Binary, flight *obs.Flight) uint64 {
+	m := mem.New()
+	v := vm.New(m)
+	v.MaxCycles = 2_000_000_000
+	v.JITThreshold = 8
+	v.Flight = flight
+	m.Flight = flight
+	if err := v.Load(bin, rtlib.LibC(heap.New(m), m)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := v.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return v.Insts
+}

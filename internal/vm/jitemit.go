@@ -767,7 +767,7 @@ func (v *VM) emitStep(info *TraceInfo, aux []stepAux, i int) jstep {
 func noOpStep(st *TraceStep) bool {
 	in := &st.Inst
 	switch in.Op {
-	case isa.NOP, isa.TRAP:
+	case isa.NOP, isa.LPAD, isa.TRAP:
 		return true
 	case isa.JMP:
 		return in.Form == isa.FRel8 || in.Form == isa.FRel32

@@ -14,9 +14,10 @@ import (
 )
 
 // noOpLoop is a counted loop whose body holds every step kind that
-// compiles to no closure — a NOP, a rel8 and a rel32 jump, a patched
-// TRAP, a TEST and a CMP whose flags are dead, and a shift by zero —
-// followed by two ADDs and a CMP+JL pair, which fuse into one closure.
+// compiles to no closure — a NOP, an LPAD, a rel8 and a rel32 jump, a
+// patched TRAP, a TEST and a CMP whose flags are dead, and a shift by
+// zero — followed by two ADDs and a CMP+JL pair, which fuse into one
+// closure.
 func noOpLoop(t *testing.T) *relf.Binary {
 	b := asm.NewBuilder(asm.Options{})
 	b.Func("main")
@@ -24,6 +25,7 @@ func noOpLoop(t *testing.T) *relf.Binary {
 	b.MovRI(isa.RBX, 0)
 	b.Label("loop")
 	b.Nop()
+	b.Lpad()
 	b.Emit(isa.Inst{Op: isa.JMP, Form: isa.FRel8})
 	b.Emit(isa.Inst{Op: isa.JMP, Form: isa.FRel32})
 	b.Func("trapsite")
@@ -51,7 +53,7 @@ func noOpLoop(t *testing.T) *relf.Binary {
 }
 
 // TestNoOpStepsEmitNoClosure compiles noOpLoop's body into one trace of
-// eleven steps and requires three closures: the two ADDs and the fused
+// twelve steps and requires three closures: the two ADDs and the fused
 // CMP+JL. The compiled run must leave the guest exactly as the
 // interpreter does.
 func TestNoOpStepsEmitNoClosure(t *testing.T) {
@@ -71,8 +73,8 @@ func TestNoOpStepsEmitNoClosure(t *testing.T) {
 	}
 	jit, ref := run(false), run(true)
 	rows := jit.TraceRows()
-	if len(rows) != 1 || rows[0].Steps != 11 {
-		t.Fatalf("traces %+v, want one of 11 steps", rows)
+	if len(rows) != 1 || rows[0].Steps != 12 {
+		t.Fatalf("traces %+v, want one of 12 steps", rows)
 	}
 	if got := jit.TraceClosures(); !reflect.DeepEqual(got, []int{3}) {
 		t.Errorf("closures per trace = %v, want [3]", got)

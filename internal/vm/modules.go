@@ -39,7 +39,9 @@ func (v *VM) GuestFunc(addr uint64) HostFunc {
 	}
 }
 
-// mapSections maps a binary's sections into memory.
+// mapSections maps a binary's sections into memory. Section bytes become
+// the backing of their pages (mem.Back), filled on first touch, so they
+// must not change while a run loaded from the binary is live.
 func (v *VM) mapSections(bin *relf.Binary) error {
 	if err := bin.CheckOverlaps(); err != nil {
 		return err
@@ -58,7 +60,7 @@ func (v *VM) mapSections(bin *relf.Binary) error {
 		v.Mem.Map(s.Addr, s.Size, perm)
 		if len(s.Data) > 0 {
 			v.Mem.Protect(s.Addr, s.Size, perm|mem.PermWrite)
-			if err := v.Mem.WriteAt(s.Addr, s.Data); err != nil {
+			if err := v.Mem.Back(s.Addr, s.Data); err != nil {
 				return fmt.Errorf("vm: loading %q: %w", s.Name, err)
 			}
 			v.Mem.Protect(s.Addr, s.Size, perm)

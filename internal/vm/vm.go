@@ -336,8 +336,9 @@ type VM struct {
 	bcache      map[uint64]*codePage
 	bcPageIdx   uint64
 	bcPage      *codePage
-	nBlocks     int // blocks currently cached
-	nBlockInsts int // predecoded instructions currently cached
+	nBlocks     int         // blocks currently cached
+	nBlockInsts int         // predecoded instructions currently cached
+	blockBuf    []blockInst // buildBlock's decode scratch
 
 	// modules supports dynamically-linked RELF shared objects: each
 	// loaded module carries its own import bindings (RTCALL immediates
