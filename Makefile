@@ -1,15 +1,17 @@
 GO ?= go
 
-.PHONY: check fmt vet perfbench-vet rfvet inline-check build test race results-check fuzz perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history clean
+.PHONY: check fmt vet perfbench-vet rfvet inline-check build test race results-check fuzz perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke clean
 
 # check is the tier-1 gate: formatting, static analysis (go vet of this
 # module and of the perfbench module, plus the repo-specific rfvet
 # rules), the inlining guard, build, tests (deterministic: the wall-clock
 # perf guards live behind the perfsmoke build tag, see perf-smoke), a
-# race-detector pass over the concurrent harness (short mode), the
-# paper's numbers (results-check), the runpack replay smoke, the live
-# introspection smoke, and the indirect-edge audit smoke.
-check: fmt vet perfbench-vet rfvet inline-check build test race results-check replay-smoke obs-smoke edge-audit-smoke
+# race-detector pass over the concurrent harness (short mode), and the
+# paper's numbers (results-check). Each test runs once: the trace,
+# replay, obs and edge-audit smoke targets below re-run, verbosely,
+# tests that `make test` already runs, for a focused look at one
+# contract.
+check: fmt vet perfbench-vet rfvet inline-check build test race results-check
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -114,8 +116,9 @@ perf-smoke:
 
 # trace-smoke drives the forensics/profiling CLI flags end to end and
 # validates that the emitted Chrome trace JSON (the flight ring at
-# execution grain plus profile samples) and folded stacks parse. (The
-# same test also runs in `make test`, `make obs-smoke` and `make check`.)
+# execution grain plus profile samples) and folded stacks parse.
+# `make test`, and so `make check`, runs the same test, as does
+# `make obs-smoke`.
 trace-smoke:
 	$(GO) test -run TestCLITraceSmoke -v .
 
@@ -155,15 +158,7 @@ edge-audit-smoke:
 bench-smoke:
 	$(GO) run ./cmd/rfbench -table1 -scale 0.02 -json results/bench.json
 
-# bench-history appends the current revision's down-scaled Table 1 +
-# detection matrix to the trajectory series in results/history/ (and
-# captures the same document as a verifiable runpack). Compare two
-# entries with: rfbench ... -baseline results/history/BENCH_<rev>.json
-bench-history:
-	$(GO) run ./cmd/rfbench -table1 -table2 -scale 0.02 -progress=false \
-		-runpack results/runpack-bench -history results/history
-
 # clean removes the one uncommitted file a target writes under results/
-# (bench-smoke's JSON); the tables, history and runpack there are kept.
+# (bench-smoke's JSON); the tables there are kept.
 clean:
 	rm -f results/bench.json

@@ -18,12 +18,14 @@ package redfat_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"redfat"
 	"redfat/internal/bench"
 	"redfat/internal/juliet"
 	"redfat/internal/kraken"
+	"redfat/internal/rtlib"
 	"redfat/internal/vm"
 	"redfat/internal/workload"
 )
@@ -352,15 +354,35 @@ func BenchmarkMemcheckRun(b *testing.B) {
 	}
 }
 
+// chromeSetupImages builds the 20,000-filler Chrome-like image and its
+// write-only hardening (§7.3), the images whose one-cycle runs measure a
+// Chrome-scale run's set-up.
+func chromeSetupImages(tb testing.TB) (chrome, hard *redfat.Binary) {
+	tb.Helper()
+	chrome, err := buildChrome(20000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opt := redfat.Defaults()
+	opt.CheckReads = false
+	hard, _, err = redfat.Harden(chrome, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return chrome, hard
+}
+
+// chromeSetupInput is the Kraken input of the one-cycle Chrome-scale runs.
+var chromeSetupInput = []uint64{0, 5000}
+
 // BenchmarkRunSetup measures runs short enough that their set-up
 // dominates: as in Table 2, one Juliet good variant (about 20 guest
 // instructions) under RedFat and under Memcheck, and one-cycle runs of
 // the 20,000-filler Chrome-like image, baseline and hardened write-only
 // as in §7.3. Each run has a fresh flight recorder attached, as rfvm and
 // perfbench attach one. Its B/op is a run's Go set-up allocation, which
-// TestRunSetupAllocBudget and TestChromeRunSetupAllocBudget bound; the
-// hardened Chrome run's also holds the Result's CheckStat for each of its
-// 15,018 sites.
+// TestRunSetupAllocBudget, TestChromeRunSetupAllocBudget and
+// TestRunReportsOnlyExecutedSites bound.
 func BenchmarkRunSetup(b *testing.B) {
 	c := juliet.JulietCases()[0]
 	bin, err := c.BuildGood()
@@ -371,17 +393,8 @@ func BenchmarkRunSetup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chrome, err := buildChrome(20000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := redfat.Defaults()
-	opt.CheckReads = false
-	chromeHard, _, err := redfat.Harden(chrome, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	input, kraken := juliet.GoodInput(c), []uint64{0, 5000}
+	chrome, chromeHard := chromeSetupImages(b)
+	input, kraken := juliet.GoodInput(c), chromeSetupInput
 	for _, r := range []struct {
 		name string
 		bin  *redfat.Binary
@@ -403,6 +416,47 @@ func BenchmarkRunSetup(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunReportsOnlyExecutedSites holds what redfat.Run adds to a
+// hardened run's set-up to what the run executed. A one-cycle run of the
+// write-only hardened Chrome-like image executes none of its 15,018 check
+// sites, so it may allocate at most 64 KiB more through redfat.Run than
+// through rtlib.RunHardened: its Result lists no CheckStat.
+func TestRunReportsOnlyExecutedSites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hardens the 20,000-filler image")
+	}
+	const runs, slack = 5, 64 << 10
+	_, hard := chromeSetupImages(t)
+	config := redfat.RunOptions{Input: chromeSetupInput, MaxCycles: 1, Hardened: true}
+	// perRun averages the Go memory one call of run allocates over runs
+	// calls that follow one warm-up call.
+	perRun := func(run func() error) uint64 {
+		var limit *vm.CycleLimitError
+		var before, after runtime.MemStats
+		for i := -1; i < runs; i++ {
+			if i == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			if err := run(); !errors.As(err, &limit) {
+				t.Fatalf("one-cycle run: %v", err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	direct := perRun(func() error { _, _, err := rtlib.RunHardened(hard, config); return err })
+	var res *redfat.Result
+	viaRun := perRun(func() (err error) { res, err = redfat.Run(hard, config); return err })
+	t.Logf("rtlib.RunHardened %d KiB, redfat.Run %d KiB per run", direct>>10, viaRun>>10)
+	if viaRun > direct+slack {
+		t.Errorf("redfat.Run allocates %d KiB per run, %d KiB more than rtlib.RunHardened; budget %d KiB",
+			viaRun>>10, (viaRun-direct)>>10, slack>>10)
+	}
+	if len(res.Checks) != 0 {
+		t.Errorf("a one-cycle run reports %d check sites, want none: it executed no check", len(res.Checks))
 	}
 }
 

@@ -10,11 +10,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"redfat/internal/bench"
 )
 
 // tools holds the command-line tools that buildTools compiles once per
@@ -490,6 +493,53 @@ func TestCLIRunpackSmoke(t *testing.T) {
 	out, code = runTool(t, bin, "rfpack", "replay", rwDir)
 	if code != 0 || !strings.Contains(out, "byte-identical") {
 		t.Fatalf("rewrite replay: %d %s", code, out)
+	}
+}
+
+// TestCLIBenchJSON drives rfbench -json end to end: the document it
+// writes for Table 2 parses at schema version 1, holds the nine rows with
+// the counts the text table prints, and carries the run's telemetry.
+func TestCLIBenchJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI tools")
+	}
+	bin := buildTools(t)
+	path := filepath.Join(t.TempDir(), "out.json")
+	out, code := runTool(t, bin, "rfbench", "-table2", "-progress=false", "-json", path)
+	if code != 0 {
+		t.Fatalf("rfbench -json: %d %s", code, out)
+	}
+	// The text rows of Table 2 proper: those before the temporal extension.
+	text, _, _ := strings.Cut(out, "--- extension")
+	row := regexp.MustCompile(`(?m)^(.+?) +Memcheck +(\d+)/(\d+) \(.*\) +RedFat +(\d+)/(\d+) \(`)
+	var printed []string
+	for _, m := range row.FindAllStringSubmatch(text, -1) {
+		if m[3] != m[5] {
+			t.Errorf("%s: Memcheck and RedFat totals differ: %s", m[1], m[0])
+		}
+		printed = append(printed, fmt.Sprintf("%s %s/%s/%s", m[1], m[3], m[2], m[4]))
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bench.Results
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("rfbench -json wrote invalid JSON: %v", err)
+	}
+	if doc.SchemaVersion != 1 {
+		t.Errorf("schema_version = %d, want 1", doc.SchemaVersion)
+	}
+	var written []string
+	for _, r := range doc.Table2 {
+		written = append(written, fmt.Sprintf("%s %d/%d/%d", r.ID, r.Total, r.Memcheck, r.RedFat))
+	}
+	if len(written) != 9 || strings.Join(written, "\n") != strings.Join(printed, "\n") {
+		t.Errorf("table2 rows (id total/memcheck/redfat):\n%s\nwant the 9 the text table prints:\n%s",
+			strings.Join(written, "\n"), strings.Join(printed, "\n"))
+	}
+	if tel := doc.Telemetry; tel == nil || len(tel.Counters) == 0 {
+		t.Errorf("telemetry snapshot is empty: %+v", tel)
 	}
 }
 

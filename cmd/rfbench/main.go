@@ -25,22 +25,9 @@
 // pipelines these experiments run is measured by perfbench, with
 // repeated passes and a per-layer split: bash perfbench/run.sh
 // --workload spec-ref|chrome-harden|detect --seed 1 --seconds 35.
-//
-// Run artifacts and bench trajectory:
-//
-//	-runpack DIR   capture the run's results JSON as a digest-signed
-//	               runpack (verify with `rfpack verify`; DESIGN.md §13)
-//	-history DIR   append this run to the bench trajectory as
-//	               DIR/BENCH_<rev>.json (rev from -rev or the build's VCS
-//	               stamp); see results/history/
-//	-baseline P    load a prior results JSON (a BENCH_*.json file, or a
-//	               runpack directory/tarball) and report per-section
-//	               deltas; -regress sets the noise threshold (default
-//	               ±10%), and regressions warn unless -regress-fail
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"net"
@@ -48,11 +35,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"redfat/internal/bench"
 	"redfat/internal/obs"
-	"redfat/internal/runpack"
 	"redfat/internal/telemetry"
 )
 
@@ -81,12 +66,6 @@ func run() error {
 	jsonPath := flag.String("json", "", "write the results of every experiment run as JSON to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the harness to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile of the harness to this file")
-	packDir := flag.String("runpack", "", "capture the results JSON as a digest-signed runpack in this directory")
-	historyDir := flag.String("history", "", "append this run to the bench trajectory as DIR/BENCH_<rev>.json")
-	rev := flag.String("rev", "", "revision tag for -history file naming (default: the build's VCS stamp)")
-	baseline := flag.String("baseline", "", "compare against a prior results JSON (BENCH_*.json file or runpack)")
-	regress := flag.Float64("regress", bench.DefaultRegressThreshold, "relative regression threshold for -baseline")
-	regressFail := flag.Bool("regress-fail", false, "with -baseline, exit nonzero when a delta exceeds the threshold")
 	listen := flag.String("listen", "", "serve live introspection HTTP (/metrics /snapshot ...) on ADDR during and after the run, until killed")
 	flag.Parse()
 
@@ -126,8 +105,8 @@ func run() error {
 	results := &bench.Results{Scale: *scale}
 	// Open the JSON sink up front so a bad path fails before hours of
 	// experiments, not after. The JSON document also carries the aggregate
-	// telemetry snapshot, so only collect metrics when some consumer
-	// (-json, -runpack, -history) wants the document.
+	// telemetry snapshot, so only collect metrics when -json or -listen
+	// wants them.
 	var jsonFile *os.File
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
@@ -136,8 +115,7 @@ func run() error {
 		}
 		jsonFile = f
 	}
-	needDoc := *jsonPath != "" || *packDir != "" || *historyDir != ""
-	if needDoc || *listen != "" {
+	if jsonFile != nil || *listen != "" {
 		h.Metrics = telemetry.New()
 	}
 	// Bind the introspection listener up front so a bad -listen address
@@ -157,16 +135,6 @@ func run() error {
 				fmt.Fprintln(os.Stderr, "rfbench: introspection server:", serr)
 			}
 		}()
-	}
-	// Load the baseline up front too: a bad -baseline path should not cost
-	// a full experiment run before failing.
-	var base *bench.Results
-	if *baseline != "" {
-		b, err := loadBaseline(*baseline)
-		if err != nil {
-			return err
-		}
-		base = b
 	}
 	if *all || *table1 {
 		ran = true
@@ -275,47 +243,15 @@ func run() error {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var doc []byte
-	if needDoc {
-		results.Telemetry = h.Metrics.Snapshot()
-		d, err := results.MarshalJSONBytes()
-		if err != nil {
-			return err
-		}
-		doc = d
-	}
 	if jsonFile != nil {
-		if _, err := jsonFile.Write(doc); err != nil {
+		results.Telemetry = h.Metrics.Snapshot()
+		if err := results.WriteJSON(jsonFile); err != nil {
 			return err
 		}
 		if err := jsonFile.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "results written to %s\n", *jsonPath)
-	}
-	if *packDir != "" {
-		if err := runpack.PackBench(*packDir, os.Args[1:], doc); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "runpack written to %s\n", *packDir)
-	}
-	if *historyDir != "" {
-		path, err := writeHistory(*historyDir, *rev, doc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "bench trajectory entry written to %s\n", path)
-	}
-	if base != nil {
-		fmt.Fprintf(w, "=== Trajectory vs %s ===\n", *baseline)
-		traj := bench.Compare(results, base, *regress)
-		if err := traj.Render(w); err != nil {
-			return err
-		}
-		if n := len(traj.Regressions()); n > 0 && *regressFail {
-			return fmt.Errorf("%d metric(s) regressed beyond ±%.1f%% of %s",
-				n, *regress*100, *baseline)
-		}
 	}
 	if obsSrv != nil {
 		// Publish the aggregate snapshot (host wall-clock series stripped,
@@ -325,57 +261,4 @@ func run() error {
 		select {}
 	}
 	return nil
-}
-
-// loadBaseline reads a prior Results document for -baseline. The path may
-// be a plain BENCH_*.json file, or a runpack directory / tarball produced
-// by -runpack — the latter is digest-verified before its bench.json member
-// is trusted.
-func loadBaseline(path string) (*bench.Results, error) {
-	fi, statErr := os.Stat(path)
-	isPack := (statErr == nil && fi.IsDir()) ||
-		strings.HasSuffix(path, ".tgz") || strings.HasSuffix(path, ".tar.gz")
-	if isPack {
-		p, err := runpack.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		man, err := runpack.Verify(p)
-		if err != nil {
-			return nil, fmt.Errorf("baseline runpack %s: %w", path, err)
-		}
-		if man.Kind != runpack.KindBench {
-			return nil, fmt.Errorf("baseline runpack %s is a %q pack, want %q", path, man.Kind, runpack.KindBench)
-		}
-		data, err := p.ReadMember(runpack.MemberBench)
-		if err != nil {
-			return nil, err
-		}
-		return bench.ParseResults(data)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return bench.ParseResults(data)
-}
-
-// writeHistory appends the results document to the trajectory series as
-// dir/BENCH_<rev>.json. An existing entry for the same revision is only
-// overwritten by identical content: the series is append-only.
-func writeHistory(dir, rev string, doc []byte) (string, error) {
-	if rev == "" {
-		rev = runpack.GitRev()
-	}
-	if rev == "" {
-		rev = "dev"
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_"+rev+".json")
-	if old, err := os.ReadFile(path); err == nil && !bytes.Equal(old, doc) {
-		return "", fmt.Errorf("history entry %s already exists with different content (pass -rev to disambiguate)", path)
-	}
-	return path, os.WriteFile(path, doc, 0o644)
 }

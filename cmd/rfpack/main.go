@@ -1,6 +1,6 @@
 // rfpack inspects, verifies, packages and replays runpacks — the
-// digest-signed run artifacts emitted by rfvm -runpack, redfat -runpack
-// and rfbench -runpack (see internal/runpack and DESIGN.md §13).
+// digest-signed run artifacts emitted by rfvm -runpack and
+// redfat -runpack (see internal/runpack and DESIGN.md §13).
 //
 // Usage:
 //

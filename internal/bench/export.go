@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"redfat/internal/telemetry"
@@ -65,9 +63,9 @@ type Ablations struct {
 	Fuzz     []FuzzRow     `json:"fuzz,omitempty"`
 }
 
-// SchemaVersion versions the Results JSON shape. Baseline comparison and
-// runpack consumers check it and reject incompatible files with a clear
-// error instead of misparsing them.
+// SchemaVersion versions the Results JSON shape that rfbench -json
+// writes, so a downstream reader can tell a changed shape from a
+// misparse.
 const SchemaVersion = 1
 
 // Results is the machine-readable aggregate of an rfbench invocation:
@@ -97,34 +95,4 @@ func (r *Results) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// MarshalJSONBytes serializes the results exactly as WriteJSON would —
-// the single byte representation used by files, runpacks and baselines.
-func (r *Results) MarshalJSONBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// ParseResults decodes a Results document, rejecting files written under
-// a different (or missing) schema version, including the embedded
-// telemetry snapshot when present.
-func ParseResults(data []byte) (*Results, error) {
-	var r Results
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: malformed results JSON: %v", err)
-	}
-	if r.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("bench: results schema_version %d, tool supports %d (regenerate with this rfbench)",
-			r.SchemaVersion, SchemaVersion)
-	}
-	if r.Telemetry != nil {
-		if err := r.Telemetry.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return &r, nil
 }

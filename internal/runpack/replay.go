@@ -26,7 +26,6 @@ const (
 	MemberReports   = "reports.json"  // run packs: forensic error reports
 	MemberTelemetry = "telemetry.json"
 	MemberFlight    = "flight.json"   // run packs: flight-recorder dump
-	MemberBench     = "bench.json"    // bench packs: bench.Results document
 	MemberAllowList = "allowlist.txt" // rewrite packs: profiling allow-list
 	MemberRewrite   = "rewrite.json"  // rewrite packs: instrumentation report
 )
@@ -240,18 +239,6 @@ func PackRewrite(dir string, args []string, origData []byte, hard *relf.Binary,
 	return b.Seal()
 }
 
-// PackBench writes a sealed bench pack around an rfbench results JSON
-// document (already serialized by internal/bench with its own schema
-// version).
-func PackBench(dir string, args []string, benchJSON []byte) error {
-	b, err := NewBuilder(dir, KindBench, "rfbench", args)
-	if err != nil {
-		return err
-	}
-	b.AddBytes(MemberBench, benchJSON)
-	return b.Seal()
-}
-
 // ReplayReport is the outcome of re-executing a pack's recorded work and
 // diffing it against the packed artifacts.
 type ReplayReport struct {
@@ -289,7 +276,7 @@ func Replay(p *Pack, man *Manifest) (*ReplayReport, error) {
 		return replayRewrite(p, man)
 	}
 	return nil, &VerifyError{Code: ExitUsage,
-		Reason: fmt.Sprintf("replay is not supported for %q packs; use verify and rfbench -baseline", man.Kind)}
+		Reason: fmt.Sprintf("replay is not supported for %q packs", man.Kind)}
 }
 
 // replayRun re-executes the packed binary under the recorded run

@@ -1,10 +1,10 @@
-// Package runpack implements digest-signed run artifacts: every hardened
-// run (rfvm execution, redfat rewrite, rfbench matrix) can be captured as
-// a self-describing directory — the inputs, knobs, detection reports and
-// measurements that produced a result — integrity-checked so that any
-// later reader can prove the artifact is exactly what the tool wrote, and
-// replayable so that any detection or cycle count can be reproduced
-// byte-for-byte on demand.
+// Package runpack implements digest-signed run artifacts: an rfvm
+// execution or a redfat rewrite can be captured as a self-describing
+// directory — the inputs, knobs, detection reports and measurements that
+// produced a result — integrity-checked so that any later reader can
+// prove the artifact is exactly what the tool wrote, and replayable so
+// that any detection or cycle count can be reproduced byte-for-byte on
+// demand.
 //
 // A runpack is a flat directory (or a deterministic .tar.gz of one, see
 // Tar) holding:
@@ -16,7 +16,7 @@
 //   - runpack.digest — "rfpack1 <hex sha256 of manifest.json>". Editing
 //     the manifest (or its digest) breaks this outer seal.
 //   - member files — the recorded binary, result.json, reports.json,
-//     telemetry.json, bench.json, ... as listed in the manifest.
+//     telemetry.json, ... as listed in the manifest.
 //
 // The digest chain is
 //
@@ -71,7 +71,6 @@ const chainSeed = "redfat-runpack-chain-v1"
 const (
 	KindRun     = "run"     // an rfvm execution (binary + result + reports)
 	KindRewrite = "rewrite" // a redfat hardening (input + hardened binary)
-	KindBench   = "bench"   // an rfbench experiment matrix (bench.json)
 )
 
 // Member is one recorded file of a pack.

@@ -622,6 +622,36 @@ func TestTarRoundtrip(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesUnknownKind seals a pack of a kind replay does not
+// know, as a bench pack written by an older rfbench is: the pack
+// verifies, and replay refuses it with the usage code, naming the kind.
+func TestReplayRefusesUnknownKind(t *testing.T) {
+	dir := t.TempDir()
+	b, err := NewBuilder(dir, "bench", "rfbench", []string{"-table2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AddBytes("bench.json", []byte(`{"schema_version": 1}`+"\n"))
+	if err := b.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	man, err := VerifyPath(dir)
+	if err != nil {
+		t.Fatalf("bench pack failed verify: %v", err)
+	}
+	p, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Replay(p, man)
+	if got := ExitCode(err); got != ExitUsage || rep != nil {
+		t.Fatalf("replay of a bench pack: exit code %d (%v), report %v; want %d", got, err, rep, ExitUsage)
+	}
+	if !strings.Contains(err.Error(), `"bench"`) {
+		t.Errorf("refusal does not name the kind: %v", err)
+	}
+}
+
 func TestBuilderRejectsBadMemberNames(t *testing.T) {
 	for _, name := range []string{"", "a/b", `a\b`, ManifestName, DigestName} {
 		b, err := NewBuilder(t.TempDir(), KindRun, "test", nil)

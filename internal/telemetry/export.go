@@ -17,9 +17,9 @@ type HistogramSnapshot struct {
 	Sum    uint64   `json:"sum"`
 }
 
-// SchemaVersion versions the exported JSON shape. Consumers that store
-// snapshots (runpack manifests, bench baselines) check it and reject
-// incompatible files instead of misparsing them.
+// SchemaVersion versions the exported JSON shape, so a reader of a
+// stored snapshot (a run pack's telemetry.json, an rfbench -json
+// document) can tell a changed shape from a misparse.
 const SchemaVersion = 1
 
 // Snapshot is a point-in-time copy of a registry, shaped for JSON export.
@@ -28,16 +28,6 @@ type Snapshot struct {
 	Counters      map[string]uint64            `json:"counters,omitempty"`
 	Gauges        map[string]uint64            `json:"gauges,omitempty"`
 	Histograms    map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Validate reports whether the snapshot was written by a compatible
-// exporter (zero means a pre-versioned file and is rejected too).
-func (s *Snapshot) Validate() error {
-	if s.SchemaVersion != SchemaVersion {
-		return fmt.Errorf("telemetry: snapshot schema_version %d, tool supports %d",
-			s.SchemaVersion, SchemaVersion)
-	}
-	return nil
 }
 
 // Snapshot copies the registry's current values. A nil registry yields an

@@ -294,8 +294,10 @@ type Result struct {
 	// Coverage is the fraction of executed checks running in full
 	// (Redzone)+(LowFat) mode; only set for hardened runs.
 	Coverage float64
-	// Checks holds per-site statistics, sorted by execution count
-	// (hardened runs only).
+	// Checks holds the statistics of each check site the run executed,
+	// most executed first and ties by PC (hardened runs only). Sites
+	// that never ran are left out, as Coverage and the site.* telemetry
+	// counters leave them out.
 	Checks []CheckStat
 	// Reports are the forensic resolutions of Errors, in the same order
 	// (only set when RunOptions.Forensics is on).
@@ -345,28 +347,35 @@ func RunLinked(main *Binary, libs []*Binary, opt RunOptions) (*Result, error) {
 	return res, err
 }
 
-// addSiteStats sets the coverage and per-site statistics of a hardened
-// run from the check runtimes of its modules, and publishes the site
-// stats into reg.
+// addSiteStats sets the coverage and the statistics of the executed
+// check sites of a hardened run from the check runtimes of its modules,
+// and publishes the site stats into reg.
 func (res *Result) addSiteStats(reg *telemetry.Registry, rts ...*rtlib.Runtime) {
 	res.Coverage = rtlib.Coverage(rts...)
 	for _, rt := range rts {
 		rt.PublishSiteStats(reg)
 		for i := range rt.Checks {
-			c := &rt.Checks[i]
+			c, st := &rt.Checks[i], &rt.Stats[i]
+			if st.Execs == 0 {
+				continue
+			}
 			res.Checks = append(res.Checks, CheckStat{
 				PC:           c.PC,
 				Operand:      c.Operand.String(),
 				Mode:         c.Mode.String(),
 				Merged:       int(c.Merged),
-				Execs:        rt.Stats[i].Execs,
-				LowFatFails:  rt.Stats[i].LowFatFails,
-				RedzoneFails: rt.Stats[i].RedzoneFails,
+				Execs:        st.Execs,
+				LowFatFails:  st.LowFatFails,
+				RedzoneFails: st.RedzoneFails,
 			})
 		}
 	}
-	sort.Slice(res.Checks, func(i, j int) bool {
-		return res.Checks[i].Execs > res.Checks[j].Execs
+	sort.SliceStable(res.Checks, func(i, j int) bool {
+		a, b := &res.Checks[i], &res.Checks[j]
+		if a.Execs != b.Execs {
+			return a.Execs > b.Execs
+		}
+		return a.PC < b.PC
 	})
 }
 

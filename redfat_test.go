@@ -188,6 +188,9 @@ func TestRunLinkedAPI(t *testing.T) {
 			t.Errorf("check %#x %s executed %d times, want one of %v executed once", c.PC, c.Operand, c.Execs, want)
 		}
 	}
+	if res.Checks[0].PC > res.Checks[1].PC {
+		t.Errorf("checks that ran equally often are not in PC order: %+v", res.Checks)
+	}
 	if _, err := redfat.RunLinked(hardMain, nil, redfat.RunOptions{Memcheck: true}); err == nil {
 		t.Error("Memcheck linked run accepted")
 	}
